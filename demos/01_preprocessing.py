@@ -8,7 +8,6 @@ so you can watch the document shrink.
 
 from fuzzydocs import (
     PreprocessConfig,
-    RawDocument,
     default_stopwords,
     preprocess_document,
     strip_markup,
@@ -38,11 +37,11 @@ print("kept     :", kept)
 # stage 4: stemming. Inflected forms collapse onto a shared stem, so
 # "driving" and "drove" count toward the same feature... almost: stems
 # are not always dictionary words, and that is fine.
-doc = RawDocument("report", snippet)
-terms = preprocess_document(doc)
-print("stemmed  :", terms.terms)
+# preprocess_document runs all four stages and returns the terms as a
+# tuple.
+print("stemmed  :", preprocess_document(snippet))
 
 # The whole pipeline is configurable. Bigrams append adjacent-pair
 # terms, which helps phrases like "gold medal" survive as one feature.
 cfg = PreprocessConfig(bigrams=True)
-print("bigrams  :", preprocess_document(doc, cfg).terms)
+print("bigrams  :", preprocess_document(snippet, cfg))

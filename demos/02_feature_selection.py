@@ -9,7 +9,6 @@ frequency differs sharply between labeled corpora.
 
 from fuzzydocs import (
     LabeledProfile,
-    RawDocument,
     build_profile,
     preprocess_document,
     score_terms,
@@ -19,14 +18,14 @@ from fuzzydocs import (
 # Two tiny labeled corpora. Real ones would be directories of files;
 # three sentences each is enough to see the mechanics.
 sports_docs = [
-    RawDocument("s1", "The team won the match at the new stadium."),
-    RawDocument("s2", "A brilliant ball, the team celebrates the win."),
-    RawDocument("s3", "Fans filled the stadium to watch the ball game."),
+    "The team won the match at the new stadium.",
+    "A brilliant ball, the team celebrates the win.",
+    "Fans filled the stadium to watch the ball game.",
 ]
 politics_docs = [
-    RawDocument("p1", "The candidate spoke about democracy and reform."),
-    RawDocument("p2", "Voters want democracy, said the candidate."),
-    RawDocument("p3", "The campaign team promised a stronger democracy."),
+    "The candidate spoke about democracy and reform.",
+    "Voters want democracy, said the candidate.",
+    "The campaign team promised a stronger democracy.",
 ]
 
 # Profiles are measured on cleaned documents, so preprocessing runs

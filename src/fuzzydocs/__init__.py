@@ -2,12 +2,12 @@
 
 The pipeline runs in four stages, one module each:
 
-- :mod:`fuzzydocs.preprocess` turns raw text or HTML into term lists
+- :mod:`fuzzydocs.preprocess` turns raw text or HTML into a tuple of terms
   (markup stripping, tokenization, stopword removal, stemming, optional
   bigrams);
 - :mod:`fuzzydocs.features` counts terms, scales them to word
-  frequencies per 10000, and selects discriminative features by
-  comparing labeled corpus profiles;
+  frequencies per 10000 (one WF row per document), and selects
+  discriminative features by comparing labeled corpus profiles;
 - :mod:`fuzzydocs.fcm` clusters the document vectors with fuzzy
   c-means, exposing each update step as well as the full loop;
 - :mod:`fuzzydocs.labeling` names the clusters after the nearest
@@ -16,104 +16,37 @@ The pipeline runs in four stages, one module each:
 :mod:`fuzzydocs.cli` wires the stages into a batch command-line tool.
 """
 
-from .fcm import (
-    FcmParams,
-    FcmResult,
-    FeatureMatrix,
-    harden,
-    init_partition,
-    load_result,
-    objective,
-    pairwise_distances,
-    run_fcm,
-    save_result,
-    update_centers,
-    update_memberships,
-    validate_partition,
-)
-from .features import (
-    BagOfWords,
-    DocumentVector,
-    LabeledProfile,
-    build_profile,
-    count_terms,
-    load_feature_set,
-    load_profile,
-    save_feature_set,
-    save_profile,
-    score_terms,
-    select_features,
-    vectorize,
-    word_frequency,
-)
-from .labeling import (
-    ClusterLabeling,
-    DocumentReport,
-    classify_strength,
-    label_clusters,
-    load_report,
-    rank_documents,
-    render_report_table,
-    save_report,
-)
-from .porter import stem
+from .fcm import FcmParams, FeatureMatrix, harden, run_fcm
+from .features import LabeledProfile, build_profile, score_terms, select_features
+from .labeling import classify_strength, label_clusters, rank_documents, render_report_table
 from .preprocess import (
     PreprocessConfig,
-    RawDocument,
-    TermList,
     default_stopwords,
-    load_stopwords,
     preprocess_document,
-    remove_stopwords,
     strip_markup,
     tokenize,
 )
 
 __version__ = "0.1.0"
 
+# The names the README and the demos import; everything else is imported
+# from its own module.
 __all__ = [
-    "BagOfWords",
-    "ClusterLabeling",
-    "DocumentReport",
-    "DocumentVector",
     "FcmParams",
-    "FcmResult",
     "FeatureMatrix",
     "LabeledProfile",
     "PreprocessConfig",
-    "RawDocument",
-    "TermList",
     "build_profile",
     "classify_strength",
-    "count_terms",
     "default_stopwords",
     "harden",
-    "init_partition",
     "label_clusters",
-    "load_feature_set",
-    "load_profile",
-    "load_report",
-    "load_result",
-    "load_stopwords",
-    "objective",
-    "pairwise_distances",
     "preprocess_document",
     "rank_documents",
-    "remove_stopwords",
     "render_report_table",
     "run_fcm",
-    "save_feature_set",
-    "save_profile",
-    "save_report",
-    "save_result",
     "score_terms",
     "select_features",
-    "stem",
     "strip_markup",
     "tokenize",
-    "update_centers",
-    "update_memberships",
-    "validate_partition",
-    "vectorize",
-    "word_frequency",
 ]

@@ -21,7 +21,6 @@ import numpy as np
 from .fcm import FcmParams, FeatureMatrix, run_fcm, save_result, load_result
 from .features import (
     build_profile,
-    count_terms,
     load_feature_set,
     load_profile,
     save_feature_set,
@@ -37,12 +36,14 @@ from .labeling import (
     label_clusters,
     render_report_table,
     save_report,
+    validate_thresholds,
 )
 from .preprocess import PreprocessConfig, RawDocument, load_stopwords, preprocess_document
 
 
 class UsageError(Exception):
-    """Bad invocation: missing inputs, malformed flags. Exit code 2."""
+    """Bad invocation: missing inputs, malformed flags, flag or config
+    values of the wrong type or out of range. Exit code 2."""
 
 
 class DataError(Exception):
@@ -98,17 +99,33 @@ def _require(args, config: dict, key: str, flag: str):
     return value
 
 
+def _typed(value, kind: type, key: str):
+    """Convert a flag or config value; a value of the wrong type is a
+    usage error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _boolean(value, key: str) -> bool:
+    # bool() would read any non-empty string, "false" included, as true
+    if not isinstance(value, bool):
+        raise UsageError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _preprocess_config(config: dict) -> PreprocessConfig:
     section = config.get("preprocess", {})
-    kwargs = {}
-    if "strip_markup" in section:
-        kwargs["strip_markup"] = bool(section["strip_markup"])
-    if "stemming" in section:
-        kwargs["stemming"] = bool(section["stemming"])
-    if "bigrams" in section:
-        kwargs["bigrams"] = bool(section["bigrams"])
-    if "stopwords_file" in section:
-        path = Path(section["stopwords_file"])
+    if not isinstance(section, dict):
+        raise UsageError("preprocess must be a JSON object")
+    kwargs = {
+        key: _boolean(section[key], f"preprocess.{key}")
+        for key in ("strip_markup", "stemming", "bigrams")
+        if key in section
+    }
+    if section.get("stopwords_file") is not None:
+        path = _typed(section["stopwords_file"], Path, "preprocess.stopwords_file")
         if not path.is_file():
             raise UsageError(f"stopwords file not found: {path}")
         kwargs["stopwords"] = load_stopwords(path)
@@ -144,23 +161,22 @@ def cmd_features(args) -> int:
     samples = _parse_samples(args.samples, config)
     if len(samples) < 2:
         raise UsageError("need at least two --samples LABEL=DIR pairs")
-    top_k = int(_resolve(args, config, "top_k", 50))
-    min_ratio = float(_resolve(args, config, "min_ratio", 2.0))
-    min_wf = float(_resolve(args, config, "min_wf", 5.0))
+    top_k = _typed(_resolve(args, config, "top_k", 50), int, "top_k")
+    if top_k < 1:
+        raise UsageError("top_k must be positive")
+    min_ratio = _typed(_resolve(args, config, "min_ratio", 2.0), float, "min_ratio")
+    min_wf = _typed(_resolve(args, config, "min_wf", 5.0), float, "min_wf")
     out = Path(_resolve(args, config, "out", None) or config.get("features_path", "features.json"))
     pre = _preprocess_config(config)
 
     profiles = []
     for label in sorted(samples):
-        term_lists = [preprocess_document(doc, pre) for doc in load_corpus(samples[label])]
+        term_seqs = [preprocess_document(doc.content, pre) for doc in load_corpus(samples[label])]
         try:
-            profiles.append(build_profile(label, term_lists))
+            profiles.append(build_profile(label, term_seqs))
         except ValueError as exc:
             raise DataError(f"{exc} (label {label!r})") from exc
-    try:
-        selected = select_features(profiles, top_k=top_k, min_ratio=min_ratio, min_wf=min_wf)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    selected = select_features(profiles, top_k=top_k, min_ratio=min_ratio, min_wf=min_wf)
 
     out.parent.mkdir(parents=True, exist_ok=True)
     save_feature_set(selected, out)
@@ -211,36 +227,15 @@ def cmd_cluster(args) -> int:
     features_path = _existing_file(
         _require(args, config, "features", "--features"), "feature file"
     )
-    c = int(_require(args, config, "clusters", "--clusters"))
-    fuzzifier = float(_resolve(args, config, "fuzzifier", 2.0))
-    epsilon = float(_resolve(args, config, "epsilon", 1e-3))
-    max_iters = int(_resolve(args, config, "max_iters", 100))
-    seed = int(_resolve(args, config, "seed", 0))
-    trace = bool(_resolve(args, config, "trace", False))
+    c = _typed(_require(args, config, "clusters", "--clusters"), int, "clusters")
+    fuzzifier = _typed(_resolve(args, config, "fuzzifier", 2.0), float, "fuzzifier")
+    epsilon = _typed(_resolve(args, config, "epsilon", 1e-3), float, "epsilon")
+    max_iters = _typed(_resolve(args, config, "max_iters", 100), int, "max_iters")
+    seed = _typed(_resolve(args, config, "seed", 0), int, "seed")
+    trace = _boolean(_resolve(args, config, "trace", False), "trace")
     init_file = _resolve(args, config, "init_file", None)
     out = Path(_resolve(args, config, "out", None) or config.get("result_path", "result.json"))
     pre = _preprocess_config(config)
-
-    try:
-        selected = load_feature_set(features_path)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
-    vectors = []
-    for doc in load_corpus(corpus_dir):
-        terms = preprocess_document(doc, pre)
-        if len(terms) == 0:
-            print(f"warning: skipping empty document: {doc.id}", file=sys.stderr)
-            continue
-        vectors.append(vectorize(count_terms(terms), selected))
-    if c > len(vectors):
-        raise DataError(
-            f"cluster count {c} exceeds surviving document count {len(vectors)}"
-        )
-    matrix = FeatureMatrix(
-        doc_ids=tuple(v.doc_id for v in vectors),
-        data=np.array([v.values for v in vectors], dtype=float),
-    )
 
     init = None
     if init_file is not None:
@@ -252,9 +247,25 @@ def cmd_cluster(args) -> int:
             c=c, fuzzifier=fuzzifier, epsilon=epsilon, max_iters=max_iters,
             init=init, seed=seed,
         )
-        result = run_fcm(matrix, params, record_trace=trace)
     except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
+
+    selected = load_feature_set(features_path)
+
+    doc_ids, rows = [], []
+    for doc in load_corpus(corpus_dir):
+        terms = preprocess_document(doc.content, pre)
+        if not terms:
+            print(f"warning: skipping empty document: {doc.id}", file=sys.stderr)
+            continue
+        doc_ids.append(doc.id)
+        rows.append(vectorize(terms, selected))
+    if c > len(rows):
+        raise DataError(
+            f"cluster count {c} exceeds surviving document count {len(rows)}"
+        )
+    matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
+    result = run_fcm(matrix, params, record_trace=trace)
 
     out.parent.mkdir(parents=True, exist_ok=True)
     save_result(result, matrix.doc_ids, selected, out)
@@ -271,23 +282,26 @@ def cmd_report(args) -> int:
     profile_paths = args.profiles or config.get("profile_paths") or []
     if not profile_paths:
         raise UsageError("missing required --profiles")
-    strong = float(_resolve(args, config, "strong_threshold", STRONG_THRESHOLD_DEFAULT))
-    margin = float(_resolve(args, config, "ambiguity_margin", AMBIGUITY_MARGIN_DEFAULT))
+    strong = _typed(_resolve(args, config, "strong_threshold", STRONG_THRESHOLD_DEFAULT),
+                    float, "strong_threshold")
+    margin = _typed(_resolve(args, config, "ambiguity_margin", AMBIGUITY_MARGIN_DEFAULT),
+                    float, "ambiguity_margin")
     out = Path(_resolve(args, config, "out", None) or config.get("report_path", "report.json"))
 
+    result = load_result(result_path)
+    profiles = [load_profile(_existing_file(p, "profile file")) for p in profile_paths]
+    labeling = label_clusters(result["centers"], profiles, result["features"])
     try:
-        result = load_result(result_path)
-        profiles = [load_profile(_existing_file(p, "profile file")) for p in profile_paths]
-        labeling = label_clusters(result["centers"], profiles, result["features"])
-        reports = classify_strength(
-            result["memberships"],
-            result["doc_ids"],
-            labeling,
-            strong_threshold=strong,
-            ambiguity_margin=margin,
-        )
+        validate_thresholds(strong, margin, len(labeling.assignment))
     except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
+    reports = classify_strength(
+        result["memberships"],
+        result["doc_ids"],
+        labeling,
+        strong_threshold=strong,
+        ambiguity_margin=margin,
+    )
 
     reports.sort(key=lambda r: (r.top_label, -r.memberships[r.top_label], r.doc_id))
     out.parent.mkdir(parents=True, exist_ok=True)

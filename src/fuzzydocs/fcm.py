@@ -101,6 +101,8 @@ class FcmParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +262,7 @@ def save_result(
         "iterations": result.iterations,
         "converged": result.converged,
         "objective_history": list(result.objective_history),
+        "max_change_history": list(result.max_change_history),
     }
     if result.trace is not None:
         payload["trace"] = list(result.trace)

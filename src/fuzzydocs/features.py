@@ -1,8 +1,9 @@
-"""Bag-of-words counting, normalized word frequencies, labeled corpus
-profiles, discriminative feature selection, and document vectorization.
+"""Normalized word frequencies, labeled corpus profiles, discriminative
+feature selection, and document vectorization.
 
 A word frequency (WF) is ``count / total * 10000`` -- occurrences per ten
-thousand terms, kept as a real number throughout.
+thousand terms, kept as a real number throughout. Profiles and document
+rows count terms the same way: a ``Counter`` over the term sequence.
 """
 
 from __future__ import annotations
@@ -13,14 +14,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .preprocess import TermList
-
 __all__ = [
     "WF_SCALE",
-    "BagOfWords",
     "LabeledProfile",
-    "DocumentVector",
-    "count_terms",
     "word_frequency",
     "build_profile",
     "select_features",
@@ -39,32 +35,11 @@ FeatureSet = list[str]
 
 
 @dataclass(frozen=True)
-class BagOfWords:
-    """Term counts of one document plus its total term count."""
-
-    doc_id: str
-    counts: dict[str, int]
-    total: int
-
-
-@dataclass(frozen=True)
 class LabeledProfile:
     """Corpus-level WF per term for one known document category."""
 
     label: str
     wf: dict[str, float]
-
-
-@dataclass(frozen=True)
-class DocumentVector:
-    """WF values of one document over a feature set, in feature order."""
-
-    doc_id: str
-    values: tuple[float, ...]
-
-
-def count_terms(terms: TermList) -> BagOfWords:
-    return BagOfWords(terms.doc_id, dict(Counter(terms.terms)), len(terms.terms))
 
 
 def word_frequency(count: int, total: int) -> float:
@@ -74,7 +49,7 @@ def word_frequency(count: int, total: int) -> float:
     return count / total * WF_SCALE
 
 
-def build_profile(label: str, docs: Iterable[TermList]) -> LabeledProfile:
+def build_profile(label: str, term_seqs: Iterable[Sequence[str]]) -> LabeledProfile:
     """Pool term counts over a labeled sample corpus and normalize once.
 
     Pooling is corpus-level: one WF per term from the summed counts over
@@ -82,9 +57,9 @@ def build_profile(label: str, docs: Iterable[TermList]) -> LabeledProfile:
     """
     pooled: Counter[str] = Counter()
     total = 0
-    for doc in docs:
-        pooled.update(doc.terms)
-        total += len(doc.terms)
+    for terms in term_seqs:
+        pooled.update(terms)
+        total += len(terms)
     if total == 0:
         raise ValueError("empty corpus")
     wf = {t: word_frequency(pooled[t], total) for t in sorted(pooled)}
@@ -129,12 +104,13 @@ def score_terms(profiles: Sequence[LabeledProfile]) -> list[tuple[str, float]]:
     return scored
 
 
-def vectorize(bow: BagOfWords, features: Sequence[str]) -> DocumentVector:
-    """WF of each feature in the document, zero where absent."""
-    if bow.total <= 0:
+def vectorize(terms: Sequence[str], features: Sequence[str]) -> tuple[float, ...]:
+    """WF of each feature in one document's terms, zero where absent."""
+    total = len(terms)
+    if total <= 0:
         raise ValueError("empty document")
-    values = tuple(word_frequency(bow.counts.get(t, 0), bow.total) for t in features)
-    return DocumentVector(bow.doc_id, values)
+    counts = Counter(terms)
+    return tuple(word_frequency(counts[t], total) for t in features)
 
 
 def save_feature_set(features: Sequence[str], path: str | Path) -> None:

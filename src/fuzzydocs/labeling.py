@@ -29,6 +29,7 @@ __all__ = [
     "save_report",
     "load_report",
     "render_report_table",
+    "validate_thresholds",
 ]
 
 STRONG_THRESHOLD_DEFAULT = 0.85
@@ -108,10 +109,7 @@ def classify_strength(
     """
     u = np.asarray(u, dtype=float)
     c, n = u.shape
-    if not 0.0 < strong_threshold < 1.0 or not 0.0 < ambiguity_margin < 1.0:
-        raise ValueError("thresholds must lie in (0, 1)")
-    if strong_threshold <= 1.0 / c:
-        raise ValueError("strong_threshold must exceed 1/c")
+    validate_thresholds(strong_threshold, ambiguity_margin, c)
     if len(doc_ids) != n:
         raise ValueError("doc_ids length must match partition columns")
     reports = []
@@ -127,6 +125,15 @@ def classify_strength(
             strength = "moderate"
         reports.append(DocumentReport(doc_id, degrees, top, strength))
     return reports
+
+
+def validate_thresholds(strong_threshold: float, ambiguity_margin: float, c: int) -> None:
+    """Both thresholds must lie in (0, 1), and strong_threshold must
+    exceed 1/c, the top degree of a flat column."""
+    if not 0.0 < strong_threshold < 1.0 or not 0.0 < ambiguity_margin < 1.0:
+        raise ValueError("thresholds must lie in (0, 1)")
+    if strong_threshold <= 1.0 / c:
+        raise ValueError("strong_threshold must exceed 1/c")
 
 
 def rank_documents(

@@ -10,22 +10,23 @@ __all__ = ["stem"]
 _VOWELS = frozenset("aeiou")
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a vowel exactly when preceded by a consonant
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _consonants(word: str) -> list[bool]:
+    """C/V mask of a word in one pass: a, e, i, o and u are vowels, y is a
+    vowel exactly when preceded by a consonant, anything else is a
+    consonant. A leading y is a consonant."""
+    mask = []
+    cons = False
+    for ch in word:
+        cons = ch not in _VOWELS and (ch != "y" or not cons)
+        mask.append(cons)
+    return mask
 
 
 def _measure(stem_part: str) -> int:
     """Count VC sequences: the m in the [C](VC)^m[V] decomposition."""
     m = 0
     prev_cons = True
-    for i in range(len(stem_part)):
-        cons = _is_consonant(stem_part, i)
+    for cons in _consonants(stem_part):
         if cons and not prev_cons:
             m += 1
         prev_cons = cons
@@ -33,27 +34,19 @@ def _measure(stem_part: str) -> int:
 
 
 def _has_vowel(stem_part: str) -> bool:
-    return any(not _is_consonant(stem_part, i) for i in range(len(stem_part)))
+    return not all(_consonants(stem_part))
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _consonants(word)[-1]
 
 
 def _ends_cvc(word: str) -> bool:
     # consonant-vowel-consonant where the final consonant is not w, x or y
     if len(word) < 3:
         return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    mask = _consonants(word)
+    return mask[-3] and not mask[-2] and mask[-1] and word[-1] not in "wxy"
 
 
 def _step1a(w: str) -> str:

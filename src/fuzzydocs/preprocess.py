@@ -1,9 +1,10 @@
 """Text cleanup and term extraction: markup stripping, tokenization,
 stopword removal, and stemming.
 
-All functions are pure; a document flows through
+All functions are pure; a document's text flows through
 strip_markup -> tokenize -> remove_stopwords -> stem -> bigram emission,
-which is what :func:`preprocess_document` composes.
+which is what :func:`preprocess_document` composes. A document's terms
+are a plain tuple of strings; the caller keeps the document id.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .porter import stem
 __all__ = [
     "RawDocument",
     "PreprocessConfig",
-    "TermList",
     "strip_markup",
     "tokenize",
     "remove_stopwords",
@@ -106,17 +106,6 @@ class PreprocessConfig:
                 raise ValueError(f"invalid stopword: {w!r}")
 
 
-@dataclass(frozen=True)
-class TermList:
-    """Ordered preprocessed terms of one document."""
-
-    doc_id: str
-    terms: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 def _split_terms(text: str) -> list[str]:
     # maximal [a-z0-9] runs after Unicode-aware lowercasing; anything
     # else (hyphens included) is a separator
@@ -127,14 +116,10 @@ def _bigram_tokens(terms: Sequence[str]) -> list[str]:
     return [f"{a}_{b}" for a, b in zip(terms, terms[1:])]
 
 
-def tokenize(text: str, config: PreprocessConfig | None = None) -> list[str]:
-    """Lowercase and split into terms; with ``config.bigrams``, phrase tokens
-    over stopword-surviving adjacent pairs are appended after the unigrams.
-    """
-    terms = _split_terms(text)
-    if config is not None and config.bigrams:
-        return terms + _bigram_tokens(remove_stopwords(terms, config.stopwords))
-    return terms
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split into terms: the tokenize stage of
+    :func:`preprocess_document`."""
+    return _split_terms(text)
 
 
 def remove_stopwords(terms: Sequence[str], stopwords: frozenset[str]) -> list[str]:
@@ -142,8 +127,8 @@ def remove_stopwords(terms: Sequence[str], stopwords: frozenset[str]) -> list[st
     return [t for t in terms if t not in stopwords]
 
 
-def preprocess_document(doc: RawDocument, config: PreprocessConfig | None = None) -> TermList:
-    """Run the full pipeline on one document.
+def preprocess_document(text: str, config: PreprocessConfig | None = None) -> tuple[str, ...]:
+    """Run the full pipeline on one document's text and return its terms.
 
     Stage order: markup strip, tokenize, stopword removal, stemming,
     bigram emission. Stemming runs after stopword removal so inflected
@@ -152,10 +137,11 @@ def preprocess_document(doc: RawDocument, config: PreprocessConfig | None = None
     """
     if config is None:
         config = PreprocessConfig()
-    text = strip_markup(doc.content) if config.strip_markup else doc.content
+    if config.strip_markup:
+        text = strip_markup(text)
     terms = remove_stopwords(_split_terms(text), config.stopwords)
     if config.stemming:
         terms = [stem(t) for t in terms]
     if config.bigrams:
         terms = terms + _bigram_tokens(terms)
-    return TermList(doc.id, tuple(terms))
+    return tuple(terms)

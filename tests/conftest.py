@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import goldens
-from fuzzydocs import FeatureMatrix, LabeledProfile
+from fuzzydocs.fcm import FeatureMatrix
+from fuzzydocs.features import LabeledProfile
 
 
 @pytest.fixture

@@ -13,20 +13,18 @@ import math
 import numpy as np
 
 import goldens
-from fuzzydocs import (
+from fuzzydocs.fcm import (
     FcmParams,
     FeatureMatrix,
-    LabeledProfile,
     harden,
     init_partition,
-    label_clusters,
     pairwise_distances,
     run_fcm,
-    select_features,
     update_centers,
     update_memberships,
-    word_frequency,
 )
+from fuzzydocs.features import LabeledProfile, select_features, word_frequency
+from fuzzydocs.labeling import label_clusters
 from fuzzydocs.cli import main
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import goldens
-from fuzzydocs import LabeledProfile, load_report, load_result, save_feature_set, save_profile
+from fuzzydocs.features import LabeledProfile, save_feature_set, save_profile
+from fuzzydocs.labeling import load_report
 from fuzzydocs.cli import main
 
 FEATURES = list(goldens.MATRIX_FEATURES)
@@ -50,6 +51,23 @@ def write_profiles(root):
         save_profile(LabeledProfile(label, dict(wf)), path)
         paths.append(str(path))
     return paths
+
+
+def write_result(root):
+    """Cluster the worked-example corpus from the crisp start; returns
+    the result file."""
+    corpus = write_corpus(root)
+    config = write_plain_config(root)
+    features = write_features_file(root)
+    init = write_init_file(root)
+    result = root / "result.json"
+    code = main([
+        "cluster", "--corpus", str(corpus), "--features", str(features),
+        "--clusters", "2", "--init-file", str(init),
+        "--config", str(config), "--out", str(result),
+    ])
+    assert code == 0
+    return result
 
 
 def make_sample_dirs(root):
@@ -227,6 +245,16 @@ class TestClusterCommand:
         ])
         assert code == 1
 
+    def test_long_y_token_is_stemmed(self, tmp_path):
+        corpus = write_corpus(tmp_path)
+        (corpus / "yyy.txt").write_text("stadium ball " + "y" * 1200, encoding="utf-8")
+        features = write_features_file(tmp_path)
+        code = main([
+            "cluster", "--corpus", str(corpus), "--features", str(features),
+            "--clusters", "2", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 0
+
     def test_missing_features_file_is_usage_error(self, tmp_path):
         corpus = write_corpus(tmp_path)
         code = main([
@@ -250,7 +278,8 @@ class TestClusterCommand:
         config.write_text(json.dumps({
             "clusters": 3,
             "seed": 5,
-            "preprocess": {"stemming": False},
+            # null means the default stopword list, as in the README example
+            "preprocess": {"stemming": False, "stopwords_file": None},
         }), encoding="utf-8")
         from_config = tmp_path / "from_config.json"
         code = main([
@@ -270,22 +299,8 @@ class TestClusterCommand:
 
 
 class TestReportCommand:
-    def make_result(self, tmp_path):
-        corpus = write_corpus(tmp_path)
-        config = write_plain_config(tmp_path)
-        features = write_features_file(tmp_path)
-        init = write_init_file(tmp_path)
-        result = tmp_path / "result.json"
-        code = main([
-            "cluster", "--corpus", str(corpus), "--features", str(features),
-            "--clusters", "2", "--init-file", str(init),
-            "--config", str(config), "--out", str(result),
-        ])
-        assert code == 0
-        return result
-
     def test_report_labels_and_order(self, tmp_path, capsys):
-        result = self.make_result(tmp_path)
+        result = write_result(tmp_path)
         profiles = write_profiles(tmp_path)
         out = tmp_path / "report.json"
         code = main([
@@ -325,18 +340,18 @@ class TestReportCommand:
         assert code == 2
 
     def test_no_profiles_is_usage_error(self, tmp_path):
-        result = self.make_result(tmp_path)
+        result = write_result(tmp_path)
         assert main(["report", "--result", str(result)]) == 2
 
     def test_too_few_profiles_is_data_error(self, tmp_path, capsys):
-        result = self.make_result(tmp_path)
+        result = write_result(tmp_path)
         profiles = write_profiles(tmp_path)
         code = main(["report", "--result", str(result), "--profiles", profiles[0]])
         assert code == 1
         assert "insufficient profiles" in capsys.readouterr().err
 
     def test_report_file_deterministic(self, tmp_path):
-        result = self.make_result(tmp_path)
+        result = write_result(tmp_path)
         profiles = write_profiles(tmp_path)
         payloads = []
         for name in ("rep1.json", "rep2.json"):
@@ -349,6 +364,51 @@ class TestReportCommand:
             assert code == 0
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
+
+
+def command_argv(tmp_path, command):
+    """A valid invocation of one subcommand, without its --config."""
+    if command == "features":
+        sports, politics = make_sample_dirs(tmp_path)
+        return ["features", "--samples", f"sports={sports}", "--samples", f"politics={politics}",
+                "--out", str(tmp_path / "features.json")]
+    if command == "cluster":
+        return ["cluster", "--corpus", str(write_corpus(tmp_path)),
+                "--features", str(write_features_file(tmp_path)),
+                "--out", str(tmp_path / "result.json")]
+    result = write_result(tmp_path)
+    profiles = write_profiles(tmp_path)
+    return ["report", "--result", str(result), "--profiles", profiles[0],
+            "--profiles", profiles[1], "--out", str(tmp_path / "report.json")]
+
+
+@pytest.mark.parametrize("command,flags,config", [
+    pytest.param("features", ["--top-k", "0"], {}, id="top_k-zero"),
+    pytest.param("features", [], {"top_k": "many"}, id="top_k-string"),
+    pytest.param("features", [], {"min_wf": [5]}, id="min_wf-list"),
+    pytest.param("features", [], {"preprocess": ["stemming"]}, id="preprocess-list"),
+    pytest.param("features", [], {"preprocess": {"stemming": "no"}}, id="stemming-string"),
+    pytest.param("features", [], {"preprocess": {"stopwords_file": 5}}, id="stopwords_file-number"),
+    pytest.param("cluster", [], {"clusters": "two"}, id="clusters-string"),
+    pytest.param("cluster", ["--clusters", "0"], {}, id="clusters-zero"),
+    pytest.param("cluster", ["--clusters", "2", "--fuzzifier", "1.0"], {}, id="fuzzifier-one"),
+    pytest.param("cluster", ["--clusters", "2", "--epsilon", "1.5"], {}, id="epsilon-above-one"),
+    pytest.param("cluster", ["--clusters", "2", "--max-iters", "0"], {}, id="max_iters-zero"),
+    pytest.param("cluster", ["--clusters", "2", "--seed", "-1"], {}, id="seed-negative"),
+    pytest.param("cluster", ["--clusters", "2"], {"trace": "false"}, id="trace-string"),
+    pytest.param("report", ["--strong-threshold", "1.5"], {}, id="strong-above-one"),
+    # two clusters: a strong threshold must exceed 1/2
+    pytest.param("report", ["--strong-threshold", "0.4"], {}, id="strong-not-above-half"),
+    pytest.param("report", [], {"ambiguity_margin": "wide"}, id="margin-string"),
+])
+def test_bad_value_is_usage_error(tmp_path, capsys, command, flags, config):
+    argv = command_argv(tmp_path, command)
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"preprocess": {"stemming": False}, **config}),
+                           encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, *flags, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTopLevel:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goldens
-from fuzzydocs import (
+from fuzzydocs.fcm import (
     FcmParams,
     FeatureMatrix,
     harden,
@@ -70,6 +70,7 @@ class TestFcmParams:
         {"c": 2, "epsilon": 0.0},
         {"c": 2, "epsilon": 1.0},
         {"c": 2, "max_iters": 0},
+        {"c": 2, "seed": -1},
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
@@ -334,6 +335,13 @@ class TestResultFiles:
         np.testing.assert_array_equal(loaded["memberships"], res.partition)
         np.testing.assert_array_equal(loaded["centers"], res.centers)
         assert loaded["objective_history"] == list(res.objective_history)
+        assert loaded["max_change_history"] == list(res.max_change_history)
+
+        # files written before max_change_history was persisted still load
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        del raw["max_change_history"]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert "max_change_history" not in load_result(path)
 
     def test_trace_embedded(self, tmp_path, example_matrix, crisp_init):
         res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init), record_trace=True)

@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import goldens
-from fuzzydocs import (
-    BagOfWords,
+from fuzzydocs.features import (
     LabeledProfile,
-    PreprocessConfig,
-    RawDocument,
     build_profile,
-    count_terms,
     load_feature_set,
     load_profile,
-    preprocess_document,
     save_feature_set,
     save_profile,
     score_terms,
@@ -21,7 +16,7 @@ from fuzzydocs import (
     vectorize,
     word_frequency,
 )
-from fuzzydocs.preprocess import TermList
+from fuzzydocs.preprocess import preprocess_document
 
 # A clustering-explainer paragraph; after stemming, "observation" maps
 # to "observ" (twice) and "centre" to "centr" (once).
@@ -31,32 +26,6 @@ EXPLAINER = (
     "the clusters which is related inversely to the distance of that "
     "observation from the centre of the cluster."
 )
-
-
-def terms(*seq: str, doc_id: str = "d") -> TermList:
-    return TermList(doc_id, tuple(seq))
-
-
-class TestCountTerms:
-    def test_stemmed_paragraph_counts(self):
-        out = preprocess_document(RawDocument("d", EXPLAINER))
-        bow = count_terms(out)
-        assert bow.counts["observ"] == 2
-        assert bow.counts["centr"] == 1
-
-    def test_simple(self):
-        bow = count_terms(terms("ball", "ball"))
-        assert bow.counts == {"ball": 2}
-        assert bow.total == 2
-
-    def test_empty(self):
-        bow = count_terms(terms())
-        assert bow.counts == {}
-        assert bow.total == 0
-
-    def test_total_equals_sum(self):
-        bow = count_terms(terms("a1", "b2", "a1", "c3"))
-        assert bow.total == sum(bow.counts.values()) == 4
 
 
 class TestWordFrequency:
@@ -79,30 +48,30 @@ class TestWordFrequency:
 
 class TestBuildProfile:
     def test_single_document(self):
-        profile = build_profile("sports", [terms("ball", "ball", "win", "team")])
+        profile = build_profile("sports", [("ball", "ball", "win", "team")])
         assert profile.label == "sports"
         assert profile.wf == {"ball": 5000.0, "win": 2500.0, "team": 2500.0}
 
     def test_pooled_counts(self):
-        profile = build_profile("x", [terms("ball"), terms("win")])
+        profile = build_profile("x", [("ball",), ("win",)])
         assert profile.wf == {"ball": 5000.0, "win": 5000.0}
 
     def test_pooling_is_corpus_level_not_mean_of_docs(self):
         # doc1: ball at 5000 WF; doc2: ball at 0 WF. Mean of per-doc WFs
         # would be 2500; pooled counts give 1/5 of the corpus = 2000.
-        docs = [terms("ball", "win"), terms("win", "win", "win")]
+        docs = [("ball", "win"), ("win", "win", "win")]
         assert build_profile("x", docs).wf["ball"] == 2000.0
 
     def test_reconstructs_profile_precision(self):
         # 2773 occurrences in 55277 terms lands on the profile's printed
         # ball value at four decimals.
         seq = ("ball",) * 2773 + ("run",) * (55277 - 2773)
-        profile = build_profile("sports", [TermList("big", seq)])
+        profile = build_profile("sports", [seq])
         assert round(profile.wf["ball"], 4) == 501.6553
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            build_profile("x", [terms(), terms()])
+            build_profile("x", [(), ()])
 
     def test_no_documents(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -169,25 +138,28 @@ class TestVectorize:
     def test_worked_example_row(self):
         counts = {"stadium": 180, "ball": 400, "team": 200, "democracy": 1}
         counts["other"] = 10000 - sum(counts.values())
-        bow = BagOfWords("doc1", counts, 10000)
-        vec = vectorize(bow, ["stadium", "ball", "team", "democracy"])
-        assert vec.values == (180.0, 400.0, 200.0, 1.0)
+        seq = tuple(t for t, k in counts.items() for _ in range(k))
+        row = vectorize(seq, ["stadium", "ball", "team", "democracy"])
+        assert row == (180.0, 400.0, 200.0, 1.0)
+
+    def test_stemmed_paragraph_counts(self):
+        seq = preprocess_document(EXPLAINER)
+        row = vectorize(seq, ["observ", "centr"])
+        assert row == (word_frequency(2, len(seq)), word_frequency(1, len(seq)))
 
     def test_disjoint_features_all_zero(self):
-        bow = BagOfWords("d", {"ball": 3}, 3)
-        assert vectorize(bow, ["win", "cup"]).values == (0.0, 0.0)
+        assert vectorize(("ball",) * 3, ["win", "cup"]) == (0.0, 0.0)
 
     def test_single_feature_full_mass(self):
-        bow = BagOfWords("d", {"ball": 1}, 1)
-        assert vectorize(bow, ["ball"]).values == (10000.0,)
+        assert vectorize(("ball",), ["ball"]) == (10000.0,)
 
     def test_empty_document(self):
         with pytest.raises(ValueError, match="empty document"):
-            vectorize(BagOfWords("d", {}, 0), ["ball"])
+            vectorize((), ["ball"])
 
     def test_monotone_in_added_occurrence(self):
-        before = vectorize(BagOfWords("d", {"f": 2, "g": 2}, 4), ["f"]).values[0]
-        after = vectorize(BagOfWords("d", {"f": 3, "g": 2}, 5), ["f"]).values[0]
+        before = vectorize(("f", "f", "g", "g"), ["f"])[0]
+        after = vectorize(("f", "f", "f", "g", "g"), ["f"])[0]
         assert after > before
 
 
@@ -224,9 +196,14 @@ class TestProperties:
     @given(st.lists(st.sampled_from(["ball", "win", "team", "cup", "goal"]),
                     min_size=1, max_size=60))
     def test_wf_sums_to_scale(self, seq):
-        bow = count_terms(TermList("d", tuple(seq)))
-        total_wf = sum(word_frequency(c, bow.total) for c in bow.counts.values())
+        total_wf = sum(vectorize(seq, sorted(set(seq))))
         assert math.isclose(total_wf, 10000.0, rel_tol=1e-6)
+
+    @given(st.lists(st.sampled_from(["ball", "win", "team", "cup", "goal"]),
+                    min_size=1, max_size=60))
+    def test_one_document_profile_equals_its_row(self, seq):
+        terms = sorted(set(seq))
+        assert tuple(build_profile("x", [seq]).wf[t] for t in terms) == vectorize(seq, terms)
 
     @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
                            st.floats(0.0, 10000.0), min_size=1, max_size=4),

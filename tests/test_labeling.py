@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import goldens
-from fuzzydocs import (
+from fuzzydocs.features import LabeledProfile
+from fuzzydocs.labeling import (
     ClusterLabeling,
-    LabeledProfile,
     classify_strength,
     label_clusters,
     load_report,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzydocs.porter import stem
+from fuzzydocs.porter import _consonants, stem
 
 # Each pair was traced by hand against the algorithm's rule tables
 # before the implementation existed. Where a rule table's illustration
@@ -126,3 +126,24 @@ def test_deterministic_and_never_longer(word):
 def test_output_stays_in_term_alphabet(word):
     out = stem(word)
     assert set(out) <= set("abcdefghijklmnopqrstuvwxyz0123456789")
+
+
+def _is_consonant_recursive(word: str, i: int) -> bool:
+    # The rule as Porter states it, kept as the oracle for the one-pass mask:
+    # y is a vowel exactly when preceded by a consonant.
+    ch = word[i]
+    if ch in "aeiou":
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant_recursive(word, i - 1)
+    return True
+
+
+@given(st.text(alphabet="aeiouybcdy", max_size=40))
+def test_consonant_mask_matches_recursive_definition(word):
+    assert _consonants(word) == [_is_consonant_recursive(word, i) for i in range(len(word))]
+
+
+def test_long_y_run_does_not_recurse():
+    # one frame per preceding y used to exceed the recursion limit
+    assert stem("y" * 5000)

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzydocs import (
+from fuzzydocs.preprocess import (
     PreprocessConfig,
     RawDocument,
     default_stopwords,
@@ -59,28 +59,16 @@ class TestStripMarkup:
 
 class TestTokenize:
     def test_hyphen_splits(self):
-        assert tokenize("The no-ball!", RAW) == ["the", "no", "ball"]
-
-    def test_bigrams_appended_after_unigrams(self):
-        config = PreprocessConfig(stopwords=frozenset(), stemming=False, bigrams=True)
-        assert tokenize("Gold Medal", config) == ["gold", "medal", "gold_medal"]
+        assert tokenize("The no-ball!") == ["the", "no", "ball"]
 
     def test_empty_input(self):
-        assert tokenize("", RAW) == []
+        assert tokenize("") == []
 
     def test_digits_kept(self):
-        assert tokenize("over 20 runs", RAW) == ["over", "20", "runs"]
-
-    def test_unigrams_keep_stopwords_bigrams_skip_them(self):
-        config = PreprocessConfig(
-            stopwords=frozenset({"of"}), stemming=False, bigrams=True
-        )
-        assert tokenize("gold of medal", config) == [
-            "gold", "of", "medal", "gold_medal",
-        ]
+        assert tokenize("over 20 runs") == ["over", "20", "runs"]
 
     def test_non_ascii_letters_split(self):
-        assert tokenize("naïve fan", RAW) == ["na", "ve", "fan"]
+        assert tokenize("naïve fan") == ["na", "ve", "fan"]
 
 
 class TestRemoveStopwords:
@@ -100,37 +88,33 @@ class TestRemoveStopwords:
 
 class TestPreprocessDocument:
     def test_full_pipeline(self):
-        doc = RawDocument("d1", "<b>The balls</b>")
         config = PreprocessConfig(stopwords=frozenset({"the"}), stemming=True)
-        assert list(preprocess_document(doc, config).terms) == ["ball"]
+        assert preprocess_document("<b>The balls</b>", config) == ("ball",)
 
     def test_empty_document(self):
-        out = preprocess_document(RawDocument("d1", ""), RAW)
-        assert list(out.terms) == []
-        assert len(out) == 0
+        assert preprocess_document("", RAW) == ()
 
     def test_commentary_ball_count(self):
-        out = preprocess_document(RawDocument("d1", COMMENTARY), RAW)
-        assert Counter(out.terms)["ball"] == 5
-
-    def test_doc_id_carried(self):
-        out = preprocess_document(RawDocument("match.txt", "win"), RAW)
-        assert out.doc_id == "match.txt"
+        out = preprocess_document(COMMENTARY, RAW)
+        assert Counter(out)["ball"] == 5
 
     def test_bigrams_over_stemmed_terms(self):
         config = PreprocessConfig(stopwords=frozenset(), stemming=True, bigrams=True)
-        out = preprocess_document(RawDocument("d1", "gold medals won"), config)
-        assert list(out.terms) == ["gold", "medal", "won", "gold_medal", "medal_won"]
+        out = preprocess_document("gold medals won", config)
+        assert out == ("gold", "medal", "won", "gold_medal", "medal_won")
+
+    def test_bigrams_pair_across_removed_stopwords(self):
+        config = PreprocessConfig(stopwords=frozenset({"of"}), stemming=False, bigrams=True)
+        assert preprocess_document("gold of medal", config) == ("gold", "medal", "gold_medal")
 
     def test_default_config_drops_stopwords(self):
-        out = preprocess_document(RawDocument("d1", "the ball and the bat"))
-        assert "the" not in out.terms
-        assert "and" not in out.terms
-        assert "ball" in out.terms
+        out = preprocess_document("the ball and the bat")
+        assert "the" not in out
+        assert "and" not in out
+        assert "ball" in out
 
     def test_deterministic(self):
-        doc = RawDocument("d1", COMMENTARY)
-        assert preprocess_document(doc) == preprocess_document(doc)
+        assert preprocess_document(COMMENTARY) == preprocess_document(COMMENTARY)
 
 
 class TestStopwordFiles:
@@ -159,8 +143,7 @@ class TestInvariants:
     @given(st.text(max_size=200))
     def test_term_alphabet(self, text):
         config = PreprocessConfig(stopwords=frozenset(), stemming=True, bigrams=True)
-        out = preprocess_document(RawDocument("d", text), config)
-        for term in out.terms:
+        for term in preprocess_document(text, config):
             assert re.fullmatch(r"[a-z0-9_]+", term)
 
     @given(st.lists(st.text(alphabet="abcdef", min_size=1, max_size=6), max_size=30))
