@@ -8,6 +8,8 @@ mix both, which is exactly the situation where soft memberships beat a
 hard assignment.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from fuzzydocs import FcmParams, FeatureMatrix, harden, run_fcm
@@ -33,8 +35,8 @@ init = np.array([
     [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
 ])
 
-result = run_fcm(x, FcmParams(c=2, fuzzifier=2.0, epsilon=0.001, init=init),
-                 record_trace=True)
+params = FcmParams(c=2, fuzzifier=2.0, epsilon=0.001, init=init)
+result = run_fcm(x, params)
 
 print(f"converged after {result.iterations} iterations")
 for i, j in enumerate(result.objective_history, start=1):
@@ -60,8 +62,9 @@ for j in range(2):
     members = [d for d, g in zip(docs, assignment) if g == j]
     print(f"cluster {j} members: {members}")
 
-# The trace kept one snapshot per iteration, useful for plotting how
-# memberships firm up over time.
-u11 = [step["memberships"][0][0] for step in result.trace]
+# The engine is deterministic, so a run stopped after k iterations holds
+# exactly the memberships of iteration k: a way to watch them firm up.
+u11 = [float(run_fcm(x, replace(params, max_iters=k)).partition[0, 0])
+       for k in range(1, result.iterations + 1)]
 print("doc1 membership in cluster 0 by iteration:",
       [round(v, 3) for v in u11])

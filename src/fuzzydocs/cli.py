@@ -75,10 +75,13 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {p}")
-    with open(p, encoding="utf-8") as f:
-        config = json.load(f)
+    try:
+        with open(p, encoding="utf-8") as f:
+            config = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {p}: {exc}") from exc
     if not isinstance(config, dict):
-        raise DataError(f"config file must hold a JSON object: {p}")
+        raise UsageError(f"config file must hold a JSON object: {p}")
     return config
 
 
@@ -191,34 +194,16 @@ def cmd_features(args) -> int:
 
 
 def _print_ratio_table(profiles, selected, top_k, min_ratio, min_wf) -> None:
-    labels = [p.label for p in profiles]
-    ranked = score_terms(profiles)
-    ratio_of = dict(ranked)
-    header = ["term"] + [f"wf[{lab}]" for lab in labels] + ["ratio"]
-    selected_set = set(selected)
-
-    def row(term):
-        return (
-            [term]
-            + [f"{p.wf.get(term, 0.0):.4f}" for p in profiles]
-            + [f"{ratio_of[term]:.4f}"]
-        )
-
-    rows = [row(t) for t in selected]
-    rest = [row(t) for t, _ in ranked if t not in selected_set]
-    widths = [
-        max(len(r[k]) for r in [header] + rows + rest) for k in range(len(header))
+    ratio_of = dict(score_terms(profiles))
+    header = ["term"] + [f"wf[{p.label}]" for p in profiles] + ["ratio"]
+    rows = [
+        [term] + [f"{p.wf.get(term, 0.0):.4f}" for p in profiles] + [f"{ratio_of[term]:.4f}"]
+        for term in selected
     ]
-
-    def emit(cells):
-        print("  ".join(c.rjust(w) if k else c.ljust(w) for k, (c, w) in enumerate(zip(cells, widths))).rstrip())
-
-    emit(header)
-    for r in rows:
-        emit(r)
+    widths = [max(len(r[k]) for r in [header] + rows) for k in range(len(header))]
+    for r in [header] + rows:
+        print("  ".join(c.rjust(w) if k else c.ljust(w) for k, (c, w) in enumerate(zip(r, widths))).rstrip())
     print(f"---- selected {len(rows)} feature(s): top_k={top_k} min_ratio={min_ratio:g} min_wf={min_wf:g} ----")
-    for r in rest:
-        emit(r)
 
 
 def cmd_cluster(args) -> int:
@@ -232,7 +217,6 @@ def cmd_cluster(args) -> int:
     epsilon = _typed(_resolve(args, config, "epsilon", 1e-3), float, "epsilon")
     max_iters = _typed(_resolve(args, config, "max_iters", 100), int, "max_iters")
     seed = _typed(_resolve(args, config, "seed", 0), int, "seed")
-    trace = _boolean(_resolve(args, config, "trace", False), "trace")
     init_file = _resolve(args, config, "init_file", None)
     out = Path(_resolve(args, config, "out", None) or config.get("result_path", "result.json"))
     pre = _preprocess_config(config)
@@ -265,7 +249,7 @@ def cmd_cluster(args) -> int:
             f"cluster count {c} exceeds surviving document count {len(rows)}"
         )
     matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
-    result = run_fcm(matrix, params, record_trace=trace)
+    result = run_fcm(matrix, params)
 
     out.parent.mkdir(parents=True, exist_ok=True)
     save_result(result, matrix.doc_ids, selected, out)
@@ -338,8 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--init-file", dest="init_file",
                    help="JSON c x n matrix used as the starting partition")
-    p.add_argument("--trace", action="store_const", const=True, default=None,
-                   help="record per-iteration centers and memberships in the result file")
     p.add_argument("--out", help="result file to write")
     p.add_argument("--config", help="JSON config file")
     p.set_defaults(handler=cmd_cluster)

@@ -13,8 +13,12 @@ epsilon. The objective it descends is
 
     J_m = sum_i sum_j u_ji^m ||x_i - v_j||^2.
 
-All reductions are evaluated in fixed document-index order (einsum
-without optimization), so repeated runs are bit-identical.
+Each iteration builds the c x n squared distances once, in
+``squared_distances``; the memberships read their square roots and J_m
+reads them directly. All reductions are evaluated in fixed
+document-index order (einsum without optimization), so repeated runs are
+bit-identical, and iteration k of a run leaves exactly the partition and
+centers of a run with max_iters=k.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ __all__ = [
     "validate_partition",
     "init_partition",
     "update_centers",
-    "pairwise_distances",
+    "squared_distances",
     "update_memberships",
     "objective",
     "run_fcm",
@@ -115,7 +119,6 @@ class FcmResult:
     objective_history: tuple[float, ...]
     max_change_history: tuple[float, ...]
     converged: bool
-    trace: tuple[dict, ...] | None = None
 
 
 def validate_partition(u: np.ndarray, n: int | None = None, c: int | None = None) -> np.ndarray:
@@ -161,10 +164,10 @@ def update_centers(u: np.ndarray, x: np.ndarray, fuzzifier: float) -> np.ndarray
     return np.einsum("cn,nm->cm", w, x) / weight_sums[:, None]
 
 
-def pairwise_distances(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every document to every center, c x n."""
+def squared_distances(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every document to every center, c x n."""
     diff = x[None, :, :] - v[:, None, :]
-    return np.sqrt(np.einsum("cnm,cnm->cn", diff, diff))
+    return np.einsum("cnm,cnm->cn", diff, diff)
 
 
 def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
@@ -185,48 +188,34 @@ def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
     return u
 
 
-def objective(x: np.ndarray, u: np.ndarray, v: np.ndarray, fuzzifier: float) -> float:
-    """J_m: fuzzily weighted sum of squared document-center distances."""
-    diff = x[None, :, :] - v[:, None, :]
-    sq = np.einsum("cnm,cnm->cn", diff, diff)
+def objective(u: np.ndarray, sq: np.ndarray, fuzzifier: float) -> float:
+    """J_m: fuzzily weighted sum of the squared document-center distances
+    ``sq`` (c x n, from ``squared_distances``)."""
     return float(np.einsum("cn,cn->", u**fuzzifier, sq))
 
 
-def run_fcm(x: FeatureMatrix, params: FcmParams, record_trace: bool = False) -> FcmResult:
+def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
     """Iterate centers -> distances -> memberships from the starting
     partition until the max membership change drops below epsilon or
     max_iters is hit. Deterministic for a given matrix and params.
     """
-    n = x.n_docs
-    if params.c > n:
-        raise ValueError(f"cluster count must lie in [1, {n}]")
-    u = init_partition(n, params.c, params.init, params.seed)
+    u = init_partition(x.n_docs, params.c, params.init, params.seed)
     data = x.data
+    m = params.fuzzifier
     objective_history: list[float] = []
     max_change_history: list[float] = []
-    trace: list[dict] = []
     converged = False
     iterations = 0
     v = None
     for iterations in range(1, params.max_iters + 1):
-        v = update_centers(u, data, params.fuzzifier)
-        d = pairwise_distances(data, v)
-        u_next = update_memberships(d, params.fuzzifier)
-        jm = objective(data, u_next, v, params.fuzzifier)
+        v = update_centers(u, data, m)
+        sq = squared_distances(data, v)
+        u_next = update_memberships(np.sqrt(sq), m)
+        jm = objective(u_next, sq, m)
         change = float(np.max(np.abs(u_next - u)))
         objective_history.append(jm)
         max_change_history.append(change)
         u = u_next
-        if record_trace:
-            trace.append(
-                {
-                    "iteration": iterations,
-                    "centers": v.tolist(),
-                    "memberships": u.tolist(),
-                    "objective": jm,
-                    "max_change": change,
-                }
-            )
         if change < params.epsilon:
             converged = True
             break
@@ -237,7 +226,6 @@ def run_fcm(x: FeatureMatrix, params: FcmParams, record_trace: bool = False) -> 
         objective_history=tuple(objective_history),
         max_change_history=tuple(max_change_history),
         converged=converged,
-        trace=tuple(trace) if record_trace else None,
     )
 
 
@@ -264,21 +252,34 @@ def save_result(
         "objective_history": list(result.objective_history),
         "max_change_history": list(result.max_change_history),
     }
-    if result.trace is not None:
-        payload["trace"] = list(result.trace)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, ensure_ascii=False, indent=2)
         f.write("\n")
 
 
 def load_result(path: str | Path) -> dict:
+    """A result file with memberships and centers as arrays; a file whose
+    keys, types or shapes do not match ``save_result`` raises ValueError."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(f"invalid result file {path}: not a JSON object")
     required = {"doc_ids", "features", "memberships", "centers", "iterations",
                 "converged", "objective_history"}
     missing = required - raw.keys()
     if missing:
         raise ValueError(f"invalid result file {path}: missing {sorted(missing)}")
-    raw["memberships"] = np.asarray(raw["memberships"], dtype=float)
-    raw["centers"] = np.asarray(raw["centers"], dtype=float)
+    for key in ("doc_ids", "features"):
+        if not isinstance(raw[key], list) or not all(isinstance(s, str) for s in raw[key]):
+            raise ValueError(f"invalid result file {path}: {key} must be a list of strings")
+    try:
+        u = validate_partition(raw["memberships"], n=len(raw["doc_ids"]))
+        v = np.asarray(raw["centers"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid result file {path}: {exc}") from exc
+    shape = (u.shape[0], len(raw["features"]))
+    if v.shape != shape:
+        raise ValueError(f"invalid result file {path}: centers must be {shape[0]} x {shape[1]}")
+    raw["memberships"] = u
+    raw["centers"] = v
     return raw

@@ -144,7 +144,7 @@ def load_profile(path: str | Path) -> LabeledProfile:
     try:
         label = raw["label"]
         wf = {str(t): float(v) for t, v in raw["wf"].items()}
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ValueError(f"invalid profile file: {path}") from exc
     if not isinstance(label, str) or not label:
         raise ValueError(f"invalid profile file: {path}")

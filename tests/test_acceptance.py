@@ -18,8 +18,8 @@ from fuzzydocs.fcm import (
     FeatureMatrix,
     harden,
     init_partition,
-    pairwise_distances,
     run_fcm,
+    squared_distances,
     update_centers,
     update_memberships,
 )
@@ -50,7 +50,7 @@ def test_criterion_2_center_golden_exact_quarters():
 def test_criterion_3_distance_golden_both_bands():
     x, u0 = worked_example()
     v = update_centers(u0, x.data, 2.0)
-    d = pairwise_distances(x.data, v)
+    d = np.sqrt(squared_distances(x.data, v))
     for j, (oracle, worksheet) in enumerate(
         [(goldens.D1, goldens.D1_WORKSHEET), (goldens.D2, goldens.D2_WORKSHEET)]
     ):
@@ -158,9 +158,9 @@ def test_criterion_7_randomized_property_suite():
         u0 = init_partition(n, c, seed=int(rng.integers(0, 2**31)))
         perm = rng.permutation(n)
         v_plain = update_centers(u0, data, 2.0)
-        u_plain = update_memberships(pairwise_distances(data, v_plain), 2.0)
+        u_plain = update_memberships(np.sqrt(squared_distances(data, v_plain)), 2.0)
         v_perm = update_centers(u0[:, perm], data[perm], 2.0)
-        u_perm = update_memberships(pairwise_distances(data[perm], v_perm), 2.0)
+        u_perm = update_memberships(np.sqrt(squared_distances(data[perm], v_perm)), 2.0)
         assert np.allclose(v_perm, v_plain, rtol=1e-9, atol=1e-9)
         assert np.allclose(u_perm, u_plain[:, perm], rtol=1e-9, atol=1e-12)
         cases += 1
@@ -207,7 +207,7 @@ def test_criterion_8_oracle_equivalence_one_iteration():
         u0 = init_partition(n, c, seed=int(rng.integers(0, 2**31)))
 
         v_engine = update_centers(u0, data, fuzzifier)
-        d_engine = pairwise_distances(data, v_engine)
+        d_engine = np.sqrt(squared_distances(data, v_engine))
         u_engine = update_memberships(d_engine, fuzzifier)
 
         rows = data.tolist()

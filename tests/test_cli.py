@@ -110,14 +110,12 @@ class TestFeaturesCommand:
         assert sports_profile["wf"]["ball"] == 400.0
         assert (out.parent / "politics.profile.json").is_file()
 
+        # header, the selected rows in selection order, then the summary;
+        # the unselected terms (win, xfill) are only in the profiles
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split()[0] == "term"
-        assert lines[1].split()[0] == "stadium"
-        separator = next(i for i, line in enumerate(lines) if line.startswith("----"))
-        above = {line.split()[0] for line in lines[1:separator]}
-        below = {line.split()[0] for line in lines[separator + 1:] if line}
-        assert above == {"stadium", "democracy", "candidate", "ball", "team"}
-        assert below == {"win", "xfill"}
+        assert [line.split()[0] for line in lines[1:-1]] == selected
+        assert lines[-1].startswith("---- selected 5 feature(s): top_k=50 ")
 
     def test_single_sample_is_usage_error(self, tmp_path):
         sports, _ = make_sample_dirs(tmp_path)
@@ -166,20 +164,28 @@ class TestClusterCommand:
 
     def test_worked_example_first_iteration(self, tmp_path, capsys):
         init = write_init_file(tmp_path)
-        code, out = self.run_cluster(tmp_path, "--init-file", str(init), "--trace")
+        code, out = self.run_cluster(tmp_path, "--init-file", str(init), "--max-iters", "1")
+        assert code == 0
+        first = json.loads(out.read_text(encoding="utf-8"))
+        assert first["doc_ids"] == [f"doc{i}.txt" for i in range(1, 9)]
+        assert first["features"] == FEATURES
+        assert first["iterations"] == 1
+        np.testing.assert_allclose(first["memberships"][0], goldens.U1_ROW1, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            first["centers"], [goldens.CENTER_1, goldens.CENTER_2], rtol=0, atol=1e-9
+        )
+        capsys.readouterr()
+
+        code = main([
+            "cluster", "--corpus", str(tmp_path / "corpus"),
+            "--features", str(tmp_path / "features.json"),
+            "--clusters", "2", "--init-file", str(init),
+            "--config", str(tmp_path / "config.json"), "--out", str(out),
+        ])
         assert code == 0
         result = json.loads(out.read_text(encoding="utf-8"))
-        assert result["doc_ids"] == [f"doc{i}.txt" for i in range(1, 9)]
-        assert result["features"] == FEATURES
         assert result["converged"] is True
         assert result["iterations"] == goldens.CONVERGED_ITERATIONS
-        first_u = np.array(result["trace"][0]["memberships"])
-        np.testing.assert_allclose(first_u[0], goldens.U1_ROW1, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(
-            result["trace"][0]["centers"],
-            [goldens.CENTER_1, goldens.CENTER_2],
-            rtol=0, atol=1e-9,
-        )
         hardened = np.argmax(np.array(result["memberships"]), axis=0)
         assert hardened.tolist() == goldens.HARDENED
         stdout = capsys.readouterr().out
@@ -395,7 +401,6 @@ def command_argv(tmp_path, command):
     pytest.param("cluster", ["--clusters", "2", "--epsilon", "1.5"], {}, id="epsilon-above-one"),
     pytest.param("cluster", ["--clusters", "2", "--max-iters", "0"], {}, id="max_iters-zero"),
     pytest.param("cluster", ["--clusters", "2", "--seed", "-1"], {}, id="seed-negative"),
-    pytest.param("cluster", ["--clusters", "2"], {"trace": "false"}, id="trace-string"),
     pytest.param("report", ["--strong-threshold", "1.5"], {}, id="strong-above-one"),
     # two clusters: a strong threshold must exceed 1/2
     pytest.param("report", ["--strong-threshold", "0.4"], {}, id="strong-not-above-half"),
@@ -408,6 +413,42 @@ def test_bad_value_is_usage_error(tmp_path, capsys, command, flags, config):
                            encoding="utf-8")
     capsys.readouterr()
     assert main([*argv, *flags, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["features", "cluster", "report"])
+@pytest.mark.parametrize("text", [
+    pytest.param("{bad", id="malformed"),
+    pytest.param('["clusters", 2]', id="list"),
+])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, command, text):
+    argv = command_argv(tmp_path, command)
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name,edit", [
+    pytest.param("result.json", lambda raw: [raw], id="result-list"),
+    pytest.param("result.json", lambda raw: {**raw, "centers": 5}, id="centers-number"),
+    pytest.param("result.json", lambda raw: {**raw, "centers": raw["centers"][:1]},
+                 id="centers-one-row"),
+    pytest.param("result.json", lambda raw: {**raw, "doc_ids": list(range(8))},
+                 id="doc_ids-numbers"),
+    pytest.param("result.json", lambda raw: {**raw, "memberships": [[0.7] * 8, [0.7] * 8]},
+                 id="memberships-not-stochastic"),
+    pytest.param("sports.profile.json", lambda raw: {"label": "sports", "wf": []},
+                 id="profile-wf-list"),
+])
+def test_malformed_input_file_is_data_error(tmp_path, capsys, name, edit):
+    argv = command_argv(tmp_path, "report")
+    path = tmp_path / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -13,9 +13,9 @@ from fuzzydocs.fcm import (
     init_partition,
     load_result,
     objective,
-    pairwise_distances,
     run_fcm,
     save_result,
+    squared_distances,
     update_centers,
     update_memberships,
     validate_partition,
@@ -148,23 +148,23 @@ class TestUpdateCenters:
             np.testing.assert_allclose(v[1], members2.mean(axis=0), rtol=1e-12)
 
 
-class TestPairwiseDistances:
+class TestSquaredDistances:
     def test_golden_distances(self, example_matrix):
         v = np.array([goldens.CENTER_1, goldens.CENTER_2])
-        d = pairwise_distances(example_matrix.data, v)
-        np.testing.assert_allclose(d[0], goldens.D1, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(d[1], goldens.D2, rtol=0, atol=1e-12)
+        sq = squared_distances(example_matrix.data, v)
+        np.testing.assert_allclose(sq[0], np.square(goldens.D1), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(sq[1], np.square(goldens.D2), rtol=1e-14, atol=0)
 
     def test_point_at_center_is_zero(self):
         x = np.array([[3.0, 4.0]])
         v = np.array([[3.0, 4.0], [0.0, 0.0]])
-        d = pairwise_distances(x, v)
-        assert d[0, 0] == 0.0
-        assert d[1, 0] == 5.0
+        sq = squared_distances(x, v)
+        assert sq[0, 0] == 0.0
+        assert sq[1, 0] == 25.0
 
     def test_shape(self, example_matrix):
         v = np.array([goldens.CENTER_1, goldens.CENTER_2])
-        assert pairwise_distances(example_matrix.data, v).shape == (2, 8)
+        assert squared_distances(example_matrix.data, v).shape == (2, 8)
 
 
 class TestUpdateMemberships:
@@ -204,11 +204,11 @@ class TestObjective:
         x = np.array([[5.0, 5.0]])
         u = np.array([[1.0]])
         v = np.array([[5.0, 5.0]])
-        assert objective(x, u, v, 2.0) == 0.0
+        assert objective(u, squared_distances(x, v), 2.0) == 0.0
 
     def test_crisp_init_objective_is_exact(self, example_matrix, crisp_init):
         v = np.array([goldens.CENTER_1, goldens.CENTER_2])
-        j = objective(example_matrix.data, crisp_init, v, 2.0)
+        j = objective(crisp_init, squared_distances(example_matrix.data, v), 2.0)
         assert j == pytest.approx(goldens.OBJECTIVE_AT_INIT, abs=1e-9)
 
     def test_matches_brute_force(self, example_matrix, crisp_init):
@@ -220,9 +220,8 @@ class TestObjective:
                     (example_matrix.data[i, k] - v[j, k]) ** 2 for k in range(4)
                 )
                 expected += crisp_init[j, i] ** 2 * dist_sq
-        assert objective(example_matrix.data, crisp_init, v, 2.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        sq = squared_distances(example_matrix.data, v)
+        assert objective(crisp_init, sq, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRunFcm:
@@ -232,6 +231,7 @@ class TestRunFcm:
         assert res.iterations == 1
         assert not res.converged
         np.testing.assert_allclose(res.partition[0], goldens.U1_ROW1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.centers, [goldens.CENTER_1, goldens.CENTER_2])
 
     def test_convergence(self, example_matrix, crisp_init):
         res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init))
@@ -253,7 +253,7 @@ class TestRunFcm:
         params = FcmParams(c=2, init=crisp_init)
         res = run_fcm(example_matrix, params)
         v = update_centers(res.partition, example_matrix.data, 2.0)
-        u = update_memberships(pairwise_distances(example_matrix.data, v), 2.0)
+        u = update_memberships(np.sqrt(squared_distances(example_matrix.data, v)), 2.0)
         assert np.max(np.abs(u - res.partition)) < params.epsilon
 
     def test_max_iters_reached_not_converged(self, example_matrix, crisp_init):
@@ -284,17 +284,6 @@ class TestRunFcm:
         assert res.converged
         assert res.iterations == 1
         np.testing.assert_array_equal(res.partition, np.ones((1, 8)))
-
-    def test_trace_recording(self, example_matrix, crisp_init):
-        res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init), record_trace=True)
-        assert res.trace is not None
-        assert len(res.trace) == res.iterations
-        first = res.trace[0]
-        assert first["iteration"] == 1
-        np.testing.assert_allclose(
-            np.array(first["memberships"])[0], goldens.U1_ROW1, rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(first["centers"], [goldens.CENTER_1, goldens.CENTER_2])
 
     def test_deterministic_with_seed(self, example_matrix):
         a = run_fcm(example_matrix, FcmParams(c=2, seed=11))
@@ -342,13 +331,6 @@ class TestResultFiles:
         del raw["max_change_history"]
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert "max_change_history" not in load_result(path)
-
-    def test_trace_embedded(self, tmp_path, example_matrix, crisp_init):
-        res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init), record_trace=True)
-        path = tmp_path / "result.json"
-        save_result(res, example_matrix.doc_ids, ["s", "b", "t", "d"], path)
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        assert len(raw["trace"]) == res.iterations
 
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -429,7 +411,7 @@ class TestProperties:
 
         def one_iteration(matrix, u):
             v = update_centers(u, matrix, 2.0)
-            return update_memberships(pairwise_distances(matrix, v), 2.0), v
+            return update_memberships(np.sqrt(squared_distances(matrix, v)), 2.0), v
 
         u_plain, v_plain = one_iteration(data, u0)
         u_perm, v_perm = one_iteration(data[perm], u0[:, perm])
@@ -445,7 +427,7 @@ class TestProperties:
         if not res.converged:
             return
         v = update_centers(res.partition, x.data, 2.0)
-        u = update_memberships(pairwise_distances(x.data, v), 2.0)
+        u = update_memberships(np.sqrt(squared_distances(x.data, v)), 2.0)
         assert np.max(np.abs(u - res.partition)) < params.epsilon
 
     @given(st.integers(0, 10_000))
