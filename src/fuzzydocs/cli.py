@@ -5,6 +5,10 @@ and per-label WF profiles from labeled sample corpora, ``cluster`` runs
 fuzzy c-means over a corpus, and ``report`` names the clusters and prints
 per-document membership strength.
 
+Every option can also be set in a ``--config`` JSON file, under the
+flag's dest (``top_k`` for ``--top-k``) and in the shape the flag takes; a
+flag beats the config file, which beats the default.
+
 Exit codes: 0 success, 1 data error, 2 usage error. Warnings go to
 stderr; tables to stdout; all files are UTF-8 with LF line endings.
 """
@@ -12,6 +16,7 @@ stderr; tables to stdout; all files are UTF-8 with LF line endings.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -20,6 +25,7 @@ import numpy as np
 
 from .fcm import FcmParams, FeatureMatrix, run_fcm, save_result, load_result
 from .features import (
+    LabeledProfile,
     build_profile,
     load_feature_set,
     load_profile,
@@ -29,15 +35,7 @@ from .features import (
     select_features,
     vectorize,
 )
-from .labeling import (
-    AMBIGUITY_MARGIN_DEFAULT,
-    STRONG_THRESHOLD_DEFAULT,
-    classify_strength,
-    label_clusters,
-    render_report_table,
-    save_report,
-    validate_thresholds,
-)
+from .labeling import classify_strength, label_clusters, render_report_table, save_report
 from .preprocess import PreprocessConfig, RawDocument, load_stopwords, preprocess_document
 
 
@@ -48,6 +46,9 @@ class UsageError(Exception):
 
 class DataError(Exception):
     """Inputs exist but cannot be processed. Exit code 1."""
+
+
+REQUIRED = object()  # the default of an option a subcommand cannot run without
 
 
 def load_corpus(dirpath: str | Path) -> list[RawDocument]:
@@ -85,30 +86,41 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _resolve(args, config: dict, key: str, default):
-    """Flag beats config file beats default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _config_value(key: str, value, kind: type):
+    """A config value in the shape its flag takes: a JSON integer for an
+    int option, a finite JSON number for a float option, a string for a
+    path, a non-empty list of strings for a repeated flag."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)  # true is an int
+    ok, what = {
+        int: (number and isinstance(value, int), "an integer"),
+        float: (number and abs(value) <= sys.float_info.max, "a finite number"),
+        str: (isinstance(value, str), "a string"),
+        list: (isinstance(value, list) and value and all(isinstance(v, str) for v in value),
+               "a non-empty list of strings"),
+    }[kind]
+    if not ok:
+        raise UsageError(f"config key {key} must be {what}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
-def _require(args, config: dict, key: str, flag: str):
-    value = _resolve(args, config, key, None)
-    if value is None:
-        raise UsageError(f"missing required {flag}")
-    return value
-
-
-def _typed(value, kind: type, key: str):
-    """Convert a flag or config value; a value of the wrong type is a
-    usage error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{key} must be {kind.__name__}, got {value!r}") from exc
+def _settings(args) -> dict:
+    """Each option's value: its flag's, else the config file's, else its
+    declared default. An option with none is left out, so the library's
+    default applies. The raw ``preprocess`` block rides along."""
+    config = _load_config(args.config)
+    unknown = sorted(config.keys() - args.config_keys)
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    settings = {"preprocess": config.get("preprocess", {})}
+    for key, (flag, kind, default) in args.options.items():
+        # a config value is checked even where a flag overrides it
+        value = _config_value(key, config[key], kind) if key in config else default
+        value = vars(args).get(key, value)
+        if value is REQUIRED:
+            raise UsageError(f"missing required {flag}")
+        if value is not None:
+            settings[key] = value
+    return settings
 
 
 def _boolean(value, key: str) -> bool:
@@ -118,8 +130,7 @@ def _boolean(value, key: str) -> bool:
     return value
 
 
-def _preprocess_config(config: dict) -> PreprocessConfig:
-    section = config.get("preprocess", {})
+def _preprocess_config(section) -> PreprocessConfig:
     if not isinstance(section, dict):
         raise UsageError("preprocess must be a JSON object")
     kwargs = {
@@ -127,11 +138,11 @@ def _preprocess_config(config: dict) -> PreprocessConfig:
         for key in ("strip_markup", "stemming", "bigrams")
         if key in section
     }
-    if section.get("stopwords_file") is not None:
-        path = _typed(section["stopwords_file"], Path, "preprocess.stopwords_file")
-        if not path.is_file():
-            raise UsageError(f"stopwords file not found: {path}")
-        kwargs["stopwords"] = load_stopwords(path)
+    path = section.get("stopwords_file")
+    if path is not None:
+        if not isinstance(path, str):
+            raise UsageError(f"preprocess.stopwords_file must be a string, got {path!r}")
+        kwargs["stopwords"] = load_stopwords(_existing_file(path, "stopwords file"))
     return PreprocessConfig(**kwargs)
 
 
@@ -142,35 +153,31 @@ def _existing_file(path: str | Path, what: str) -> Path:
     return p
 
 
-def _parse_samples(pairs: list[str] | None, config: dict) -> dict[str, str]:
-    if pairs:
-        samples = {}
-        for pair in pairs:
-            label, sep, dirpath = pair.partition("=")
-            if not sep or not label or not dirpath:
-                raise UsageError(f"--samples expects LABEL=DIR, got {pair!r}")
-            if label in samples:
-                raise UsageError(f"duplicate sample label: {label}")
-            samples[label] = dirpath
-        return samples
-    sample_dirs = config.get("sample_dirs", {})
-    if isinstance(sample_dirs, dict) and sample_dirs:
-        return {str(k): str(v) for k, v in sample_dirs.items()}
-    return {}
+def _parse_samples(pairs: list[str]) -> dict[str, str]:
+    samples = {}
+    for pair in pairs:
+        label, sep, dirpath = pair.partition("=")
+        if not sep or not label or not dirpath:
+            raise UsageError(f"--samples expects LABEL=DIR, got {pair!r}")
+        if label in samples:
+            raise UsageError(f"duplicate sample label: {label}")
+        samples[label] = dirpath
+    return samples
 
 
 def cmd_features(args) -> int:
-    config = _load_config(args.config)
-    samples = _parse_samples(args.samples, config)
+    s = _settings(args)
+    samples = _parse_samples(s["samples"])
     if len(samples) < 2:
         raise UsageError("need at least two --samples LABEL=DIR pairs")
-    top_k = _typed(_resolve(args, config, "top_k", 50), int, "top_k")
-    if top_k < 1:
+    bound = inspect.signature(select_features).bind_partial(
+        **{k: s[k] for k in ("top_k", "min_ratio", "min_wf") if k in s})
+    bound.apply_defaults()  # the library's own, for the check and the summary line
+    limits = bound.arguments
+    if limits["top_k"] < 1:
         raise UsageError("top_k must be positive")
-    min_ratio = _typed(_resolve(args, config, "min_ratio", 2.0), float, "min_ratio")
-    min_wf = _typed(_resolve(args, config, "min_wf", 5.0), float, "min_wf")
-    out = Path(_resolve(args, config, "out", None) or config.get("features_path", "features.json"))
-    pre = _preprocess_config(config)
+    out = Path(s["out"])
+    pre = _preprocess_config(s["preprocess"])
 
     profiles = []
     for label in sorted(samples):
@@ -179,7 +186,7 @@ def cmd_features(args) -> int:
             profiles.append(build_profile(label, term_seqs))
         except ValueError as exc:
             raise DataError(f"{exc} (label {label!r})") from exc
-    selected = select_features(profiles, top_k=top_k, min_ratio=min_ratio, min_wf=min_wf)
+    selected = select_features(profiles, **limits)
 
     out.parent.mkdir(parents=True, exist_ok=True)
     save_feature_set(selected, out)
@@ -189,12 +196,15 @@ def cmd_features(args) -> int:
         save_profile(profile, profile_path)
         print(f"wrote {profile_path}", file=sys.stderr)
 
-    _print_ratio_table(profiles, selected, top_k=top_k, min_ratio=min_ratio, min_wf=min_wf)
+    _print_ratio_table(profiles, selected, **limits)
     return 0
 
 
 def _print_ratio_table(profiles, selected, top_k, min_ratio, min_wf) -> None:
-    ratio_of = dict(score_terms(profiles))
+    # a term's ratio reads only its own WFs, so score the selected terms alone
+    ratio_of = dict(score_terms([
+        LabeledProfile(p.label, {t: p.wf[t] for t in selected if t in p.wf}) for p in profiles
+    ]))
     header = ["term"] + [f"wf[{p.label}]" for p in profiles] + ["ratio"]
     rows = [
         [term] + [f"{p.wf.get(term, 0.0):.4f}" for p in profiles] + [f"{ratio_of[term]:.4f}"]
@@ -207,29 +217,19 @@ def _print_ratio_table(profiles, selected, top_k, min_ratio, min_wf) -> None:
 
 
 def cmd_cluster(args) -> int:
-    config = _load_config(args.config)
-    corpus_dir = _require(args, config, "corpus", "--corpus")
-    features_path = _existing_file(
-        _require(args, config, "features", "--features"), "feature file"
-    )
-    c = _typed(_require(args, config, "clusters", "--clusters"), int, "clusters")
-    fuzzifier = _typed(_resolve(args, config, "fuzzifier", 2.0), float, "fuzzifier")
-    epsilon = _typed(_resolve(args, config, "epsilon", 1e-3), float, "epsilon")
-    max_iters = _typed(_resolve(args, config, "max_iters", 100), int, "max_iters")
-    seed = _typed(_resolve(args, config, "seed", 0), int, "seed")
-    init_file = _resolve(args, config, "init_file", None)
-    out = Path(_resolve(args, config, "out", None) or config.get("result_path", "result.json"))
-    pre = _preprocess_config(config)
+    s = _settings(args)
+    features_path = _existing_file(s["features"], "feature file")
+    out = Path(s["out"])
+    pre = _preprocess_config(s["preprocess"])
 
     init = None
-    if init_file is not None:
-        init_path = _existing_file(init_file, "init file")
-        with open(init_path, encoding="utf-8") as f:
+    if "init_file" in s:
+        with open(_existing_file(s["init_file"], "init file"), encoding="utf-8") as f:
             init = np.asarray(json.load(f), dtype=float)
     try:
         params = FcmParams(
-            c=c, fuzzifier=fuzzifier, epsilon=epsilon, max_iters=max_iters,
-            init=init, seed=seed,
+            c=s["clusters"], init=init,
+            **{k: s[k] for k in ("fuzzifier", "epsilon", "max_iters", "seed") if k in s},
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -237,17 +237,15 @@ def cmd_cluster(args) -> int:
     selected = load_feature_set(features_path)
 
     doc_ids, rows = [], []
-    for doc in load_corpus(corpus_dir):
+    for doc in load_corpus(s["corpus"]):
         terms = preprocess_document(doc.content, pre)
         if not terms:
             print(f"warning: skipping empty document: {doc.id}", file=sys.stderr)
             continue
         doc_ids.append(doc.id)
         rows.append(vectorize(terms, selected))
-    if c > len(rows):
-        raise DataError(
-            f"cluster count {c} exceeds surviving document count {len(rows)}"
-        )
+    if params.c > len(rows):
+        raise DataError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
     matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
     result = run_fcm(matrix, params)
 
@@ -261,31 +259,18 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = _load_config(args.config)
-    result_path = _existing_file(_require(args, config, "result", "--result"), "result file")
-    profile_paths = args.profiles or config.get("profile_paths") or []
-    if not profile_paths:
-        raise UsageError("missing required --profiles")
-    strong = _typed(_resolve(args, config, "strong_threshold", STRONG_THRESHOLD_DEFAULT),
-                    float, "strong_threshold")
-    margin = _typed(_resolve(args, config, "ambiguity_margin", AMBIGUITY_MARGIN_DEFAULT),
-                    float, "ambiguity_margin")
-    out = Path(_resolve(args, config, "out", None) or config.get("report_path", "report.json"))
+    s = _settings(args)
+    result_path = _existing_file(s["result"], "result file")
+    thresholds = {k: s[k] for k in ("strong_threshold", "ambiguity_margin") if k in s}
+    out = Path(s["out"])
 
     result = load_result(result_path)
-    profiles = [load_profile(_existing_file(p, "profile file")) for p in profile_paths]
+    profiles = [load_profile(_existing_file(p, "profile file")) for p in s["profiles"]]
     labeling = label_clusters(result["centers"], profiles, result["features"])
     try:
-        validate_thresholds(strong, margin, len(labeling.assignment))
-    except ValueError as exc:
+        reports = classify_strength(result["memberships"], result["doc_ids"], labeling, **thresholds)
+    except ValueError as exc:  # bad thresholds: load_result has checked the rest
         raise UsageError(str(exc)) from exc
-    reports = classify_strength(
-        result["memberships"],
-        result["doc_ids"],
-        labeling,
-        strong_threshold=strong,
-        ambiguity_margin=margin,
-    )
 
     reports.sort(key=lambda r: (r.top_label, -r.memberships[r.top_label], r.doc_id))
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -296,45 +281,54 @@ def cmd_report(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Declares each option once, with its value type and any default;
+    its config key is the flag's dest."""
     parser = argparse.ArgumentParser(
         prog="fuzzydocs",
         description="Fuzzy c-means document clustering over word-frequency features.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_keys = {"preprocess"}  # every subcommand's keys, filled in below
 
-    p = sub.add_parser("features", help="select discriminative features from labeled samples")
-    p.add_argument("--samples", action="append", metavar="LABEL=DIR",
-                   help="labeled sample corpus; repeat for each label")
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--min-ratio", dest="min_ratio", type=float)
-    p.add_argument("--min-wf", dest="min_wf", type=float)
-    p.add_argument("--out", help="feature file to write (profiles go next to it)")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(handler=cmd_features)
+    def command(name, handler, help):
+        # unset flags stay out of the namespace, so _settings sees which were given
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", default=None,
+                       help="JSON config file; its keys are the options' dests (top_k for --top-k)")
+        p.set_defaults(handler=handler, options={}, config_keys=config_keys)
 
-    p = sub.add_parser("cluster", help="cluster a corpus with fuzzy c-means")
-    p.add_argument("--corpus", help="directory of UTF-8 text/HTML documents")
-    p.add_argument("--features", help="feature file from the features command")
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--fuzzifier", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--init-file", dest="init_file",
-                   help="JSON c x n matrix used as the starting partition")
-    p.add_argument("--out", help="result file to write")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(handler=cmd_cluster)
+        def option(flag, kind=str, default=None, **kwargs):
+            action = p.add_argument(flag, type=kind if kind in (int, float) else None,
+                                    action="append" if kind is list else "store", **kwargs)
+            p.get_default("options")[action.dest] = (flag, kind, default)
+            config_keys.add(action.dest)
+        return option
 
-    p = sub.add_parser("report", help="label clusters and report membership strength")
-    p.add_argument("--result", help="result file from the cluster command")
-    p.add_argument("--profiles", action="append", metavar="FILE",
-                   help="profile file; repeat for each label")
-    p.add_argument("--strong-threshold", dest="strong_threshold", type=float)
-    p.add_argument("--ambiguity-margin", dest="ambiguity_margin", type=float)
-    p.add_argument("--out", help="report file to write")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(handler=cmd_report)
+    option = command("features", cmd_features, "select discriminative features from labeled samples")
+    option("--samples", list, REQUIRED, metavar="LABEL=DIR",
+           help="labeled sample corpus; repeat for each label")
+    option("--top-k", int)
+    option("--min-ratio", float)
+    option("--min-wf", float)
+    option("--out", default="features.json", help="feature file to write (profiles go next to it)")
+
+    option = command("cluster", cmd_cluster, "cluster a corpus with fuzzy c-means")
+    option("--corpus", default=REQUIRED, help="directory of UTF-8 text/HTML documents")
+    option("--features", default=REQUIRED, help="feature file from the features command")
+    option("--clusters", int, REQUIRED)
+    option("--fuzzifier", float)
+    option("--epsilon", float)
+    option("--max-iters", int)
+    option("--seed", int)
+    option("--init-file", help="JSON c x n matrix used as the starting partition")
+    option("--out", default="result.json", help="result file to write")
+
+    option = command("report", cmd_report, "label clusters and report membership strength")
+    option("--result", default=REQUIRED, help="result file from the cluster command")
+    option("--profiles", list, REQUIRED, metavar="FILE", help="profile file; repeat for each label")
+    option("--strong-threshold", float)
+    option("--ambiguity-margin", float)
+    option("--out", default="report.json", help="report file to write")
 
     return parser
 

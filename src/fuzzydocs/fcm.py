@@ -183,7 +183,9 @@ def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
     regular = ~singular
     if np.any(regular):
         dr = d[:, regular]
-        ratios = (dr[:, None, :] / dr[None, :, :]) ** (2.0 / (fuzzifier - 1.0))
+        # near m = 1 a ratio may overflow to inf, and 1/inf = 0 is its exact limit
+        with np.errstate(over="ignore"):
+            ratios = (dr[:, None, :] / dr[None, :, :]) ** (2.0 / (fuzzifier - 1.0))
         u[:, regular] = 1.0 / np.einsum("jkn->jn", ratios)
     return u
 

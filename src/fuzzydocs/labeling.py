@@ -27,7 +27,6 @@ __all__ = [
     "classify_strength",
     "rank_documents",
     "save_report",
-    "load_report",
     "render_report_table",
     "validate_thresholds",
 ]
@@ -164,14 +163,6 @@ def save_report(reports: Sequence[DocumentReport], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, ensure_ascii=False, indent=2)
         f.write("\n")
-
-
-def load_report(path: str | Path) -> list[DocumentReport]:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    return [
-        DocumentReport(r["doc_id"], r["labels"], r["top_label"], r["strength"]) for r in raw
-    ]
 
 
 def render_report_table(reports: Sequence[DocumentReport]) -> str:

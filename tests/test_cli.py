@@ -5,7 +5,6 @@ import pytest
 
 import goldens
 from fuzzydocs.features import LabeledProfile, save_feature_set, save_profile
-from fuzzydocs.labeling import load_report
 from fuzzydocs.cli import main
 
 FEATURES = list(goldens.MATRIX_FEATURES)
@@ -251,6 +250,16 @@ class TestClusterCommand:
         ])
         assert code == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fuzzifier_near_one_is_quiet(self, tmp_path, capsys):
+        # at m = 1.01 the membership ratios overflow to inf, whose exact
+        # limit 1/inf = 0 needs no warning
+        code, out = self.run_cluster(tmp_path, "--fuzzifier", "1.01")
+        assert code == 0
+        assert capsys.readouterr().err == f"wrote {out}\n"
+        hardened = np.argmax(json.loads(out.read_text(encoding="utf-8"))["memberships"], axis=0)
+        assert hardened.tolist() in (goldens.HARDENED, [1 - k for k in goldens.HARDENED])
+
     def test_long_y_token_is_stemmed(self, tmp_path):
         corpus = write_corpus(tmp_path)
         (corpus / "yyy.txt").write_text("stadium ball " + "y" * 1200, encoding="utf-8")
@@ -315,12 +324,12 @@ class TestReportCommand:
             "--out", str(out),
         ])
         assert code == 0
-        reports = load_report(out)
-        by_id = {r.doc_id: r for r in reports}
+        top_label = {r["doc_id"]: r["top_label"]
+                     for r in json.loads(out.read_text(encoding="utf-8"))}
         for doc_id in ("doc1.txt", "doc2.txt", "doc5.txt", "doc7.txt"):
-            assert by_id[doc_id].top_label == "sports"
+            assert top_label[doc_id] == "sports"
         for doc_id in ("doc3.txt", "doc4.txt", "doc6.txt", "doc8.txt"):
-            assert by_id[doc_id].top_label == "politics"
+            assert top_label[doc_id] == "politics"
 
         # stdout table: politics block first (label order), each block in
         # descending top-label degree
@@ -405,6 +414,12 @@ def command_argv(tmp_path, command):
     # two clusters: a strong threshold must exceed 1/2
     pytest.param("report", ["--strong-threshold", "0.4"], {}, id="strong-not-above-half"),
     pytest.param("report", [], {"ambiguity_margin": "wide"}, id="margin-string"),
+    pytest.param("cluster", [], {"clusters": True}, id="clusters-bool"),
+    pytest.param("cluster", [], {"clusters": 2.9}, id="clusters-fraction"),
+    pytest.param("features", [], {"top_k": 2.5}, id="top_k-fraction"),
+    pytest.param("cluster", [], {"clusters": 2, "seeds": 9}, id="unknown-key"),
+    # checked although the --samples flags override it
+    pytest.param("features", [], {"samples": "sports=corpora/sports"}, id="samples-string"),
 ])
 def test_bad_value_is_usage_error(tmp_path, capsys, command, flags, config):
     argv = command_argv(tmp_path, command)
@@ -414,6 +429,41 @@ def test_bad_value_is_usage_error(tmp_path, capsys, command, flags, config):
     capsys.readouterr()
     assert main([*argv, *flags, "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_supplies_samples_and_profiles(tmp_path):
+    """One settings file serves both commands: each ignores the other's
+    key, and the files equal those of the same run by flags."""
+    sports, politics = make_sample_dirs(tmp_path)
+    result = write_result(tmp_path)
+    by_flags, by_config = tmp_path / "by_flags", tmp_path / "by_config"
+    for out in (by_flags, by_config):
+        out.mkdir()
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({
+        "samples": [f"sports={sports}", f"politics={politics}"],
+        "profiles": [str(by_config / "sports.profile.json"),
+                     str(by_config / "politics.profile.json")],
+        "preprocess": {"stemming": False},
+    }), encoding="utf-8")
+    flags = tmp_path / "flags.json"
+    flags.write_text(json.dumps({"preprocess": {"stemming": False}}), encoding="utf-8")
+
+    assert main(["features", "--samples", f"sports={sports}", "--samples", f"politics={politics}",
+                 "--config", str(flags), "--out", str(by_flags / "features.json")]) == 0
+    assert main(["report", "--result", str(result),
+                 "--profiles", str(by_flags / "sports.profile.json"),
+                 "--profiles", str(by_flags / "politics.profile.json"),
+                 "--out", str(by_flags / "report.json")]) == 0
+    assert main(["features", "--config", str(config),
+                 "--out", str(by_config / "features.json")]) == 0
+    assert main(["report", "--result", str(result), "--config", str(config),
+                 "--out", str(by_config / "report.json")]) == 0
+
+    names = ["features.json", "sports.profile.json", "politics.profile.json", "report.json"]
+    assert sorted(p.name for p in by_config.iterdir()) == sorted(names)
+    for name in names:
+        assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["features", "cluster", "report"])

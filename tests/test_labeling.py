@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from fuzzydocs.labeling import (
     ClusterLabeling,
     classify_strength,
     label_clusters,
-    load_report,
     rank_documents,
     render_report_table,
     save_report,
@@ -190,7 +191,13 @@ class TestReportFiles:
                                     sports_first_labeling())
         path = tmp_path / "report.json"
         save_report(reports, path)
-        assert load_report(path) == reports
+        with open(path, encoding="utf-8") as f:
+            raw = json.load(f)
+        assert raw == [
+            {"doc_id": r.doc_id, "labels": r.memberships, "top_label": r.top_label,
+             "strength": r.strength}
+            for r in reports
+        ]
 
     def test_render_table(self):
         reports = classify_strength(final_partition(), goldens.DOC_IDS,
