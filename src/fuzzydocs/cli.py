@@ -53,7 +53,7 @@ REQUIRED = object()  # the default of an option a subcommand cannot run without
 
 def load_corpus(dirpath: str | Path) -> list[RawDocument]:
     """Documents of a directory in lexicographic filename order; the
-    filename is the document id."""
+    filename is the document id, so it must be valid UTF-8."""
     dirpath = Path(dirpath)
     if not dirpath.is_dir():
         raise UsageError(f"corpus directory not found: {dirpath}")
@@ -61,6 +61,10 @@ def load_corpus(dirpath: str | Path) -> list[RawDocument]:
     for p in sorted(dirpath.iterdir()):
         if p.name.startswith(".") or not p.is_file():
             continue
+        try:
+            p.name.encode("utf-8")  # undecodable bytes arrive as lone surrogates
+        except UnicodeEncodeError:
+            raise DataError(f"file name is not valid UTF-8: {str(p)!r}") from None
         try:
             docs.append(RawDocument(p.name, p.read_text("utf-8")))
         except (OSError, UnicodeDecodeError) as exc:
@@ -247,6 +251,10 @@ def cmd_cluster(args) -> int:
     if params.c > len(rows):
         raise DataError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
     matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
+    zero_rows = int(np.count_nonzero(~matrix.data.any(axis=1)))
+    if zero_rows:  # clustering cannot tell these documents apart
+        print(f"warning: {zero_rows} document(s) contain none of the selected features",
+              file=sys.stderr)
     result = run_fcm(matrix, params)
 
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -3,11 +3,21 @@
 No later extensions (no logi/bli rules, no special-case pool); words of
 one or two characters are returned unchanged, as in the reference
 implementation. Input must already be lowercase.
+
+``stem`` is memoized per process: text repeats its word forms, so each
+distinct surface form runs the rules once. The memo is a
+``functools.lru_cache`` bounded at 16,384 forms (``_STEM_CACHE_SIZE``),
+so a wide vocabulary evicts the least recently used forms rather than
+growing without limit. The output is the same as without it;
+``stem.__wrapped__`` is the uncached function.
 """
+
+from functools import lru_cache
 
 __all__ = ["stem"]
 
 _VOWELS = frozenset("aeiou")
+_STEM_CACHE_SIZE = 1 << 14
 
 
 def _consonants(word: str) -> list[bool]:
@@ -193,6 +203,7 @@ def _step5b(w: str) -> str:
     return w
 
 
+@lru_cache(maxsize=_STEM_CACHE_SIZE)
 def stem(term: str) -> str:
     """Stem a single lowercase term.
 

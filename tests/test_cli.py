@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -269,6 +270,49 @@ class TestClusterCommand:
             "--clusters", "2", "--out", str(tmp_path / "r.json"),
         ])
         assert code == 0
+
+    def test_zero_feature_documents_warn_on_stderr(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        (corpus / "off_topic.txt").write_text("xfill weather " * 20, encoding="utf-8")
+        features = write_features_file(tmp_path)
+        out = tmp_path / "result.json"
+        code = main([
+            "cluster", "--corpus", str(corpus), "--features", str(features),
+            "--clusters", "2", "--out", str(out),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: 1 document(s) contain none of the selected features",
+            f"wrote {out}",
+        ]
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            "iterations", "converged", "objective",
+        ]
+        assert "off_topic.txt" in json.loads(out.read_text(encoding="utf-8"))["doc_ids"]
+
+    @pytest.mark.parametrize("existing", [None, b"previous result\n"],
+                             ids=["no-out-file", "existing-out-file"])
+    def test_non_utf8_file_name_is_data_error(self, tmp_path, capsys, existing):
+        corpus = write_corpus(tmp_path)
+        name = os.fsdecode(b"\xff\xfe.html")
+        (corpus / name).write_text("stadium ball team", encoding="utf-8")
+        features = write_features_file(tmp_path)
+        out = tmp_path / "result.json"
+        if existing is not None:
+            out.write_bytes(existing)
+        code = main([
+            "cluster", "--corpus", str(corpus), "--features", str(features),
+            "--clusters", "2", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err
+        assert repr(name)[1:-1] in err
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
 
     def test_missing_features_file_is_usage_error(self, tmp_path):
         corpus = write_corpus(tmp_path)

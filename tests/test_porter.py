@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzydocs.porter import _consonants, stem
+from fuzzydocs.porter import _STEM_CACHE_SIZE, _consonants, stem
 
 # Each pair was traced by hand against the algorithm's rule tables
 # before the implementation existed. Where a rule table's illustration
@@ -100,7 +100,9 @@ KNOWN_PAIRS = [
 
 @pytest.mark.parametrize("word,expected", KNOWN_PAIRS)
 def test_known_pairs(word, expected):
+    assert stem.__wrapped__(word) == expected  # the rules alone, without the memo
     assert stem(word) == expected
+    assert stem(word) == expected  # now certainly a memo hit
 
 
 def test_short_words_untouched():
@@ -147,3 +149,40 @@ def test_consonant_mask_matches_recursive_definition(word):
 def test_long_y_run_does_not_recurse():
     # one frame per preceding y used to exceed the recursion limit
     assert stem("y" * 5000)
+
+
+def _check_against_uncached(word):
+    out = stem(word)
+    assert out == stem.__wrapped__(word)
+    assert len(out) <= len(word)
+
+
+# a text strategy neither repeats letters nor grows long on its own, so both
+# cases build their tokens from pieces
+_SUFFIXES = ("", "s", "ed", "ing", "ational", "iveness", "ement", "ly")
+
+
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1000, max_size=1990),
+       st.sampled_from(_SUFFIXES))
+def test_long_tokens_match_uncached(body, suffix):
+    _check_against_uncached(body + suffix)
+
+
+@given(st.lists(st.sampled_from(("y", "yy", "yyyy", "a", "e", "b", "l", "s") + _SUFFIXES),
+                min_size=1, max_size=30).map("".join).filter(bool))
+def test_y_heavy_tokens_match_uncached(word):
+    _check_against_uncached(word)
+
+
+def test_memo_stays_within_its_bound():
+    stem.cache_clear()
+    forms = [f"form{i}s" for i in range(_STEM_CACHE_SIZE + 500)]
+    for form in forms:
+        stem(form)
+    info = stem.cache_info()
+    assert info.maxsize == _STEM_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+    assert (info.hits, info.misses) == (0, len(forms))
+    assert stem(forms[-1]) == "form" + str(len(forms) - 1)  # kept: a hit
+    assert stem(forms[0]) == "form0"  # evicted as least recently used: a miss
+    assert stem.cache_info()[:2] == (1, len(forms) + 1)
