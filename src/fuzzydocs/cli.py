@@ -10,7 +10,7 @@ flag's dest (``top_k`` for ``--top-k``) and in the shape the flag takes; a
 flag beats the config file, which beats the default.
 
 Exit codes: 0 success, 1 data error, 2 usage error. Warnings go to
-stderr; tables to stdout; all files are UTF-8 with LF line endings.
+stderr; tables to stdout; JSON files go through :mod:`fuzzydocs.jsonfile`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .features import (
     select_features,
     vectorize,
 )
+from .jsonfile import read_json
 from .labeling import classify_strength, label_clusters, render_report_table, save_report
 from .preprocess import PreprocessConfig, RawDocument, load_stopwords, preprocess_document
 
@@ -77,16 +78,12 @@ def load_corpus(dirpath: str | Path) -> list[RawDocument]:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {p}")
     try:
-        with open(p, encoding="utf-8") as f:
-            config = json.load(f)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config file {p}: {exc}") from exc
+        config = read_json(_existing_file(path, "config file"))
+    except (OSError, ValueError) as exc:  # either message names the file
+        raise UsageError(str(exc)) from exc
     if not isinstance(config, dict):
-        raise UsageError(f"config file must hold a JSON object: {p}")
+        raise UsageError(f"config file must hold a JSON object: {path}")
     return config
 
 
@@ -227,9 +224,8 @@ def cmd_cluster(args) -> int:
     pre = _preprocess_config(s["preprocess"])
 
     init = None
-    if "init_file" in s:
-        with open(_existing_file(s["init_file"], "init file"), encoding="utf-8") as f:
-            init = np.asarray(json.load(f), dtype=float)
+    if "init_file" in s:  # run_fcm validates it once the document count is known
+        init = read_json(_existing_file(s["init_file"], "init file"))
     try:
         params = FcmParams(
             c=s["clusters"], init=init,

@@ -23,11 +23,12 @@ centers of a run with max_iters=k.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .jsonfile import read_json, write_json
 
 __all__ = [
     "FeatureMatrix",
@@ -58,15 +59,11 @@ class FeatureMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("feature matrix must be 2-d and non-empty")
+        data = _checked_matrix(self.data, "feature values", WF_MAX)
         if len(self.doc_ids) != data.shape[0]:
             raise ValueError("doc_ids length must match the number of rows")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError("doc_ids must be unique")
-        if not np.all(np.isfinite(data)) or data.min() < 0 or data.max() > WF_MAX:
-            raise ValueError(f"feature values must lie in [0, {WF_MAX:g}]")
         object.__setattr__(self, "data", data)
 
     @property
@@ -76,6 +73,19 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return self.data.shape[1]
+
+
+def _checked_matrix(value, what: str, high: float) -> np.ndarray:
+    """value as a non-empty 2-d float64 array of numbers in [0, high]."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # not numbers, or ragged rows
+        raise ValueError(f"{what} must be numbers: {exc}") from exc
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{what} must be a 2-d non-empty matrix")
+    if not np.all(np.isfinite(a)) or a.min() < 0.0 or a.max() > high:
+        raise ValueError(f"{what} must lie in [0, {high:g}]")
+    return a
 
 
 @dataclass(frozen=True)
@@ -123,15 +133,11 @@ class FcmResult:
 
 def validate_partition(u: np.ndarray, n: int | None = None, c: int | None = None) -> np.ndarray:
     """Check membership range and column stochasticity; returns float64 copy."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise ValueError("invalid partition: not a 2-d matrix")
+    u = _checked_matrix(u, "invalid partition: memberships", 1.0)
     if c is not None and u.shape[0] != c:
         raise ValueError(f"invalid partition: expected {c} rows, got {u.shape[0]}")
     if n is not None and u.shape[1] != n:
         raise ValueError(f"invalid partition: expected {n} columns, got {u.shape[1]}")
-    if not np.all(np.isfinite(u)) or u.min() < 0.0 or u.max() > 1.0:
-        raise ValueError("invalid partition: memberships must lie in [0, 1]")
     col_sums = np.einsum("cn->n", u)
     if np.max(np.abs(col_sums - 1.0)) > PARTITION_COLUMN_TOL:
         raise ValueError("invalid partition: columns must sum to 1")
@@ -243,7 +249,7 @@ def save_result(
     features: list[str],
     path: str | Path,
 ) -> None:
-    """Write a result file; floats keep their shortest round-trip form."""
+    """Write a result file whole; floats keep their shortest round-trip form."""
     payload = {
         "doc_ids": list(doc_ids),
         "features": list(features),
@@ -254,16 +260,13 @@ def save_result(
         "objective_history": list(result.objective_history),
         "max_change_history": list(result.max_change_history),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    write_json(payload, path)
 
 
 def load_result(path: str | Path) -> dict:
     """A result file with memberships and centers as arrays; a file whose
-    keys, types or shapes do not match ``save_result`` raises ValueError."""
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+    keys, types, shapes or ranges do not match ``save_result`` raises ValueError."""
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"invalid result file {path}: not a JSON object")
     required = {"doc_ids", "features", "memberships", "centers", "iterations",
@@ -276,8 +279,8 @@ def load_result(path: str | Path) -> dict:
             raise ValueError(f"invalid result file {path}: {key} must be a list of strings")
     try:
         u = validate_partition(raw["memberships"], n=len(raw["doc_ids"]))
-        v = np.asarray(raw["centers"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        v = _checked_matrix(raw["centers"], "centers", WF_MAX)  # weighted means of WF rows
+    except ValueError as exc:
         raise ValueError(f"invalid result file {path}: {exc}") from exc
     shape = (u.shape[0], len(raw["features"]))
     if v.shape != shape:

@@ -4,15 +4,18 @@ feature selection, and document vectorization.
 A word frequency (WF) is ``count / total * 10000`` -- occurrences per ten
 thousand terms, kept as a real number throughout. Profiles and document
 rows count terms the same way: a ``Counter`` over the term sequence.
+Feature sets and profiles are saved with :mod:`fuzzydocs.jsonfile`, so
+each file is replaced whole or left as it was.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+from .jsonfile import read_json, write_json
 
 __all__ = [
     "WF_SCALE",
@@ -114,14 +117,11 @@ def vectorize(terms: Sequence[str], features: Sequence[str]) -> tuple[float, ...
 
 
 def save_feature_set(features: Sequence[str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(list(features), f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    write_json(list(features), path)
 
 
 def load_feature_set(path: str | Path) -> FeatureSet:
-    with open(path, encoding="utf-8") as f:
-        features = json.load(f)
+    features = read_json(path)
     if (
         not isinstance(features, list)
         or not features
@@ -133,19 +133,16 @@ def load_feature_set(path: str | Path) -> FeatureSet:
 
 
 def save_profile(profile: LabeledProfile, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump({"label": profile.label, "wf": profile.wf}, f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    write_json({"label": profile.label, "wf": profile.wf}, path)
 
 
 def load_profile(path: str | Path) -> LabeledProfile:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = read_json(path)
     try:
         label = raw["label"]
         wf = {str(t): float(v) for t, v in raw["wf"].items()}
     except (TypeError, KeyError, AttributeError, ValueError) as exc:
         raise ValueError(f"invalid profile file: {path}") from exc
-    if not isinstance(label, str) or not label:
+    if not isinstance(label, str) or not label or not all(0 <= v <= WF_SCALE for v in wf.values()):
         raise ValueError(f"invalid profile file: {path}")
     return LabeledProfile(label, wf)

@@ -1,0 +1,45 @@
+"""The JSON files the pipeline stages hand to each other.
+
+Every file is UTF-8 with LF line endings, indented by two spaces, keeps
+non-ASCII text as is and ends in a newline. A file is written whole or
+not at all: ``write_json`` streams into a temporary dot file next to the
+target and renames it over the target only once the dump has finished.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+__all__ = ["read_json", "write_json"]
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Replace ``path`` with ``payload`` as JSON. A write that fails leaves
+    the previous file, or none, and no temporary file; a string that cannot
+    be encoded as UTF-8 raises ValueError naming ``path``."""
+    path = Path(path)
+    # a dot file, so a corpus directory never reads it as a document; open()
+    # rather than mkstemp, so the umask sets its mode as for any other output
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            json.dump(payload, f, ensure_ascii=False, indent=2)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, UnicodeEncodeError):  # a lone surrogate in a string
+            raise ValueError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def read_json(path: str | Path):
+    """The value a JSON file holds; a file that is not UTF-8 JSON raises
+    ValueError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
+        raise ValueError(f"cannot parse {path}: {exc}") from exc

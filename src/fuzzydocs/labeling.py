@@ -5,13 +5,13 @@ A cluster gets the label of the profile its center sits closest to, chosen
 jointly: over all injective cluster-to-label assignments the one with the
 smallest total Euclidean distance wins. Membership strength is read off
 the partition column: a dominant degree is "strong", a flat column is
-"ambiguous", everything else "moderate".
+"ambiguous", everything else "moderate". A report is saved with
+:mod:`fuzzydocs.jsonfile`, so the file is replaced whole or left as it was.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import LabeledProfile
+from .jsonfile import write_json
 
 __all__ = [
     "ClusterLabeling",
@@ -160,9 +161,7 @@ def save_report(reports: Sequence[DocumentReport], path: str | Path) -> None:
         }
         for r in reports
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    write_json(payload, path)
 
 
 def render_report_table(reports: Sequence[DocumentReport]) -> str:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +315,15 @@ class TestClusterCommand:
         else:
             assert out.read_bytes() == existing
 
+    @pytest.mark.parametrize("init", [{"a": 1}, [[1.0] * 8, [0.0] * 7]], ids=["object", "ragged"])
+    def test_bad_init_file_is_data_error(self, tmp_path, capsys, init):
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps(init), encoding="utf-8")
+        code, out = self.run_cluster(tmp_path, "--init-file", str(path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid partition: ")
+        assert not out.exists()
+
     def test_missing_features_file_is_usage_error(self, tmp_path):
         corpus = write_corpus(tmp_path)
         code = main([
@@ -533,8 +543,15 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, command, text):
                  id="doc_ids-numbers"),
     pytest.param("result.json", lambda raw: {**raw, "memberships": [[0.7] * 8, [0.7] * 8]},
                  id="memberships-not-stochastic"),
+    pytest.param("result.json", lambda raw: {**raw, "centers": [[float("nan")] * 4] * 2},
+                 id="centers-nan"),
     pytest.param("sports.profile.json", lambda raw: {"label": "sports", "wf": []},
                  id="profile-wf-list"),
+    pytest.param("sports.profile.json",
+                 lambda raw: {**raw, "wf": {**raw["wf"], "ball": float("inf")}},
+                 id="profile-wf-infinite"),
+    pytest.param("sports.profile.json", lambda raw: {**raw, "wf": {"appl": -5}},
+                 id="profile-wf-negative"),
 ])
 def test_malformed_input_file_is_data_error(tmp_path, capsys, name, edit):
     argv = command_argv(tmp_path, "report")
@@ -543,7 +560,92 @@ def test_malformed_input_file_is_data_error(tmp_path, capsys, name, edit):
                     encoding="utf-8")
     capsys.readouterr()
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("command,name,code", [
+    ("cluster", "features.json", 1),
+    ("cluster", "init.json", 1),
+    ("report", "result.json", 1),
+    ("report", "sports.profile.json", 1),
+    ("report", "config.json", 2),
+])
+def test_unparsable_input_file_is_named(tmp_path, capsys, command, name, code):
+    argv = command_argv(tmp_path, command) + ["--config", str(write_plain_config(tmp_path))]
+    if command == "cluster":
+        argv += ["--clusters", "2", "--init-file", str(write_init_file(tmp_path))]
+    path = tmp_path / name
+    path.write_text('{"label": "sports",\n', encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: Expecting ")
+    assert not Path(argv[argv.index("--out") + 1]).exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "report"])
+def test_unencodable_output_keeps_previous_file(tmp_path, capsys, command):
+    """A lone surrogate read from a JSON escape fails the write after the
+    work is done: the previous output stays, and no temporary file is left."""
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    out = Path(argv[argv.index("--out") + 1])
+    assert main(argv) == 0
+    previous = out.read_bytes()
+    if command == "cluster":  # result.json lists the features
+        bad, payload = tmp_path / "features.json", FEATURES + ["\ud800x"]
+    else:  # report.json keys degrees by label
+        bad, payload = tmp_path / "politics.profile.json", {"label": "\udcff", "wf": {"team": 1.0}}
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "surrogates not allowed" in err
+    assert out.read_bytes() == previous
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
+HOSTILE_FILES = [
+    pytest.param("empty.txt", b"", id="empty"),
+    pytest.param("blob.bin", bytes(range(256)) * 4, id="binary"),
+    pytest.param("latin1.txt", "caf\xe9 au lait".encode("latin-1"), id="non-utf8"),
+    pytest.param("long.txt", b"a" * 100_000, id="long-token"),
+    pytest.param("yyy.txt", b"y" * 5_000 + b" sy" + b"y" * 5_000, id="y-run"),
+    pytest.param("entities.html", b"&#99999999999; &#55296; " * 2_000 + b"&#" + b"9" * 5_000 + b";",
+                 id="entity-flood"),
+    pytest.param("off_topic.txt", b"weather xfill " * 20, id="zero-feature"),
+]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["alone", "with-good-documents"])
+@pytest.mark.parametrize("command", ["features", "cluster"])
+@pytest.mark.parametrize("name,data", HOSTILE_FILES)
+def test_hostile_corpus_files(tmp_path, capsys, name, data, command, mixed):
+    """A hostile corpus file, alone or among good documents, ends in a
+    documented exit code with no traceback, and a failed run writes no file."""
+    good = make_sample_dirs(tmp_path)[0] if command == "features" else write_corpus(tmp_path)
+    corpus = good if mixed else tmp_path / "hostile"
+    corpus.mkdir(exist_ok=True)
+    (corpus / name).write_bytes(data)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "features":
+        argv = ["features", "--samples", f"sports={corpus}",
+                "--samples", f"politics={tmp_path / 'politics'}", "--out", str(out / "features.json")]
+    else:
+        argv = ["cluster", "--corpus", str(corpus), "--features", str(write_features_file(tmp_path)),
+                "--clusters", "2", "--out", str(out / "result.json")]
+    code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    written = sorted(out.iterdir())
+    if code:
+        assert written == []
+    else:
+        assert written
+        for path in written:
+            json.loads(path.read_text(encoding="utf-8"))
 
 
 class TestTopLevel:

@@ -1,0 +1,69 @@
+import json
+import os
+import re
+
+import pytest
+
+from fuzzydocs.jsonfile import read_json, write_json
+
+
+def leftovers(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+def test_format(tmp_path):
+    path = tmp_path / "out.json"
+    payload = {"label": "café", "wf": {"ball": 12.5, "team": 0.1}, "rows": [[1, 2]]}
+    write_json(payload, path)
+    expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert read_json(path) == payload
+    assert leftovers(tmp_path) == []
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"previous\n")
+    # the encoder has streamed the first key before it meets the set
+    with pytest.raises(TypeError):
+        write_json({"rows": list(range(1000)), "bad": {1, 2}}, path)
+    assert path.read_bytes() == b"previous\n"
+    assert leftovers(tmp_path) == []
+
+
+def test_unencodable_string_names_the_file(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match=re.escape(f"cannot write {path}")):
+        write_json(["ok", "\udcff"], path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mode_follows_umask(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("[]\n", encoding="utf-8")
+    path.chmod(0o600)
+    old = os.umask(0o027)
+    try:
+        write_json([], path)
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_symlink_is_replaced_not_followed(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"kept\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_json([1], link)
+    assert not link.is_symlink()
+    assert read_json(link) == [1]
+    assert target.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("data", [b"[1,\n", b'["\xff"]', b""], ids=["truncated", "not-utf8", "empty"])
+def test_unparsable_file_names_itself(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse {path}")):
+        read_json(path)
