@@ -46,16 +46,17 @@ profiles = [
     LabeledProfile("politics", {"stadium": 7.1, "ball": 30.2,
                                 "team": 80.8, "democracy": 140.1}),
 ]
-labeling = label_clusters(result.centers, profiles, features)
-print("cluster labels:", labeling.assignment)
+# labels[j] names cluster j
+labels = label_clusters(result.centers, profiles, features)
+print("cluster labels:", labels)
 print()
 
-reports = classify_strength(result.partition, docs, labeling)
+reports = classify_strength(result.partition, docs, labels)
 print(render_report_table(reports))
 print()
 
 # rank_documents answers "which pieces are most clearly about sports?"
-ranked = rank_documents(result.partition, docs, labeling, "sports")
+ranked = rank_documents(result.partition, docs, labels, "sports")
 print("most sports-like first:",
       [f"{d} ({v:.3f})" for d, v in ranked])
 

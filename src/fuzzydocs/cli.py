@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fcm import FcmParams, FeatureMatrix, run_fcm, save_result, load_result
+from .fcm import FcmParams, FeatureMatrix, load_result, run_fcm, save_result, validate_partition
 from .features import (
     LabeledProfile,
     build_profile,
@@ -35,7 +35,7 @@ from .features import (
     select_features,
     vectorize,
 )
-from .jsonfile import read_json
+from .jsonfile import is_number, read_json
 from .labeling import classify_strength, label_clusters, render_report_table, save_report
 from .preprocess import PreprocessConfig, RawDocument, load_stopwords, preprocess_document
 
@@ -91,7 +91,7 @@ def _config_value(key: str, value, kind: type):
     """A config value in the shape its flag takes: a JSON integer for an
     int option, a finite JSON number for a float option, a string for a
     path, a non-empty list of strings for a repeated flag."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)  # true is an int
+    number = is_number(value)
     ok, what = {
         int: (number and isinstance(value, int), "an integer"),
         float: (number and abs(value) <= sys.float_info.max, "a finite number"),
@@ -160,6 +160,9 @@ def _parse_samples(pairs: list[str]) -> dict[str, str]:
         label, sep, dirpath = pair.partition("=")
         if not sep or not label or not dirpath:
             raise UsageError(f"--samples expects LABEL=DIR, got {pair!r}")
+        # a label names its profile file; a lone surrogate is a byte that is not UTF-8
+        if "/" in label or any("\ud800" <= ch <= "\udfff" for ch in label):
+            raise UsageError(f"--samples label must be valid UTF-8 without '/', got {label!r}")
         if label in samples:
             raise UsageError(f"duplicate sample label: {label}")
         samples[label] = dirpath
@@ -224,7 +227,7 @@ def cmd_cluster(args) -> int:
     pre = _preprocess_config(s["preprocess"])
 
     init = None
-    if "init_file" in s:  # run_fcm validates it once the document count is known
+    if "init_file" in s:  # checked below, once the document count is known
         init = read_json(_existing_file(s["init_file"], "init file"))
     try:
         params = FcmParams(
@@ -246,6 +249,11 @@ def cmd_cluster(args) -> int:
         rows.append(vectorize(terms, selected))
     if params.c > len(rows):
         raise DataError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
+    if init is not None:
+        try:
+            validate_partition(init, n=len(rows), c=params.c)
+        except ValueError as exc:
+            raise DataError(f"invalid init file {s['init_file']}: {exc}") from exc
     matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
     zero_rows = int(np.count_nonzero(~matrix.data.any(axis=1)))
     if zero_rows:  # clustering cannot tell these documents apart

@@ -83,6 +83,9 @@ def _checked_matrix(value, what: str, high: float) -> np.ndarray:
         raise ValueError(f"{what} must be numbers: {exc}") from exc
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"{what} must be a 2-d non-empty matrix")
+    # the conversion reads "0.5" and true as numbers; JSON rows may hold them
+    if isinstance(value, list) and {type(v) for row in value for v in row} & {bool, str}:
+        raise ValueError(f"{what} must be numbers")
     if not np.all(np.isfinite(a)) or a.min() < 0.0 or a.max() > high:
         raise ValueError(f"{what} must lie in [0, {high:g}]")
     return a

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .jsonfile import read_json, write_json
+from .jsonfile import is_number, read_json, write_json
 
 __all__ = [
     "WF_SCALE",
@@ -138,11 +138,8 @@ def save_profile(profile: LabeledProfile, path: str | Path) -> None:
 
 def load_profile(path: str | Path) -> LabeledProfile:
     raw = read_json(path)
-    try:
-        label = raw["label"]
-        wf = {str(t): float(v) for t, v in raw["wf"].items()}
-    except (TypeError, KeyError, AttributeError, ValueError) as exc:
-        raise ValueError(f"invalid profile file: {path}") from exc
-    if not isinstance(label, str) or not label or not all(0 <= v <= WF_SCALE for v in wf.values()):
+    label, wf = (raw.get("label"), raw.get("wf")) if isinstance(raw, dict) else (None, None)
+    if not isinstance(label, str) or not label or not isinstance(wf, dict) or not all(
+            is_number(v) and 0 <= v <= WF_SCALE for v in wf.values()):
         raise ValueError(f"invalid profile file: {path}")
-    return LabeledProfile(label, wf)
+    return LabeledProfile(label, {t: float(v) for t, v in wf.items()})

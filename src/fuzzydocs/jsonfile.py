@@ -12,7 +12,7 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["read_json", "write_json"]
+__all__ = ["is_number", "read_json", "write_json"]
 
 
 def write_json(payload, path: str | Path) -> None:
@@ -43,3 +43,8 @@ def read_json(path: str | Path):
             return json.load(f)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
         raise ValueError(f"cannot parse {path}: {exc}") from exc
+
+
+def is_number(value) -> bool:
+    """Whether a value read from JSON is a number; ``true`` loads as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -1,12 +1,15 @@
 """Attach category names to clusters and turn the membership matrix into
 per-document strength reports.
 
-A cluster gets the label of the profile its center sits closest to, chosen
-jointly: over all injective cluster-to-label assignments the one with the
-smallest total Euclidean distance wins. Membership strength is read off
-the partition column: a dominant degree is "strong", a flat column is
-"ambiguous", everything else "moderate". A report is saved with
-:mod:`fuzzydocs.jsonfile`, so the file is replaced whole or left as it was.
+A labelling is a tuple of profile labels indexed by cluster: ``labels[j]``
+names cluster j. It is chosen jointly: each center-to-profile Euclidean
+distance is computed once, and over all injective cluster-to-label
+assignments the one with the smallest total distance wins; among equal
+totals, the lexicographically smallest label sequence. Membership
+strength is read off the partition column: a dominant degree is "strong",
+a flat column is "ambiguous", everything else "moderate". A report is
+saved with :mod:`fuzzydocs.jsonfile`, so the file is replaced whole or
+left as it was.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .features import LabeledProfile
 from .jsonfile import write_json
 
 __all__ = [
-    "ClusterLabeling",
     "DocumentReport",
     "label_clusters",
     "classify_strength",
@@ -37,20 +39,6 @@ AMBIGUITY_MARGIN_DEFAULT = 0.1
 
 
 @dataclass(frozen=True)
-class ClusterLabeling:
-    """Injective cluster-index-to-label map with match distances."""
-
-    assignment: dict[int, str]
-    score: dict[int, float]
-
-    def cluster_of(self, label: str) -> int:
-        for j, lab in self.assignment.items():
-            if lab == label:
-                return j
-        raise ValueError(f"unknown label: {label}")
-
-
-@dataclass(frozen=True)
 class DocumentReport:
     doc_id: str
     memberships: dict[str, float]  # label -> degree, one entry per cluster
@@ -62,8 +50,8 @@ def label_clusters(
     centers: np.ndarray,
     profiles: Sequence[LabeledProfile],
     features: Sequence[str],
-) -> ClusterLabeling:
-    """Match clusters to profile labels by minimum total center-to-profile
+) -> tuple[str, ...]:
+    """The label of each cluster, matched by minimum total center-to-profile
     distance over injective assignments; ties resolve to the
     lexicographically smallest label sequence.
     """
@@ -71,37 +59,29 @@ def label_clusters(
     c = centers.shape[0]
     if len(profiles) < c:
         raise ValueError("insufficient profiles")
-    vectors = {
-        p.label: np.array([p.wf.get(t, 0.0) for t in features], dtype=float)
-        for p in profiles
-    }
-    if len(vectors) != len(profiles):
+    profiles = sorted(profiles, key=lambda p: p.label)
+    labels = [p.label for p in profiles]
+    if len(set(labels)) != len(labels):
         raise ValueError("profile labels must be unique")
-    best: tuple[str, ...] | None = None
-    best_total = np.inf
-    best_dists: tuple[float, ...] = ()
-    for labels in itertools.permutations(sorted(vectors), c):
-        dists = tuple(
-            float(np.linalg.norm(centers[j] - vectors[lab])) for j, lab in enumerate(labels)
-        )
-        total = sum(dists)
-        if total < best_total:
-            best, best_total, best_dists = labels, total, dists
-    assert best is not None
-    return ClusterLabeling(
-        assignment={j: lab for j, lab in enumerate(best)},
-        score={j: dist for j, dist in enumerate(best_dists)},
-    )
+    vectors = [np.array([p.wf.get(t, 0.0) for t in features], dtype=float) for p in profiles]
+    dist = [[float(np.linalg.norm(center - vector)) for vector in vectors] for center in centers]
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("centers and profile WFs must be finite")
+    # permutations come in lexicographic order and min keeps the first minimum
+    best = min(itertools.permutations(range(len(labels)), c),
+               key=lambda ks: sum(row[k] for row, k in zip(dist, ks)))
+    return tuple(labels[k] for k in best)
 
 
 def classify_strength(
     u: np.ndarray,
     doc_ids: Sequence[str],
-    labeling: ClusterLabeling,
+    labels: Sequence[str],
     strong_threshold: float = STRONG_THRESHOLD_DEFAULT,
     ambiguity_margin: float = AMBIGUITY_MARGIN_DEFAULT,
 ) -> list[DocumentReport]:
-    """Per-document labeled degrees and a strength class for each.
+    """Per-document labeled degrees and a strength class for each;
+    ``labels[j]`` names row j of the c x n partition u.
 
     strong: top degree >= strong_threshold; ambiguous: degree spread
     (max - min) < ambiguity_margin; moderate otherwise. Strong wins when
@@ -112,19 +92,16 @@ def classify_strength(
     validate_thresholds(strong_threshold, ambiguity_margin, c)
     if len(doc_ids) != n:
         raise ValueError("doc_ids length must match partition columns")
-    reports = []
-    for i, doc_id in enumerate(doc_ids):
-        degrees = {labeling.assignment[j]: float(u[j, i]) for j in range(c)}
-        top = labeling.assignment[int(np.argmax(u[:, i]))]
-        spread = float(u[:, i].max() - u[:, i].min())
-        if u[:, i].max() >= strong_threshold:
-            strength = "strong"
-        elif spread < ambiguity_margin:
-            strength = "ambiguous"
-        else:
-            strength = "moderate"
-        reports.append(DocumentReport(doc_id, degrees, top, strength))
-    return reports
+    if len(labels) != c:
+        raise ValueError("labels length must match partition rows")
+    high = u.max(axis=0)
+    strength = np.where(high >= strong_threshold, "strong",
+                        np.where(high - u.min(axis=0) < ambiguity_margin, "ambiguous", "moderate"))
+    return [
+        DocumentReport(doc_id, dict(zip(labels, degrees)), labels[j], s)
+        for doc_id, degrees, j, s in zip(
+            doc_ids, u.T.tolist(), u.argmax(axis=0).tolist(), strength.tolist())
+    ]
 
 
 def validate_thresholds(strong_threshold: float, ambiguity_margin: float, c: int) -> None:
@@ -139,13 +116,15 @@ def validate_thresholds(strong_threshold: float, ambiguity_margin: float, c: int
 def rank_documents(
     u: np.ndarray,
     doc_ids: Sequence[str],
-    labeling: ClusterLabeling,
+    labels: Sequence[str],
     label: str,
 ) -> list[tuple[str, float]]:
     """Documents ordered by descending membership in one labeled cluster,
     ties by ascending doc_id."""
     u = np.asarray(u, dtype=float)
-    j = labeling.cluster_of(label)
+    if label not in labels:
+        raise ValueError(f"unknown label: {label}")
+    j = labels.index(label)
     pairs = [(doc_id, float(u[j, i])) for i, doc_id in enumerate(doc_ids)]
     pairs.sort(key=lambda p: (-p[1], p[0]))
     return pairs

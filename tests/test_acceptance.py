@@ -86,9 +86,9 @@ def test_criterion_5_convergence_grouping_and_labels():
         LabeledProfile("sports", dict(goldens.SPORTS_WF)),
         LabeledProfile("politics", dict(goldens.POLITICS_WF)),
     ]
-    labeling = label_clusters(res.centers, profiles, list(goldens.MATRIX_FEATURES))
-    assert labeling.assignment[int(assignment[0])] == "sports"
-    assert labeling.assignment[int(assignment[2])] == "politics"
+    labels = label_clusters(res.centers, profiles, list(goldens.MATRIX_FEATURES))
+    assert labels[assignment[0]] == "sports"
+    assert labels[assignment[2]] == "politics"
 
 
 def test_criterion_6_feature_selection_golden():

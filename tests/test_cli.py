@@ -125,6 +125,21 @@ class TestFeaturesCommand:
     def test_malformed_samples_pair(self, tmp_path):
         assert main(["features", "--samples", "nodirhere", "--samples", "b=x"]) == 2
 
+    @pytest.mark.parametrize("label", ["a/b", "\udcffpol"], ids=["slash", "not-utf8"])
+    def test_bad_label_writes_nothing(self, tmp_path, capsys, label):
+        """A label names a profile file, so a bad one is refused before the
+        feature file is replaced."""
+        sports, politics = make_sample_dirs(tmp_path)
+        out = tmp_path / "out" / "features.json"
+        out.parent.mkdir()
+        out.write_bytes(b'[\n  "team"\n]\n')
+        code = main(["features", "--samples", f"{label}={sports}",
+                     "--samples", f"politics={politics}", "--out", str(out)])
+        assert code == 2
+        assert "--samples label must be valid UTF-8 without '/'" in capsys.readouterr().err
+        assert out.read_bytes() == b'[\n  "team"\n]\n'
+        assert list(out.parent.iterdir()) == [out]
+
     def test_identical_corpora_is_data_error(self, tmp_path, capsys):
         sports, _ = make_sample_dirs(tmp_path)
         code = main([
@@ -315,13 +330,18 @@ class TestClusterCommand:
         else:
             assert out.read_bytes() == existing
 
-    @pytest.mark.parametrize("init", [{"a": 1}, [[1.0] * 8, [0.0] * 7]], ids=["object", "ragged"])
+    @pytest.mark.parametrize("init", [
+        pytest.param({"a": 1}, id="object"),
+        pytest.param([[1.0] * 8, [0.0] * 7], id="ragged"),
+        pytest.param([["0.5"] * 8, [0.5] * 8], id="numeric-strings"),
+        pytest.param([[True, False] * 4, [False, True] * 4], id="booleans"),
+    ])
     def test_bad_init_file_is_data_error(self, tmp_path, capsys, init):
         path = tmp_path / "init.json"
         path.write_text(json.dumps(init), encoding="utf-8")
         code, out = self.run_cluster(tmp_path, "--init-file", str(path))
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: invalid partition: ")
+        assert capsys.readouterr().err.startswith(f"error: invalid init file {path}: invalid partition: ")
         assert not out.exists()
 
     def test_missing_features_file_is_usage_error(self, tmp_path):
@@ -552,6 +572,13 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, command, text):
                  id="profile-wf-infinite"),
     pytest.param("sports.profile.json", lambda raw: {**raw, "wf": {"appl": -5}},
                  id="profile-wf-negative"),
+    pytest.param("sports.profile.json", lambda raw: {**raw, "wf": {**raw["wf"], "ball": "5"}},
+                 id="profile-wf-string"),
+    pytest.param("sports.profile.json", lambda raw: {**raw, "wf": {**raw["wf"], "ball": True}},
+                 id="profile-wf-boolean"),
+    pytest.param("result.json",
+                 lambda raw: {**raw, "memberships": [[str(v) for v in row] for row in raw["memberships"]]},
+                 id="memberships-strings"),
 ])
 def test_malformed_input_file_is_data_error(tmp_path, capsys, name, edit):
     argv = command_argv(tmp_path, "report")
