@@ -4,17 +4,20 @@ The engine alternates the weighted-mean center update
 
     v_j = sum_i u_ji^m x_i / sum_i u_ji^m
 
-with the inverse-distance membership update
+with the inverse-distance membership update, in min-ratio form
 
-    u_ji = 1 / sum_k (d_ji / d_ki)^(2/(m-1))
+    w_ji = (min_k d_ki / d_ji)^(2/(m-1)),    u_ji = w_ji / sum_k w_ki,
 
-and stops when the largest entrywise membership change drops below
+which equals the textbook 1 / sum_k (d_ji / d_ki)^(2/(m-1)) but keeps
+every w in [0, 1], so no fuzzifier near 1 overflows it. The engine
+stops when the largest entrywise membership change drops below
 epsilon. The objective it descends is
 
     J_m = sum_i sum_j u_ji^m ||x_i - v_j||^2.
 
 Each iteration builds the c x n squared distances once, in
-``squared_distances``; the memberships read their square roots and J_m
+``squared_distances``, one center at a time, so an iteration works in
+O(n*m + c*n) memory; the memberships read their square roots and J_m
 reads them directly. All reductions are evaluated in fixed
 document-index order (einsum without optimization), so repeated runs are
 bit-identical, and iteration k of a run leaves exactly the partition and
@@ -174,14 +177,27 @@ def update_centers(u: np.ndarray, x: np.ndarray, fuzzifier: float) -> np.ndarray
 
 
 def squared_distances(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of every document to every center, c x n."""
-    diff = x[None, :, :] - v[:, None, :]
-    return np.einsum("cnm,cnm->cn", diff, diff)
+    """Squared Euclidean distance of every document to every center, c x n,
+    built one center at a time, so the only temporary is one n x m
+    difference."""
+    sq = np.empty((v.shape[0], x.shape[0]))
+    for j, center in enumerate(v):
+        diff = x - center
+        np.einsum("nm,nm->n", diff, diff, out=sq[j])
+    return sq
 
 
 def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
-    """Inverse-distance memberships; a zero-distance document becomes a
-    one-hot column on the first such cluster."""
+    """Inverse-distance memberships from the c x n distances d; a
+    zero-distance document becomes a one-hot column on the first such
+    cluster.
+
+    A regular column is scaled by its smallest distance:
+    w_j = (d_min / d_j)^(2/(m-1)) lies in [0, 1] and is exactly 1 at the
+    nearest center, so u_j = w_j / sum_k w_k cannot overflow or divide 0
+    by 0, and a ratio that underflows to 0 is its exact limit. Working
+    memory is a few c x n arrays.
+    """
     c, n = d.shape
     u = np.zeros((c, n))
     zero = d == 0.0
@@ -192,10 +208,9 @@ def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
     regular = ~singular
     if np.any(regular):
         dr = d[:, regular]
-        # near m = 1 a ratio may overflow to inf, and 1/inf = 0 is its exact limit
-        with np.errstate(over="ignore"):
-            ratios = (dr[:, None, :] / dr[None, :, :]) ** (2.0 / (fuzzifier - 1.0))
-        u[:, regular] = 1.0 / np.einsum("jkn->jn", ratios)
+        w = dr.min(axis=0) / dr
+        w **= 2.0 / (fuzzifier - 1.0)
+        u[:, regular] = w / np.einsum("cn->n", w)
     return u
 
 

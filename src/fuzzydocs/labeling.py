@@ -90,10 +90,7 @@ def classify_strength(
     u = np.asarray(u, dtype=float)
     c, n = u.shape
     validate_thresholds(strong_threshold, ambiguity_margin, c)
-    if len(doc_ids) != n:
-        raise ValueError("doc_ids length must match partition columns")
-    if len(labels) != c:
-        raise ValueError("labels length must match partition rows")
+    _check_names(doc_ids, labels, c, n)
     high = u.max(axis=0)
     strength = np.where(high >= strong_threshold, "strong",
                         np.where(high - u.min(axis=0) < ambiguity_margin, "ambiguous", "moderate"))
@@ -102,6 +99,14 @@ def classify_strength(
         for doc_id, degrees, j, s in zip(
             doc_ids, u.T.tolist(), u.argmax(axis=0).tolist(), strength.tolist())
     ]
+
+
+def _check_names(doc_ids: Sequence[str], labels: Sequence[str], c: int, n: int) -> None:
+    """doc_ids must name the n columns and labels the c rows of a partition."""
+    if len(doc_ids) != n:
+        raise ValueError("doc_ids length must match partition columns")
+    if len(labels) != c:
+        raise ValueError("labels length must match partition rows")
 
 
 def validate_thresholds(strong_threshold: float, ambiguity_margin: float, c: int) -> None:
@@ -122,6 +127,7 @@ def rank_documents(
     """Documents ordered by descending membership in one labeled cluster,
     ties by ascending doc_id."""
     u = np.asarray(u, dtype=float)
+    _check_names(doc_ids, labels, *u.shape)
     if label not in labels:
         raise ValueError(f"unknown label: {label}")
     j = labels.index(label)

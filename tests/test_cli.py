@@ -269,8 +269,8 @@ class TestClusterCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fuzzifier_near_one_is_quiet(self, tmp_path, capsys):
-        # at m = 1.01 the membership ratios overflow to inf, whose exact
-        # limit 1/inf = 0 needs no warning
+        # at m = 1.01 the membership weights (d_min / d)^200 underflow to
+        # 0, their exact limit, which needs no warning
         code, out = self.run_cluster(tmp_path, "--fuzzifier", "1.01")
         assert code == 0
         assert capsys.readouterr().err == f"wrote {out}\n"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,30 @@ from fuzzydocs.fcm import (
     update_memberships,
     validate_partition,
 )
+
+
+def broadcast_squared_distances(x, v):
+    """Reference: the c x n x m difference tensor reduced over features."""
+    diff = x[None, :, :] - v[:, None, :]
+    return np.einsum("cnm,cnm->cn", diff, diff)
+
+
+def ratio_memberships(d, fuzzifier):
+    """Reference for zero-free columns: 1 / sum_k (d_j / d_k)^(2/(m-1))
+    from the c x c x n ratio tensor."""
+    ratios = (d[:, None, :] / d[None, :, :]) ** (2.0 / (fuzzifier - 1.0))
+    return 1.0 / np.einsum("jkn->jn", ratios)
+
+
+def traced_peak_bytes(f, *args):
+    """Peak bytes allocated while f runs; numpy reports its buffers to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_instance(seed: int, n: int = 6, m: int = 2, c: int = 2):
@@ -166,6 +191,22 @@ class TestSquaredDistances:
         v = np.array([goldens.CENTER_1, goldens.CENTER_2])
         assert squared_distances(example_matrix.data, v).shape == (2, 8)
 
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 40), st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_broadcast_form(self, c, n, m, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 10000.0, size=(n, m))
+        v = rng.uniform(0.0, 10000.0, size=(c, m))
+        v[0] = x[0]  # one exact zero distance
+        np.testing.assert_array_equal(squared_distances(x, v), broadcast_squared_distances(x, v))
+
+    def test_working_memory_is_one_difference(self):
+        n, m, c = 5000, 20, 16
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0.0, 10000.0, size=(n, m))
+        v = rng.uniform(0.0, 10000.0, size=(c, m))
+        assert traced_peak_bytes(squared_distances, x, v) <= (3 * n * m + c * n) * 8
+
 
 class TestUpdateMemberships:
     def test_golden_first_iteration(self, example_matrix):
@@ -183,6 +224,38 @@ class TestUpdateMemberships:
     def test_equidistant_column(self):
         u = update_memberships(np.array([[7.0], [7.0], [7.0]]), 2.0)
         np.testing.assert_array_equal(u, np.full((3, 1), 1.0 / 3.0))
+        for c in (1, 2, 5, 6, 7):
+            for dist in (1e-150, 7.0, 1e150):
+                u = update_memberships(np.full((c, 1), dist), 1.3)
+                np.testing.assert_array_equal(u, np.full((c, 1), 1.0 / c))
+
+    @pytest.mark.parametrize("d, fuzzifier", [
+        ([[1e-160], [1e160]], 1.5),
+        ([[1.0], [1.0000001]], 1.0 + 1e-12),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_columns_are_quietly_one_hot(self, d, fuzzifier):
+        u = update_memberships(np.array(d), fuzzifier)
+        np.testing.assert_array_equal(u, [[1.0], [0.0]])
+
+    @given(st.integers(1, 6), st.integers(1, 30), st.floats(1.02, 4.0), st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_ratio_form(self, c, n, fuzzifier, seed):
+        rng = np.random.default_rng(seed)
+        d = np.sqrt(rng.uniform(1.0, 1e4, size=(c, n)))
+        u = update_memberships(d, fuzzifier)
+        # both forms raise a rounded distance ratio to p = 2/(m-1), which
+        # multiplies its relative rounding error by p: 1e-15 up to p = 10
+        # (m >= 1.2), p * 1e-16 nearer m = 1
+        p = 2.0 / (fuzzifier - 1.0)
+        np.testing.assert_allclose(u, ratio_memberships(d, fuzzifier), rtol=0,
+                                   atol=1e-16 * max(10.0, p))
+
+    def test_working_memory_is_a_few_partitions(self):
+        c, n = 16, 5000
+        d = np.sqrt(np.random.default_rng(0).uniform(1.0, 1e4, size=(c, n)))
+        d[3, ::7] = 0.0  # some singular columns
+        assert traced_peak_bytes(update_memberships, d, 1.3) <= 6 * c * n * 8
 
     def test_zero_distance_is_one_hot(self):
         u = update_memberships(np.array([[0.0], [7.0]]), 2.0)

@@ -225,6 +225,15 @@ class TestRankDocuments:
             rank_documents(final_partition(), goldens.DOC_IDS,
                            SPORTS_FIRST, "weather")
 
+    def test_doc_count_must_match(self):
+        with pytest.raises(ValueError, match="doc_ids length"):
+            rank_documents(np.array([[0.9], [0.1]]), ["a", "b"], SPORTS_FIRST, "sports")
+
+    def test_label_count_must_match(self):
+        with pytest.raises(ValueError, match="labels length"):
+            rank_documents(np.array([[0.9], [0.1]]), ["a"],
+                           ("sports", "politics", "weather"), "weather")
+
 
 class TestReportFiles:
     def test_round_trip(self, tmp_path):
