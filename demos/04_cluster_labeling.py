@@ -51,6 +51,8 @@ labels = label_clusters(result.centers, profiles, features)
 print("cluster labels:", labels)
 print()
 
+# one dict per document, the entry report.json holds: doc_id, labels
+# (label -> degree), top_label and strength
 reports = classify_strength(result.partition, docs, labels)
 print(render_report_table(reports))
 print()
@@ -63,5 +65,5 @@ print("most sports-like first:",
 # Strength classes make the soft part legible: a document over the
 # strong threshold in one cluster is a safe exemplar, while a small gap
 # between its top two memberships flags it for human review.
-ambiguous = [r.doc_id for r in reports if r.strength == "ambiguous"]
+ambiguous = [r["doc_id"] for r in reports if r["strength"] == "ambiguous"]
 print("flagged as ambiguous:", ambiguous or "none")

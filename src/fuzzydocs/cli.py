@@ -37,7 +37,7 @@ from .features import (
 )
 from .jsonfile import is_number, read_json
 from .labeling import classify_strength, label_clusters, render_report_table, save_report
-from .preprocess import PreprocessConfig, RawDocument, load_stopwords, preprocess_document
+from .preprocess import PreprocessConfig, load_stopwords, preprocess_document
 
 
 class UsageError(Exception):
@@ -52,13 +52,13 @@ class DataError(Exception):
 REQUIRED = object()  # the default of an option a subcommand cannot run without
 
 
-def load_corpus(dirpath: str | Path) -> list[RawDocument]:
-    """Documents of a directory in lexicographic filename order; the
-    filename is the document id, so it must be valid UTF-8."""
+def load_corpus(dirpath: str | Path) -> dict[str, str]:
+    """The texts of a directory's documents by file name, in lexicographic
+    name order; the file name is the document id, so it must be valid UTF-8."""
     dirpath = Path(dirpath)
     if not dirpath.is_dir():
         raise UsageError(f"corpus directory not found: {dirpath}")
-    docs = []
+    docs = {}
     for p in sorted(dirpath.iterdir()):
         if p.name.startswith(".") or not p.is_file():
             continue
@@ -67,7 +67,7 @@ def load_corpus(dirpath: str | Path) -> list[RawDocument]:
         except UnicodeEncodeError:
             raise DataError(f"file name is not valid UTF-8: {str(p)!r}") from None
         try:
-            docs.append(RawDocument(p.name, p.read_text("utf-8")))
+            docs[p.name] = p.read_text("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read {p}: {exc}") from exc
     if not docs:
@@ -90,9 +90,11 @@ def _load_config(path: str | None) -> dict:
 def _config_value(key: str, value, kind: type):
     """A config value in the shape its flag takes: a JSON integer for an
     int option, a finite JSON number for a float option, a string for a
-    path, a non-empty list of strings for a repeated flag."""
+    path, a non-empty list of strings for a repeated flag; a switch takes
+    true or false."""
     number = is_number(value)
     ok, what = {
+        bool: (isinstance(value, bool), "true or false"),
         int: (number and isinstance(value, int), "an integer"),
         float: (number and abs(value) <= sys.float_info.max, "a finite number"),
         str: (isinstance(value, str), "a string"),
@@ -124,25 +126,19 @@ def _settings(args) -> dict:
     return settings
 
 
-def _boolean(value, key: str) -> bool:
-    # bool() would read any non-empty string, "false" included, as true
-    if not isinstance(value, bool):
-        raise UsageError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
 def _preprocess_config(section) -> PreprocessConfig:
+    """The ``preprocess`` block: three switches and a stopword file path,
+    where null means the built-in list."""
     if not isinstance(section, dict):
         raise UsageError("preprocess must be a JSON object")
-    kwargs = {
-        key: _boolean(section[key], f"preprocess.{key}")
-        for key in ("strip_markup", "stemming", "bigrams")
-        if key in section
-    }
-    path = section.get("stopwords_file")
+    switches = dict(section)
+    path = switches.pop("stopwords_file", None)
+    unknown = sorted(switches.keys() - {"strip_markup", "stemming", "bigrams"})
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(f'preprocess.{k}' for k in unknown)}")
+    kwargs = {key: _config_value(f"preprocess.{key}", value, bool) for key, value in switches.items()}
     if path is not None:
-        if not isinstance(path, str):
-            raise UsageError(f"preprocess.stopwords_file must be a string, got {path!r}")
+        path = _config_value("preprocess.stopwords_file", path, str)
         kwargs["stopwords"] = load_stopwords(_existing_file(path, "stopwords file"))
     return PreprocessConfig(**kwargs)
 
@@ -161,8 +157,8 @@ def _parse_samples(pairs: list[str]) -> dict[str, str]:
         if not sep or not label or not dirpath:
             raise UsageError(f"--samples expects LABEL=DIR, got {pair!r}")
         # a label names its profile file; a lone surrogate is a byte that is not UTF-8
-        if "/" in label or any("\ud800" <= ch <= "\udfff" for ch in label):
-            raise UsageError(f"--samples label must be valid UTF-8 without '/', got {label!r}")
+        if any(ch in "/\0" or "\ud800" <= ch <= "\udfff" for ch in label):
+            raise UsageError(f"--samples label must be valid UTF-8 without '/' or NUL, got {label!r}")
         if label in samples:
             raise UsageError(f"duplicate sample label: {label}")
         samples[label] = dirpath
@@ -185,7 +181,7 @@ def cmd_features(args) -> int:
 
     profiles = []
     for label in sorted(samples):
-        term_seqs = [preprocess_document(doc.content, pre) for doc in load_corpus(samples[label])]
+        term_seqs = [preprocess_document(text, pre) for text in load_corpus(samples[label]).values()]
         try:
             profiles.append(build_profile(label, term_seqs))
         except ValueError as exc:
@@ -240,12 +236,12 @@ def cmd_cluster(args) -> int:
     selected = load_feature_set(features_path)
 
     doc_ids, rows = [], []
-    for doc in load_corpus(s["corpus"]):
-        terms = preprocess_document(doc.content, pre)
+    for doc_id, text in load_corpus(s["corpus"]).items():
+        terms = preprocess_document(text, pre)
         if not terms:
-            print(f"warning: skipping empty document: {doc.id}", file=sys.stderr)
+            print(f"warning: skipping empty document: {doc_id}", file=sys.stderr)
             continue
-        doc_ids.append(doc.id)
+        doc_ids.append(doc_id)
         rows.append(vectorize(terms, selected))
     if params.c > len(rows):
         raise DataError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
@@ -284,7 +280,7 @@ def cmd_report(args) -> int:
     except ValueError as exc:  # bad thresholds: load_result has checked the rest
         raise UsageError(str(exc)) from exc
 
-    reports.sort(key=lambda r: (r.top_label, -r.memberships[r.top_label], r.doc_id))
+    reports.sort(key=lambda e: (e["top_label"], -e["labels"][e["top_label"]], e["doc_id"]))
     out.parent.mkdir(parents=True, exist_ok=True)
     save_report(reports, out)
     print(f"wrote {out}", file=sys.stderr)

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import WF_SCALE
 from .jsonfile import read_json, write_json
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 PARTITION_COLUMN_TOL = 1e-9
-WF_MAX = 10000.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +62,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
-        data = _checked_matrix(self.data, "feature values", WF_MAX)
+        data = _checked_matrix(self.data, "feature values", WF_SCALE)
         if len(self.doc_ids) != data.shape[0]:
             raise ValueError("doc_ids length must match the number of rows")
         if len(set(self.doc_ids)) != len(self.doc_ids):
@@ -297,7 +297,7 @@ def load_result(path: str | Path) -> dict:
             raise ValueError(f"invalid result file {path}: {key} must be a list of strings")
     try:
         u = validate_partition(raw["memberships"], n=len(raw["doc_ids"]))
-        v = _checked_matrix(raw["centers"], "centers", WF_MAX)  # weighted means of WF rows
+        v = _checked_matrix(raw["centers"], "centers", WF_SCALE)  # weighted means of WF rows
     except ValueError as exc:
         raise ValueError(f"invalid result file {path}: {exc}") from exc
     shape = (u.shape[0], len(raw["features"]))

@@ -36,12 +36,13 @@ def write_json(payload, path: str | Path) -> None:
 
 
 def read_json(path: str | Path):
-    """The value a JSON file holds; a file that is not UTF-8 JSON raises
-    ValueError naming ``path``."""
+    """The value a JSON file holds; a file that is not UTF-8 JSON, or nests
+    too deep for the parser, raises ValueError naming ``path``."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
+    # JSONDecodeError and UnicodeDecodeError both are ValueErrors
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 

@@ -7,16 +7,18 @@ distance is computed once, and over all injective cluster-to-label
 assignments the one with the smallest total distance wins; among equal
 totals, the lexicographically smallest label sequence. Membership
 strength is read off the partition column: a dominant degree is "strong",
-a flat column is "ambiguous", everything else "moderate". A report is
-saved with :mod:`fuzzydocs.jsonfile`, so the file is replaced whole or
-left as it was.
+a flat column is "ambiguous", everything else "moderate".
+
+A report is the list ``report.json`` holds, one plain dict per document:
+``{"doc_id", "labels": {label: degree}, "top_label", "strength"}``. It is
+saved as is with :mod:`fuzzydocs.jsonfile`, so the file is replaced whole
+or left as it was.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from .features import LabeledProfile
 from .jsonfile import write_json
 
 __all__ = [
-    "DocumentReport",
     "label_clusters",
     "classify_strength",
     "rank_documents",
@@ -36,14 +37,6 @@ __all__ = [
 
 STRONG_THRESHOLD_DEFAULT = 0.85
 AMBIGUITY_MARGIN_DEFAULT = 0.1
-
-
-@dataclass(frozen=True)
-class DocumentReport:
-    doc_id: str
-    memberships: dict[str, float]  # label -> degree, one entry per cluster
-    top_label: str
-    strength: str  # strong | moderate | ambiguous
 
 
 def label_clusters(
@@ -79,9 +72,9 @@ def classify_strength(
     labels: Sequence[str],
     strong_threshold: float = STRONG_THRESHOLD_DEFAULT,
     ambiguity_margin: float = AMBIGUITY_MARGIN_DEFAULT,
-) -> list[DocumentReport]:
-    """Per-document labeled degrees and a strength class for each;
-    ``labels[j]`` names row j of the c x n partition u.
+) -> list[dict]:
+    """One report entry per document, its labeled degrees and a strength
+    class; ``labels[j]`` names row j of the c x n partition u.
 
     strong: top degree >= strong_threshold; ambiguous: degree spread
     (max - min) < ambiguity_margin; moderate otherwise. Strong wins when
@@ -95,7 +88,8 @@ def classify_strength(
     strength = np.where(high >= strong_threshold, "strong",
                         np.where(high - u.min(axis=0) < ambiguity_margin, "ambiguous", "moderate"))
     return [
-        DocumentReport(doc_id, dict(zip(labels, degrees)), labels[j], s)
+        {"doc_id": doc_id, "labels": dict(zip(labels, degrees)), "top_label": labels[j],
+         "strength": s}
         for doc_id, degrees, j, s in zip(
             doc_ids, u.T.tolist(), u.argmax(axis=0).tolist(), strength.tolist())
     ]
@@ -110,11 +104,12 @@ def _check_names(doc_ids: Sequence[str], labels: Sequence[str], c: int, n: int) 
 
 
 def validate_thresholds(strong_threshold: float, ambiguity_margin: float, c: int) -> None:
-    """Both thresholds must lie in (0, 1), and strong_threshold must
-    exceed 1/c, the top degree of a flat column."""
+    """Both thresholds must lie in (0, 1), and with two or more clusters
+    strong_threshold must exceed 1/c, the top degree of a flat column. A
+    single cluster's degrees are all 1, so each of its documents is strong."""
     if not 0.0 < strong_threshold < 1.0 or not 0.0 < ambiguity_margin < 1.0:
         raise ValueError("thresholds must lie in (0, 1)")
-    if strong_threshold <= 1.0 / c:
+    if c >= 2 and strong_threshold <= 1.0 / c:
         raise ValueError("strong_threshold must exceed 1/c")
 
 
@@ -136,31 +131,22 @@ def rank_documents(
     return pairs
 
 
-def save_report(reports: Sequence[DocumentReport], path: str | Path) -> None:
-    payload = [
-        {
-            "doc_id": r.doc_id,
-            "labels": r.memberships,
-            "top_label": r.top_label,
-            "strength": r.strength,
-        }
-        for r in reports
-    ]
-    write_json(payload, path)
+def save_report(reports: Sequence[dict], path: str | Path) -> None:
+    write_json(reports, path)
 
 
-def render_report_table(reports: Sequence[DocumentReport]) -> str:
+def render_report_table(reports: Sequence[dict]) -> str:
     """Aligned plain-text table, one row per document, in the given order."""
     if not reports:
         return ""
-    labels = list(reports[0].memberships)
+    labels = list(reports[0]["labels"])
     header = ["doc_id"] + labels + ["top_label", "strength"]
     rows = [header]
     for r in reports:
         rows.append(
-            [r.doc_id]
-            + [f"{r.memberships[lab]:.4f}" for lab in labels]
-            + [r.top_label, r.strength]
+            [r["doc_id"]]
+            + [f"{r['labels'][lab]:.4f}" for lab in labels]
+            + [r["top_label"], r["strength"]]
         )
     widths = [max(len(row[k]) for row in rows) for k in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]

@@ -18,7 +18,6 @@ from pathlib import Path
 from .porter import stem
 
 __all__ = [
-    "RawDocument",
     "PreprocessConfig",
     "strip_markup",
     "tokenize",
@@ -52,18 +51,6 @@ def strip_markup(text: str) -> str:
     A ``<`` that is never closed is kept as a literal character.
     """
     return _ENTITY_RE.sub(_decode_entity, _TAG_RE.sub(" ", text))
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    """One input document; id must be unique within a corpus."""
-
-    id: str
-    content: str
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("document id must be non-empty")
 
 
 def default_stopwords() -> frozenset[str]:

@@ -125,7 +125,7 @@ class TestFeaturesCommand:
     def test_malformed_samples_pair(self, tmp_path):
         assert main(["features", "--samples", "nodirhere", "--samples", "b=x"]) == 2
 
-    @pytest.mark.parametrize("label", ["a/b", "\udcffpol"], ids=["slash", "not-utf8"])
+    @pytest.mark.parametrize("label", ["a/b", "\udcffpol", "a\0b"], ids=["slash", "not-utf8", "nul"])
     def test_bad_label_writes_nothing(self, tmp_path, capsys, label):
         """A label names a profile file, so a bad one is refused before the
         feature file is replaced."""
@@ -136,7 +136,7 @@ class TestFeaturesCommand:
         code = main(["features", "--samples", f"{label}={sports}",
                      "--samples", f"politics={politics}", "--out", str(out)])
         assert code == 2
-        assert "--samples label must be valid UTF-8 without '/'" in capsys.readouterr().err
+        assert "--samples label must be valid UTF-8 without '/' or NUL" in capsys.readouterr().err
         assert out.read_bytes() == b'[\n  "team"\n]\n'
         assert list(out.parent.iterdir()) == [out]
 
@@ -239,6 +239,14 @@ class TestClusterCommand:
         assert result["iterations"] == 1
         assert result["converged"] is True
         assert all(v == 1.0 for v in result["memberships"][0])
+        # with one cluster every degree is 1, so every document is strong
+        report = tmp_path / "one-report.json"
+        code = main(["report", "--result", str(one), "--profiles", write_profiles(tmp_path)[0],
+                     "--out", str(report)])
+        assert code == 0
+        entries = json.loads(report.read_text(encoding="utf-8"))
+        assert len(entries) == len(result["doc_ids"])
+        assert all(e["strength"] == "strong" for e in entries)
 
     def test_empty_document_skipped_with_warning(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
@@ -478,6 +486,8 @@ def command_argv(tmp_path, command):
     pytest.param("features", [], {"preprocess": ["stemming"]}, id="preprocess-list"),
     pytest.param("features", [], {"preprocess": {"stemming": "no"}}, id="stemming-string"),
     pytest.param("features", [], {"preprocess": {"stopwords_file": 5}}, id="stopwords_file-number"),
+    pytest.param("features", [], {"preprocess": {"steming": False, "bigram": True}},
+                 id="preprocess-unknown-key"),
     pytest.param("cluster", [], {"clusters": "two"}, id="clusters-string"),
     pytest.param("cluster", ["--clusters", "0"], {}, id="clusters-zero"),
     pytest.param("cluster", ["--clusters", "2", "--fuzzifier", "1.0"], {}, id="fuzzifier-one"),
@@ -592,22 +602,30 @@ def test_malformed_input_file_is_data_error(tmp_path, capsys, name, edit):
     assert str(path) in err
 
 
-@pytest.mark.parametrize("command,name,code", [
-    ("cluster", "features.json", 1),
-    ("cluster", "init.json", 1),
-    ("report", "result.json", 1),
-    ("report", "sports.profile.json", 1),
-    ("report", "config.json", 2),
+@pytest.mark.parametrize("command,name,code,text,reason", [
+    pytest.param(command, name, code, text, reason, id=f"{command}-{name}-{code}{suffix}")
+    for text, reason, suffix in [
+        ('{"label": "sports",\n', "Expecting ", ""),
+        # deeper than the parser's recursion limit
+        ("[" * 200_000, "", "-deeply-nested"),
+    ]
+    for command, name, code in [
+        ("cluster", "features.json", 1),
+        ("cluster", "init.json", 1),
+        ("report", "result.json", 1),
+        ("report", "sports.profile.json", 1),
+        ("report", "config.json", 2),
+    ]
 ])
-def test_unparsable_input_file_is_named(tmp_path, capsys, command, name, code):
+def test_unparsable_input_file_is_named(tmp_path, capsys, command, name, code, text, reason):
     argv = command_argv(tmp_path, command) + ["--config", str(write_plain_config(tmp_path))]
     if command == "cluster":
         argv += ["--clusters", "2", "--init-file", str(write_init_file(tmp_path))]
     path = tmp_path / name
-    path.write_text('{"label": "sports",\n', encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert main(argv) == code
-    assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: Expecting ")
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {path}: {reason}")
     assert not Path(argv[argv.index("--out") + 1]).exists()
 
 

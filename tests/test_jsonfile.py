@@ -61,7 +61,8 @@ def test_symlink_is_replaced_not_followed(tmp_path):
     assert target.read_bytes() == b"kept\n"
 
 
-@pytest.mark.parametrize("data", [b"[1,\n", b'["\xff"]', b""], ids=["truncated", "not-utf8", "empty"])
+@pytest.mark.parametrize("data", [b"[1,\n", b'["\xff"]', b"", b"[" * 200_000],
+                         ids=["truncated", "not-utf8", "empty", "deeply-nested"])
 def test_unparsable_file_names_itself(tmp_path, data):
     path = tmp_path / "in.json"
     path.write_bytes(data)

@@ -133,53 +133,61 @@ class TestClassifyStrength:
     def test_strong_document(self):
         u = np.array([[0.890], [0.110]])
         reports = classify_strength(u, ["doc1"], SPORTS_FIRST)
-        assert reports[0].strength == "strong"
-        assert reports[0].top_label == "sports"
-        assert reports[0].memberships == {"sports": 0.890, "politics": 0.110}
+        assert reports[0]["strength"] == "strong"
+        assert reports[0]["top_label"] == "sports"
+        assert reports[0]["labels"] == {"sports": 0.890, "politics": 0.110}
 
     def test_small_spread_is_ambiguous(self):
         u = np.array([[0.35], [0.35], [0.30]])
         reports = classify_strength(u, ["d"], ("a", "b", "c"), ambiguity_margin=0.1)
-        assert reports[0].strength == "ambiguous"
+        assert reports[0]["strength"] == "ambiguous"
 
     def test_even_split_is_ambiguous(self):
         u = np.array([[0.5], [0.5]])
         reports = classify_strength(u, ["d"], SPORTS_FIRST)
-        assert reports[0].strength == "ambiguous"
+        assert reports[0]["strength"] == "ambiguous"
 
     def test_middling_document_is_moderate(self):
         u = np.array([[0.7], [0.3]])
         reports = classify_strength(u, ["d"], SPORTS_FIRST)
-        assert reports[0].strength == "moderate"
+        assert reports[0]["strength"] == "moderate"
 
     def test_final_state_classes(self):
         reports = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
-        by_id = {r.doc_id: r for r in reports}
-        assert by_id["doc1"].strength == "strong"
-        assert by_id["doc5"].strength == "strong"
-        assert by_id["doc3"].strength == "strong"
-        assert by_id["doc2"].strength == "moderate"
-        assert by_id["doc7"].strength == "moderate"
+        by_id = {r["doc_id"]: r for r in reports}
+        assert by_id["doc1"]["strength"] == "strong"
+        assert by_id["doc5"]["strength"] == "strong"
+        assert by_id["doc3"]["strength"] == "strong"
+        assert by_id["doc2"]["strength"] == "moderate"
+        assert by_id["doc7"]["strength"] == "moderate"
         for doc_id in ("doc1", "doc2", "doc5", "doc7"):
-            assert by_id[doc_id].top_label == "sports"
+            assert by_id[doc_id]["top_label"] == "sports"
         for doc_id in ("doc3", "doc4", "doc6", "doc8"):
-            assert by_id[doc_id].top_label == "politics"
+            assert by_id[doc_id]["top_label"] == "politics"
 
     def test_every_document_gets_exactly_one_class(self):
         reports = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
         assert len(reports) == 8
-        assert all(r.strength in {"strong", "moderate", "ambiguous"} for r in reports)
+        assert all(r["strength"] in {"strong", "moderate", "ambiguous"} for r in reports)
 
     def test_degrees_sum_to_one(self):
         reports = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
         for r in reports:
-            assert sum(r.memberships.values()) == pytest.approx(1.0, abs=1e-9)
+            assert sum(r["labels"].values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_relabeling_invariance(self):
         u = final_partition()
         direct = classify_strength(u, goldens.DOC_IDS, SPORTS_FIRST)
         flipped = classify_strength(u[::-1], goldens.DOC_IDS, SPORTS_FIRST[::-1])
         assert direct == flipped
+
+    def test_single_cluster_is_strong(self):
+        # every degree is 1, and any threshold in (0, 1) is accepted
+        reports = classify_strength(np.ones((1, 3)), ["a", "b", "c"], ("sports",),
+                                    strong_threshold=0.3)
+        assert [r["strength"] for r in reports] == ["strong"] * 3
+        assert reports[0] == {"doc_id": "a", "labels": {"sports": 1.0}, "top_label": "sports",
+                              "strength": "strong"}
 
     def test_threshold_validation(self):
         u = np.array([[0.9], [0.1]])
@@ -243,11 +251,8 @@ class TestReportFiles:
         save_report(reports, path)
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-        assert raw == [
-            {"doc_id": r.doc_id, "labels": r.memberships, "top_label": r.top_label,
-             "strength": r.strength}
-            for r in reports
-        ]
+        assert raw == reports
+        assert all(list(r) == ["doc_id", "labels", "top_label", "strength"] for r in raw)
 
     def test_render_table(self):
         reports = classify_strength(final_partition(), goldens.DOC_IDS,

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fuzzydocs.preprocess import (
     PreprocessConfig,
-    RawDocument,
     default_stopwords,
     load_stopwords,
     preprocess_document,
@@ -130,10 +129,6 @@ class TestStopwordFiles:
 
 
 class TestInvariants:
-    def test_raw_document_requires_id(self):
-        with pytest.raises(ValueError):
-            RawDocument("", "text")
-
     def test_config_rejects_bad_stopwords(self):
         with pytest.raises(ValueError):
             PreprocessConfig(stopwords=frozenset({"The"}))
