@@ -87,22 +87,23 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _config_value(key: str, value, kind: type):
-    """A config value in the shape its flag takes: a JSON integer for an
-    int option, a finite JSON number for a float option, a string for a
-    path, a non-empty list of strings for a repeated flag; a switch takes
-    true or false."""
+def _option_value(name: str, value, kind: type):
+    """A flag or config value in the shape its option takes: an integer
+    for an int option, a finite number for a float option, a string
+    without NUL for a path, a non-empty list of strings for a repeated
+    flag; a switch takes true or false. ``name`` is the flag or the
+    config key, for the message."""
     number = is_number(value)
     ok, what = {
         bool: (isinstance(value, bool), "true or false"),
         int: (number and isinstance(value, int), "an integer"),
         float: (number and abs(value) <= sys.float_info.max, "a finite number"),
-        str: (isinstance(value, str), "a string"),
+        str: (isinstance(value, str) and "\0" not in value, "a string without NUL"),
         list: (isinstance(value, list) and value and all(isinstance(v, str) for v in value),
                "a non-empty list of strings"),
     }[kind]
     if not ok:
-        raise UsageError(f"config key {key} must be {what}, got {json.dumps(value)}")
+        raise UsageError(f"{name} must be {what}, got {json.dumps(value)}")
     return float(value) if kind is float else value
 
 
@@ -117,8 +118,9 @@ def _settings(args) -> dict:
     settings = {"preprocess": config.get("preprocess", {})}
     for key, (flag, kind, default) in args.options.items():
         # a config value is checked even where a flag overrides it
-        value = _config_value(key, config[key], kind) if key in config else default
-        value = vars(args).get(key, value)
+        value = _option_value(f"config key {key}", config[key], kind) if key in config else default
+        if key in vars(args):  # the config's rule: argparse's float() takes nan and inf
+            value = _option_value(flag, vars(args)[key], kind)
         if value is REQUIRED:
             raise UsageError(f"missing required {flag}")
         if value is not None:
@@ -136,9 +138,10 @@ def _preprocess_config(section) -> PreprocessConfig:
     unknown = sorted(switches.keys() - {"strip_markup", "stemming", "bigrams"})
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(f'preprocess.{k}' for k in unknown)}")
-    kwargs = {key: _config_value(f"preprocess.{key}", value, bool) for key, value in switches.items()}
+    kwargs = {key: _option_value(f"config key preprocess.{key}", value, bool)
+              for key, value in switches.items()}
     if path is not None:
-        path = _config_value("preprocess.stopwords_file", path, str)
+        path = _option_value("config key preprocess.stopwords_file", path, str)
         kwargs["stopwords"] = load_stopwords(_existing_file(path, "stopwords file"))
     return PreprocessConfig(**kwargs)
 

@@ -4,6 +4,14 @@ No later extensions (no logi/bli rules, no special-case pool); words of
 one or two characters are returned unchanged, as in the reference
 implementation. Input must already be lowercase.
 
+The rules are Porter's tables, held as data: ``_STEPS`` lists steps 1a
+to 5b in the order they run, each a tuple of ``(suffix, replacement,
+condition)`` rows whose condition tests the stem left once the suffix is
+removed. In each step the first row whose suffix the word ends with
+decides: the suffix is replaced if the condition holds, and the word is
+kept otherwise. Step 1b's restoration, which follows only the removal of
+-ed or -ing, is the one rule written as code.
+
 ``stem`` is memoized per process: text repeats its word forms, so each
 distinct surface form runs the rules once. The memo is a
 ``functools.lru_cache`` bounded at 16,384 forms (``_STEM_CACHE_SIZE``),
@@ -47,10 +55,6 @@ def _has_vowel(stem_part: str) -> bool:
     return not all(_consonants(stem_part))
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return len(word) >= 2 and word[-1] == word[-2] and _consonants(word)[-1]
-
-
 def _ends_cvc(word: str) -> bool:
     # consonant-vowel-consonant where the final consonant is not w, x or y
     if len(word) < 3:
@@ -59,148 +63,102 @@ def _ends_cvc(word: str) -> bool:
     return mask[-3] and not mask[-2] and mask[-1] and word[-1] not in "wxy"
 
 
-def _step1a(w: str) -> str:
-    if w.endswith("sses"):
-        return w[:-2]
-    if w.endswith("ies"):
-        return w[:-2]
-    if w.endswith("ss"):
-        return w
-    if w.endswith("s"):
-        return w[:-1]
-    return w
-
-
-def _step1b(w: str) -> str:
-    if w.endswith("eed"):
-        return w[:-1] if _measure(w[:-3]) > 0 else w
-    if w.endswith("ed"):
-        base = w[:-2]
-        return _step1b_adjust(base) if _has_vowel(base) else w
-    if w.endswith("ing"):
-        base = w[:-3]
-        return _step1b_adjust(base) if _has_vowel(base) else w
-    return w
-
-
 def _step1b_adjust(w: str) -> str:
     # only reached when -ed or -ing was removed
     if w.endswith(("at", "bl", "iz")):
         return w + "e"
-    if _ends_double_consonant(w) and w[-1] not in "lsz":
+    # a double consonant other than ll, ss or zz loses one letter
+    if len(w) >= 2 and w[-1] == w[-2] and w[-1] not in "lsz" and _consonants(w)[-1]:
         return w[:-1]
     if _measure(w) == 1 and _ends_cvc(w):
         return w + "e"
     return w
 
 
-def _step1c(w: str) -> str:
-    if w.endswith("y") and _has_vowel(w[:-1]):
-        return w[:-1] + "i"
-    return w
+def _m_above_0(base: str) -> bool:
+    return _measure(base) > 0
 
 
-# Longest matching suffix is attempted first; once a suffix matches, no
-# other rule in the step is tried, even if the condition fails.
-_STEP2_RULES = (
-    ("ational", "ate"),
-    ("ization", "ize"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("tional", "tion"),
-    ("biliti", "ble"),
-    ("ation", "ate"),
-    ("alism", "al"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("ousli", "ous"),
-    ("entli", "ent"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("izer", "ize"),
-    ("abli", "able"),
-    ("alli", "al"),
-    ("ator", "ate"),
-    ("eli", "e"),
+def _m_above_1(base: str) -> bool:
+    return _measure(base) > 1
+
+
+def _step5a_condition(base: str) -> bool:
+    m = _measure(base)
+    return m > 1 or (m == 1 and not _ends_cvc(base))
+
+
+# A longer suffix precedes the shorter ones it ends with. A condition of None
+# always holds; a callable replacement is applied to the stem, not appended.
+_STEPS = (
+    (  # 1a
+        ("sses", "ss", None),
+        ("ies", "i", None),
+        ("ss", "ss", None),
+        ("s", "", None),
+    ),
+    (  # 1b
+        ("eed", "ee", _m_above_0),
+        ("ed", _step1b_adjust, _has_vowel),
+        ("ing", _step1b_adjust, _has_vowel),
+    ),
+    (("y", "i", _has_vowel),),  # 1c
+    (  # 2
+        ("ational", "ate", _m_above_0),
+        ("ization", "ize", _m_above_0),
+        ("iveness", "ive", _m_above_0),
+        ("fulness", "ful", _m_above_0),
+        ("ousness", "ous", _m_above_0),
+        ("tional", "tion", _m_above_0),
+        ("biliti", "ble", _m_above_0),
+        ("ation", "ate", _m_above_0),
+        ("alism", "al", _m_above_0),
+        ("aliti", "al", _m_above_0),
+        ("iviti", "ive", _m_above_0),
+        ("ousli", "ous", _m_above_0),
+        ("entli", "ent", _m_above_0),
+        ("enci", "ence", _m_above_0),
+        ("anci", "ance", _m_above_0),
+        ("izer", "ize", _m_above_0),
+        ("abli", "able", _m_above_0),
+        ("alli", "al", _m_above_0),
+        ("ator", "ate", _m_above_0),
+        ("eli", "e", _m_above_0),
+    ),
+    (  # 3
+        ("icate", "ic", _m_above_0),
+        ("ative", "", _m_above_0),
+        ("alize", "al", _m_above_0),
+        ("iciti", "ic", _m_above_0),
+        ("ical", "ic", _m_above_0),
+        ("ness", "", _m_above_0),
+        ("ful", "", _m_above_0),
+    ),
+    (  # 4
+        ("ement", "", _m_above_1),
+        ("ance", "", _m_above_1),
+        ("ence", "", _m_above_1),
+        ("able", "", _m_above_1),
+        ("ible", "", _m_above_1),
+        ("ment", "", _m_above_1),
+        ("ant", "", _m_above_1),
+        ("ent", "", _m_above_1),
+        ("ion", "", lambda base: base.endswith(("s", "t")) and _m_above_1(base)),
+        ("ism", "", _m_above_1),
+        ("ate", "", _m_above_1),
+        ("iti", "", _m_above_1),
+        ("ous", "", _m_above_1),
+        ("ive", "", _m_above_1),
+        ("ize", "", _m_above_1),
+        ("er", "", _m_above_1),
+        ("ic", "", _m_above_1),
+        ("ou", "", _m_above_1),
+        ("al", "", _m_above_1),
+    ),
+    (("e", "", _step5a_condition),),  # 5a
+    # 5b: m > 1 of the whole word, which a second trailing l leaves unchanged
+    (("ll", "l", lambda base: _m_above_1(base + "l")),),
 )
-
-_STEP3_RULES = (
-    ("icate", "ic"),
-    ("ative", ""),
-    ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ness", ""),
-    ("ful", ""),
-)
-
-_STEP4_SUFFIXES = (
-    "ement",
-    "ance",
-    "ence",
-    "able",
-    "ible",
-    "ment",
-    "ant",
-    "ent",
-    "ion",
-    "ism",
-    "ate",
-    "iti",
-    "ous",
-    "ive",
-    "ize",
-    "er",
-    "ic",
-    "ou",
-    "al",
-)
-
-
-def _apply_rules(w: str, rules, min_measure: int) -> str:
-    for suf, rep in rules:
-        if w.endswith(suf):
-            base = w[: -len(suf)]
-            if _measure(base) > min_measure:
-                return base + rep
-            return w
-    return w
-
-
-def _step2(w: str) -> str:
-    return _apply_rules(w, _STEP2_RULES, 0)
-
-
-def _step3(w: str) -> str:
-    return _apply_rules(w, _STEP3_RULES, 0)
-
-
-def _step4(w: str) -> str:
-    for suf in _STEP4_SUFFIXES:
-        if w.endswith(suf):
-            base = w[: -len(suf)]
-            if _measure(base) > 1:
-                if suf == "ion" and not base.endswith(("s", "t")):
-                    return w
-                return base
-            return w
-    return w
-
-
-def _step5a(w: str) -> str:
-    if w.endswith("e"):
-        base = w[:-1]
-        m = _measure(base)
-        if m > 1 or (m == 1 and not _ends_cvc(base)):
-            return base
-    return w
-
-
-def _step5b(w: str) -> str:
-    if _measure(w) > 1 and _ends_double_consonant(w) and w.endswith("l"):
-        return w[:-1]
-    return w
 
 
 @lru_cache(maxsize=_STEM_CACHE_SIZE)
@@ -212,11 +170,12 @@ def stem(term: str) -> str:
     """
     if len(term) <= 2:
         return term
-    w = _step1a(term)
-    w = _step1b(w)
-    w = _step1c(w)
-    w = _step2(w)
-    w = _step3(w)
-    w = _step4(w)
-    w = _step5a(w)
-    return _step5b(w)
+    w = term
+    for rows in _STEPS:
+        for suffix, replacement, condition in rows:
+            if w.endswith(suffix):
+                base = w[: -len(suffix)]
+                if condition is None or condition(base):
+                    w = replacement(base) if callable(replacement) else base + replacement
+                break
+    return w

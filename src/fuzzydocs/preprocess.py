@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -93,6 +94,12 @@ class PreprocessConfig:
                 raise ValueError(f"invalid stopword: {w!r}")
 
 
+@cache
+def _default_config() -> PreprocessConfig:
+    # built once: the stopword file is read and checked on each construction
+    return PreprocessConfig()
+
+
 def _split_terms(text: str) -> list[str]:
     # maximal [a-z0-9] runs after Unicode-aware lowercasing; anything
     # else (hyphens included) is a separator
@@ -120,10 +127,11 @@ def preprocess_document(text: str, config: PreprocessConfig | None = None) -> tu
     Stage order: markup strip, tokenize, stopword removal, stemming,
     bigram emission. Stemming runs after stopword removal so inflected
     forms are filtered by their surface form, and bigrams pair the final
-    content roots.
+    content roots. Without a config, the default ``PreprocessConfig()``
+    applies, built once per process.
     """
     if config is None:
-        config = PreprocessConfig()
+        config = _default_config()
     if config.strip_markup:
         text = strip_markup(text)
     terms = remove_stopwords(_split_terms(text), config.stopwords)

@@ -504,6 +504,10 @@ def command_argv(tmp_path, command):
     pytest.param("cluster", [], {"clusters": 2, "seeds": 9}, id="unknown-key"),
     # checked although the --samples flags override it
     pytest.param("features", [], {"samples": "sports=corpora/sports"}, id="samples-string"),
+    # argparse's float() takes these; a flag obeys the config's finite rule
+    pytest.param("features", ["--min-ratio", "nan"], {}, id="min_ratio-nan-flag"),
+    pytest.param("features", ["--min-wf", "inf"], {}, id="min_wf-inf-flag"),
+    pytest.param("cluster", ["--clusters", "2", "--fuzzifier", "inf"], {}, id="fuzzifier-inf-flag"),
 ])
 def test_bad_value_is_usage_error(tmp_path, capsys, command, flags, config):
     argv = command_argv(tmp_path, command)
@@ -513,6 +517,22 @@ def test_bad_value_is_usage_error(tmp_path, capsys, command, flags, config):
     capsys.readouterr()
     assert main([*argv, *flags, "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["features", "cluster", "report"])
+def test_nul_in_output_path_is_usage_error(tmp_path, capsys, command):
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    out = argv.index("--out")
+    del argv[out:out + 2]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"preprocess": {"stemming": False},
+                                       "out": str(tmp_path / "out" / "r\0.json")}),
+                           encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([*argv, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config key out must be a string without NUL")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_config_supplies_samples_and_profiles(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,3 +189,29 @@ def test_memo_stays_within_its_bound():
     assert stem(forms[-1]) == "form" + str(len(forms) - 1)  # kept: a hit
     assert stem(forms[0]) == "form0"  # evicted as least recently used: a miss
     assert stem.cache_info()[:2] == (1, len(forms) + 1)
+
+
+# every suffix a step tests, the 1b restoration endings and the letters
+# the y, double-consonant and cvc conditions read
+_DIGEST_SUFFIXES = (
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "y",
+    "ational", "tional", "enci", "anci", "izer", "abli", "alli", "entli", "eli", "ousli",
+    "ization", "ation", "ator", "alism", "iveness", "fulness", "ousness", "aliti", "iviti", "biliti",
+    "icate", "ative", "alize", "iciti", "ical", "ful", "ness",
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent", "ion", "sion",
+    "tion", "ou", "ism", "ate", "iti", "ous", "ive", "ize", "e", "ll", "at", "bl", "iz",
+)
+_DIGEST_PIECES = tuple("abcdefghijklmnopqrstuvwxyz") + ("y", "yy", "e", "ll", "ss", "tt", "ing", "ed")
+# SHA-256 of the stems of the vocabulary below, one per line in sorted word
+# order: a change to any rule's output changes it
+_STEMS_DIGEST = "b4b108812197fb10f273b42d58e3c92985aad9a07735f8d0bc0b6f1b84b420ee"
+
+
+def test_stems_of_generated_vocabulary_are_pinned():
+    rng = random.Random(1980)
+    words = set()
+    while len(words) < 60_000:
+        body = "".join(rng.choice(_DIGEST_PIECES) for _ in range(rng.choice(range(1, 7))))
+        words.add(body + "".join(rng.choice(_DIGEST_SUFFIXES) for _ in range(rng.choice(range(4)))))
+    stems = "\n".join(stem.__wrapped__(word) for word in sorted(words))
+    assert hashlib.sha256(stems.encode()).hexdigest() == _STEMS_DIGEST

@@ -1,9 +1,11 @@
+import importlib.resources
 import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fuzzydocs import preprocess
 from fuzzydocs.preprocess import (
     PreprocessConfig,
     default_stopwords,
@@ -114,6 +116,20 @@ class TestPreprocessDocument:
 
     def test_deterministic(self):
         assert preprocess_document(COMMENTARY) == preprocess_document(COMMENTARY)
+
+    def test_default_config_reads_stopwords_once(self, monkeypatch):
+        expected = preprocess_document(COMMENTARY, PreprocessConfig())
+        reads = []
+        read = importlib.resources.files
+
+        def files(package):
+            reads.append(package)
+            return read(package)
+
+        monkeypatch.setattr(preprocess.resources, "files", files)
+        assert preprocess_document(COMMENTARY) == expected
+        assert preprocess_document(COMMENTARY) == expected
+        assert len(reads) <= 1
 
 
 class TestStopwordFiles:
