@@ -7,16 +7,17 @@ per-document membership strength.
 
 Every option can also be set in a ``--config`` JSON file, under the
 flag's dest (``top_k`` for ``--top-k``) and in the shape the flag takes; a
-flag beats the config file, which beats the default.
+flag beats the config file, which beats the default. ``main`` resolves
+these settings once and passes the dict to the subcommand's handler.
 
-Exit codes: 0 success, 1 data error, 2 usage error. Warnings go to
-stderr; tables to stdout; JSON files go through :mod:`fuzzydocs.jsonfile`.
+Exit codes: 0 success, 1 data error (``ValueError``, ``OSError``), 2 usage
+error. Warnings go to stderr; tables to stdout; JSON files go through
+:mod:`fuzzydocs.jsonfile`, which creates a missing output directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -25,13 +26,15 @@ import numpy as np
 
 from .fcm import FcmParams, FeatureMatrix, load_result, run_fcm, save_result, validate_partition
 from .features import (
-    LabeledProfile,
+    MIN_RATIO_DEFAULT,
+    MIN_WF_DEFAULT,
+    TOP_K_DEFAULT,
     build_profile,
+    discrimination_ratio,
     load_feature_set,
     load_profile,
     save_feature_set,
     save_profile,
-    score_terms,
     select_features,
     vectorize,
 )
@@ -43,10 +46,6 @@ from .preprocess import PreprocessConfig, load_stopwords, preprocess_document
 class UsageError(Exception):
     """Bad invocation: missing inputs, malformed flags, flag or config
     values of the wrong type or out of range. Exit code 2."""
-
-
-class DataError(Exception):
-    """Inputs exist but cannot be processed. Exit code 1."""
 
 
 REQUIRED = object()  # the default of an option a subcommand cannot run without
@@ -65,13 +64,13 @@ def load_corpus(dirpath: str | Path) -> dict[str, str]:
         try:
             p.name.encode("utf-8")  # undecodable bytes arrive as lone surrogates
         except UnicodeEncodeError:
-            raise DataError(f"file name is not valid UTF-8: {str(p)!r}") from None
+            raise ValueError(f"file name is not valid UTF-8: {str(p)!r}") from None
         try:
             docs[p.name] = p.read_text("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read {p}: {exc}") from exc
+            raise ValueError(f"cannot read {p}: {exc}") from exc
     if not docs:
-        raise DataError(f"no documents in {dirpath}")
+        raise ValueError(f"no documents in {dirpath}")
     return docs
 
 
@@ -141,8 +140,12 @@ def _preprocess_config(section) -> PreprocessConfig:
     kwargs = {key: _option_value(f"config key preprocess.{key}", value, bool)
               for key, value in switches.items()}
     if path is not None:
-        path = _option_value("config key preprocess.stopwords_file", path, str)
-        kwargs["stopwords"] = load_stopwords(_existing_file(path, "stopwords file"))
+        path = _existing_file(_option_value("config key preprocess.stopwords_file", path, str),
+                              "stopwords file")
+        try:  # a file that is not UTF-8, or a stopword holding a space
+            return PreprocessConfig(stopwords=load_stopwords(path), **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"invalid stopwords file {path}: {exc}") from exc
     return PreprocessConfig(**kwargs)
 
 
@@ -159,68 +162,66 @@ def _parse_samples(pairs: list[str]) -> dict[str, str]:
         label, sep, dirpath = pair.partition("=")
         if not sep or not label or not dirpath:
             raise UsageError(f"--samples expects LABEL=DIR, got {pair!r}")
-        # a label names its profile file; a lone surrogate is a byte that is not UTF-8
-        if any(ch in "/\0" or "\ud800" <= ch <= "\udfff" for ch in label):
-            raise UsageError(f"--samples label must be valid UTF-8 without '/' or NUL, got {label!r}")
         if label in samples:
             raise UsageError(f"duplicate sample label: {label}")
         samples[label] = dirpath
     return samples
 
 
-def cmd_features(args) -> int:
-    s = _settings(args)
+def _profile_path(label: str, out: Path) -> Path:
+    """The label's ``<label>.profile.json`` next to ``out``; a label that
+    cannot name a file of its own there is a usage error. A lone surrogate
+    is a byte that is not UTF-8."""
+    name = f"{label}.profile.json"
+    if any(ch in "/\0" or "\ud800" <= ch <= "\udfff" for ch in label):
+        raise UsageError(f"--samples label must be valid UTF-8 without '/' or NUL, got {label!r}")
+    if name == out.name:
+        raise UsageError(f"--samples label {label!r} names its profile file {out}, the --out file")
+    if len(f".{name}.tmp".encode()) > 255:  # write_json's temporary file; NAME_MAX
+        raise UsageError(f"--samples label is too long for its profile file name, got {label!r}")
+    return out.parent / name
+
+
+def cmd_features(s: dict) -> int:
     samples = _parse_samples(s["samples"])
+    out = Path(s["out"])
+    profile_paths = {label: _profile_path(label, out) for label in samples}
     if len(samples) < 2:
         raise UsageError("need at least two --samples LABEL=DIR pairs")
-    bound = inspect.signature(select_features).bind_partial(
-        **{k: s[k] for k in ("top_k", "min_ratio", "min_wf") if k in s})
-    bound.apply_defaults()  # the library's own, for the check and the summary line
-    limits = bound.arguments
-    if limits["top_k"] < 1:
+    if s["top_k"] < 1:
         raise UsageError("top_k must be positive")
-    out = Path(s["out"])
     pre = _preprocess_config(s["preprocess"])
 
-    profiles = []
-    for label in sorted(samples):
-        term_seqs = [preprocess_document(text, pre) for text in load_corpus(samples[label]).values()]
-        try:
-            profiles.append(build_profile(label, term_seqs))
-        except ValueError as exc:
-            raise DataError(f"{exc} (label {label!r})") from exc
-    selected = select_features(profiles, **limits)
+    profiles = [
+        build_profile(label, [preprocess_document(text, pre)
+                              for text in load_corpus(samples[label]).values()])
+        for label in sorted(samples)
+    ]
+    selected = select_features(profiles, s["top_k"], s["min_ratio"], s["min_wf"])
 
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_feature_set(selected, out)
     print(f"wrote {out}", file=sys.stderr)
     for profile in profiles:
-        profile_path = out.parent / f"{profile.label}.profile.json"
-        save_profile(profile, profile_path)
-        print(f"wrote {profile_path}", file=sys.stderr)
+        save_profile(profile, profile_paths[profile.label])
+        print(f"wrote {profile_paths[profile.label]}", file=sys.stderr)
 
-    _print_ratio_table(profiles, selected, **limits)
+    _print_ratio_table(profiles, selected, s["top_k"], s["min_ratio"], s["min_wf"])
     return 0
 
 
 def _print_ratio_table(profiles, selected, top_k, min_ratio, min_wf) -> None:
-    # a term's ratio reads only its own WFs, so score the selected terms alone
-    ratio_of = dict(score_terms([
-        LabeledProfile(p.label, {t: p.wf[t] for t in selected if t in p.wf}) for p in profiles
-    ]))
     header = ["term"] + [f"wf[{p.label}]" for p in profiles] + ["ratio"]
-    rows = [
-        [term] + [f"{p.wf.get(term, 0.0):.4f}" for p in profiles] + [f"{ratio_of[term]:.4f}"]
-        for term in selected
-    ]
+    rows = []
+    for term in selected:
+        wfs = [p.wf.get(term, 0.0) for p in profiles]
+        rows.append([term] + [f"{wf:.4f}" for wf in wfs] + [f"{discrimination_ratio(wfs):.4f}"])
     widths = [max(len(r[k]) for r in [header] + rows) for k in range(len(header))]
     for r in [header] + rows:
         print("  ".join(c.rjust(w) if k else c.ljust(w) for k, (c, w) in enumerate(zip(r, widths))).rstrip())
     print(f"---- selected {len(rows)} feature(s): top_k={top_k} min_ratio={min_ratio:g} min_wf={min_wf:g} ----")
 
 
-def cmd_cluster(args) -> int:
-    s = _settings(args)
+def cmd_cluster(s: dict) -> int:
     features_path = _existing_file(s["features"], "feature file")
     out = Path(s["out"])
     pre = _preprocess_config(s["preprocess"])
@@ -247,12 +248,12 @@ def cmd_cluster(args) -> int:
         doc_ids.append(doc_id)
         rows.append(vectorize(terms, selected))
     if params.c > len(rows):
-        raise DataError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
+        raise ValueError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
     if init is not None:
         try:
             validate_partition(init, n=len(rows), c=params.c)
         except ValueError as exc:
-            raise DataError(f"invalid init file {s['init_file']}: {exc}") from exc
+            raise ValueError(f"invalid init file {s['init_file']}: {exc}") from exc
     matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
     zero_rows = int(np.count_nonzero(~matrix.data.any(axis=1)))
     if zero_rows:  # clustering cannot tell these documents apart
@@ -260,7 +261,6 @@ def cmd_cluster(args) -> int:
               file=sys.stderr)
     result = run_fcm(matrix, params)
 
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_result(result, matrix.doc_ids, selected, out)
     print(f"wrote {out}", file=sys.stderr)
     print(f"iterations: {result.iterations}")
@@ -269,8 +269,7 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    s = _settings(args)
+def cmd_report(s: dict) -> int:
     result_path = _existing_file(s["result"], "result file")
     thresholds = {k: s[k] for k in ("strong_threshold", "ambiguity_margin") if k in s}
     out = Path(s["out"])
@@ -284,7 +283,6 @@ def cmd_report(args) -> int:
         raise UsageError(str(exc)) from exc
 
     reports.sort(key=lambda e: (e["top_label"], -e["labels"][e["top_label"]], e["doc_id"]))
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_report(reports, out)
     print(f"wrote {out}", file=sys.stderr)
     print(render_report_table(reports))
@@ -318,9 +316,9 @@ def _build_parser() -> argparse.ArgumentParser:
     option = command("features", cmd_features, "select discriminative features from labeled samples")
     option("--samples", list, REQUIRED, metavar="LABEL=DIR",
            help="labeled sample corpus; repeat for each label")
-    option("--top-k", int)
-    option("--min-ratio", float)
-    option("--min-wf", float)
+    option("--top-k", int, TOP_K_DEFAULT)
+    option("--min-ratio", float, MIN_RATIO_DEFAULT)
+    option("--min-wf", float, MIN_WF_DEFAULT)
     option("--out", default="features.json", help="feature file to write (profiles go next to it)")
 
     option = command("cluster", cmd_cluster, "cluster a corpus with fuzzy c-means")
@@ -347,11 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(_settings(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

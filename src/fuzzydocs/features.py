@@ -23,6 +23,7 @@ __all__ = [
     "word_frequency",
     "build_profile",
     "select_features",
+    "discrimination_ratio",
     "vectorize",
     "save_feature_set",
     "load_feature_set",
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 WF_SCALE = 10000.0
+
+TOP_K_DEFAULT = 50
+MIN_RATIO_DEFAULT = 2.0
+MIN_WF_DEFAULT = 5.0
 
 # A feature set is an ordered list of unique terms; the order defines the
 # vector dimensions.
@@ -64,24 +69,24 @@ def build_profile(label: str, term_seqs: Iterable[Sequence[str]]) -> LabeledProf
         pooled.update(terms)
         total += len(terms)
     if total == 0:
-        raise ValueError("empty corpus")
+        raise ValueError(f"empty corpus (label {label!r})")
     wf = {t: word_frequency(pooled[t], total) for t in sorted(pooled)}
     return LabeledProfile(label, wf)
 
 
 def select_features(
     profiles: Sequence[LabeledProfile],
-    top_k: int = 50,
-    min_ratio: float = 2.0,
-    min_wf: float = 5.0,
+    top_k: int = TOP_K_DEFAULT,
+    min_ratio: float = MIN_RATIO_DEFAULT,
+    min_wf: float = MIN_WF_DEFAULT,
 ) -> FeatureSet:
     """Pick the terms whose WF differs most between labeled profiles.
 
-    Each term is scored by ``max(wf) / (min(wf) + 1)`` over the profiles,
-    a term missing from a profile counting as WF 0; the +1 keeps terms
-    absent from one label finitely ranked. Terms with score >= min_ratio
-    and best-label WF >= min_wf qualify; the top_k qualifiers are returned
-    in descending score order, ties broken lexicographically.
+    Each term is scored by :func:`discrimination_ratio` over the
+    profiles, a term missing from a profile counting as WF 0. Terms with
+    score >= min_ratio and best-label WF >= min_wf qualify; the top_k
+    qualifiers are returned in descending score order, ties broken
+    lexicographically.
     """
     if len(profiles) < 2:
         raise ValueError("need at least two labeled profiles")
@@ -99,12 +104,17 @@ def score_terms(profiles: Sequence[LabeledProfile]) -> list[tuple[str, float]]:
     """Discrimination ratio of every term seen in any profile, sorted by
     descending ratio (ties lexicographic)."""
     universe = sorted({t for p in profiles for t in p.wf})
-    scored = []
-    for term in universe:
-        wfs = [p.wf.get(term, 0.0) for p in profiles]
-        scored.append((term, max(wfs) / (min(wfs) + 1.0)))
+    scored = [(term, discrimination_ratio([p.wf.get(term, 0.0) for p in profiles]))
+              for term in universe]
     scored.sort(key=lambda tr: (-tr[1], tr[0]))
     return scored
+
+
+def discrimination_ratio(wfs: Sequence[float]) -> float:
+    """How much one term's WF differs between labels: ``max(wfs) /
+    (min(wfs) + 1)`` over its WF in each profile; the +1 keeps a term
+    absent from one label finitely ranked."""
+    return max(wfs) / (min(wfs) + 1.0)
 
 
 def vectorize(terms: Sequence[str], features: Sequence[str]) -> tuple[float, ...]:

@@ -4,6 +4,7 @@ Every file is UTF-8 with LF line endings, indented by two spaces, keeps
 non-ASCII text as is and ends in a newline. A file is written whole or
 not at all: ``write_json`` streams into a temporary dot file next to the
 target and renames it over the target only once the dump has finished.
+A missing directory on the way to the target is created.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ def write_json(payload, path: str | Path) -> None:
     the previous file, or none, and no temporary file; a string that cannot
     be encoded as UTF-8 raises ValueError naming ``path``."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     # a dot file, so a corpus directory never reads it as a document; open()
     # rather than mkstemp, so the umask sets its mode as for any other output
     tmp = path.with_name(f".{path.name}.tmp")

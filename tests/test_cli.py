@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fuzzydocs
 import goldens
 from fuzzydocs.features import LabeledProfile, save_feature_set, save_profile
 from fuzzydocs.cli import main
@@ -125,20 +128,92 @@ class TestFeaturesCommand:
     def test_malformed_samples_pair(self, tmp_path):
         assert main(["features", "--samples", "nodirhere", "--samples", "b=x"]) == 2
 
-    @pytest.mark.parametrize("label", ["a/b", "\udcffpol", "a\0b"], ids=["slash", "not-utf8", "nul"])
-    def test_bad_label_writes_nothing(self, tmp_path, capsys, label):
+    BAD_CHARACTERS = "--samples label must be valid UTF-8 without '/' or NUL"
+
+    @pytest.mark.parametrize("label,out_name,message", [
+        pytest.param("a/b", "features.json", BAD_CHARACTERS, id="slash"),
+        pytest.param("\udcffpol", "features.json", BAD_CHARACTERS, id="not-utf8"),
+        pytest.param("a\0b", "features.json", BAD_CHARACTERS, id="nul"),
+        # the profile would replace the feature file
+        pytest.param("x", "x.profile.json", "names its profile file", id="names-out"),
+        # the profile's name fits in 255 bytes, its .NAME.tmp does not
+        pytest.param("a" * 238, "features.json", "too long for its profile file name",
+                     id="tmp-name-too-long"),
+        pytest.param("a" * 300, "features.json", "too long for its profile file name",
+                     id="too-long"),
+    ])
+    def test_bad_label_writes_nothing(self, tmp_path, capsys, label, out_name, message):
         """A label names a profile file, so a bad one is refused before the
         feature file is replaced."""
         sports, politics = make_sample_dirs(tmp_path)
-        out = tmp_path / "out" / "features.json"
+        out = tmp_path / "out" / out_name
         out.parent.mkdir()
         out.write_bytes(b'[\n  "team"\n]\n')
         code = main(["features", "--samples", f"{label}={sports}",
                      "--samples", f"politics={politics}", "--out", str(out)])
         assert code == 2
-        assert "--samples label must be valid UTF-8 without '/' or NUL" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
         assert out.read_bytes() == b'[\n  "team"\n]\n'
         assert list(out.parent.iterdir()) == [out]
+
+    def test_longest_label_names_its_profile(self, tmp_path):
+        # .NAME.tmp takes the whole 255-byte name limit
+        sports, politics = make_sample_dirs(tmp_path)
+        label = "a" * 237
+        out = tmp_path / "out" / "features.json"
+        assert main(["features", "--samples", f"{label}={sports}",
+                     "--samples", f"politics={politics}", "--out", str(out)]) == 0
+        assert json.loads((out.parent / f"{label}.profile.json").read_text("utf-8"))["label"] == label
+
+    def test_duplicate_label_is_usage_error(self, tmp_path, capsys):
+        sports, politics = make_sample_dirs(tmp_path)
+        out = tmp_path / "features.json"
+        code = main(["features", "--samples", f"sports={sports}",
+                     "--samples", f"sports={politics}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate sample label: sports\n"
+        assert not out.exists()
+
+    def test_stopwords_file_drops_terms(self, tmp_path):
+        sports, politics = make_sample_dirs(tmp_path)
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("# sports words\nStadium\n\nball  # and its kit\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preprocess": {"stemming": False,
+                                                     "stopwords_file": str(stopwords)}}),
+                          encoding="utf-8")
+        out = tmp_path / "features.json"
+        code = main(["features", "--samples", f"sports={sports}",
+                     "--samples", f"politics={politics}",
+                     "--config", str(config), "--out", str(out)])
+        assert code == 0
+        # without the file: stadium, democracy, candidate, ball, team
+        assert json.loads(out.read_text(encoding="utf-8")) == ["democracy", "candidate", "team"]
+        wf = json.loads((tmp_path / "sports.profile.json").read_text(encoding="utf-8"))["wf"]
+        assert "stadium" not in wf and "ball" not in wf
+
+    @pytest.mark.parametrize("data,reason", [
+        pytest.param(b"the\n\xff\n", "'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+        pytest.param(b"the\nfoo bar\n", "invalid stopword: 'foo bar'", id="two-words"),
+    ])
+    def test_bad_stopwords_file_is_named(self, tmp_path, capsys, data, reason):
+        sports, politics = make_sample_dirs(tmp_path)
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_bytes(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preprocess": {"stopwords_file": str(stopwords)}}),
+                          encoding="utf-8")
+        out = tmp_path / "features.json"
+        code = main(["features", "--samples", f"sports={sports}",
+                     "--samples", f"politics={politics}",
+                     "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid stopwords file {stopwords}: ")
+        assert reason in err
+        assert not out.exists()
 
     def test_identical_corpora_is_data_error(self, tmp_path, capsys):
         sports, _ = make_sample_dirs(tmp_path)
@@ -265,6 +340,31 @@ class TestClusterCommand:
         result = json.loads(out.read_text(encoding="utf-8"))
         assert "blank.txt" not in result["doc_ids"]
         assert len(result["doc_ids"]) == 8
+
+    def test_dot_files_and_subdirectories_skipped(self, tmp_path):
+        corpus = write_corpus(tmp_path)
+        (corpus / ".hidden.txt").write_text("stadium " * 50, encoding="utf-8")
+        (corpus / "sub").mkdir()
+        (corpus / "sub" / "doc9.txt").write_text("democracy " * 50, encoding="utf-8")
+        out = tmp_path / "result.json"
+        code = main(["cluster", "--corpus", str(corpus),
+                     "--features", str(write_features_file(tmp_path)),
+                     "--clusters", "2", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["doc_ids"] == [
+            f"doc{i}.txt" for i in range(1, 9)]
+
+    def test_no_documents_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        (corpus / "sub").mkdir(parents=True)
+        (corpus / ".hidden.txt").write_text("stadium ball", encoding="utf-8")
+        out = tmp_path / "result.json"
+        code = main(["cluster", "--corpus", str(corpus),
+                     "--features", str(write_features_file(tmp_path)),
+                     "--clusters", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no documents in {corpus}\n"
+        assert not out.exists()
 
     def test_too_many_clusters_is_data_error(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -568,6 +668,59 @@ def test_config_supplies_samples_and_profiles(tmp_path):
     assert sorted(p.name for p in by_config.iterdir()) == sorted(names)
     for name in names:
         assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
+
+
+THREE_TOPICS = {
+    "arts": "painting gallery sculpture museum canvas",
+    "sports": "stadium football league goalkeeper referee",
+    "politics": "democracy election parliament senator ballot",
+}
+
+
+def test_pipeline_identical_across_hash_seeds(tmp_path):
+    """features -> cluster -> report in fresh processes under two string
+    hash seeds write the same files and print the same lines."""
+    shared = "people city report week "
+    for label, words in THREE_TOPICS.items():
+        sample = tmp_path / "samples" / label
+        sample.mkdir(parents=True)
+        for k in range(3):
+            (sample / f"{label}{k}.txt").write_text((words + " " + shared * (k + 1)) * 20,
+                                                    encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for k, (a, b) in enumerate([("arts", "arts"), ("arts", "sports"), ("sports", "sports"),
+                                ("politics", "politics"), ("politics", "arts"),
+                                ("sports", "politics")]):
+        text = f"<p>{THREE_TOPICS[a]} {THREE_TOPICS[b]} {shared}</p>" * (k + 2)
+        (corpus / f"d{k}.html").write_text(text, encoding="utf-8")
+    labels = sorted(THREE_TOPICS)
+    commands = [
+        ["features", *[a for lab in labels for a in ("--samples", f"{lab}=../samples/{lab}")],
+         "--top-k", "9", "--out", "out/features.json"],
+        ["cluster", "--corpus", "../corpus", "--features", "out/features.json",
+         "--clusters", "3", "--seed", "3", "--out", "out/result.json"],
+        ["report", "--result", "out/result.json",
+         *[a for lab in labels for a in ("--profiles", f"out/{lab}.profile.json")],
+         "--out", "out/report.json"],
+    ]
+    src = str(Path(fuzzydocs.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("1", "4242"):
+        cwd = tmp_path / f"hash{hash_seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        printed = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "fuzzydocs.cli", *argv], cwd=cwd,
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            printed.append((proc.stdout, proc.stderr))
+        files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+        runs.append((printed, files))
+    assert sorted(runs[0][1]) == sorted(
+        ["features.json", "result.json", "report.json"] + [f"{lab}.profile.json" for lab in labels])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("command", ["features", "cluster", "report"])

@@ -7,6 +7,7 @@ import goldens
 from fuzzydocs.features import (
     LabeledProfile,
     build_profile,
+    discrimination_ratio,
     load_feature_set,
     load_profile,
     save_feature_set,
@@ -70,7 +71,7 @@ class TestBuildProfile:
         assert round(profile.wf["ball"], 4) == 501.6553
 
     def test_empty_corpus(self):
-        with pytest.raises(ValueError, match="empty corpus"):
+        with pytest.raises(ValueError, match=r"empty corpus \(label 'x'\)"):
             build_profile("x", [(), ()])
 
     def test_no_documents(self):
@@ -110,6 +111,15 @@ class TestSelectFeatures:
     def test_needs_two_profiles(self):
         with pytest.raises(ValueError, match="two labeled profiles"):
             select_features([LabeledProfile("a", {"x": 10.0})])
+
+    def test_top_k_must_be_positive(self, profiles):
+        with pytest.raises(ValueError, match="top_k must be positive"):
+            select_features(profiles, top_k=0)
+
+    def test_discrimination_ratio(self):
+        # the +1 keeps a term absent from one label finitely ranked
+        assert discrimination_ratio([100.0, 0.0]) == 100.0
+        assert discrimination_ratio([19.0, 40.0, 29.0]) == 2.0
 
     def test_top_k_truncates(self, profiles):
         assert select_features(profiles, top_k=2) == ["democracy", "stadium"]

@@ -21,6 +21,13 @@ def test_format(tmp_path):
     assert leftovers(tmp_path) == []
 
 
+def test_creates_missing_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "out.json"
+    write_json([1], path)
+    assert read_json(path) == [1]
+    assert leftovers(path.parent) == []
+
+
 def test_failed_write_keeps_previous_file(tmp_path):
     path = tmp_path / "out.json"
     path.write_bytes(b"previous\n")
