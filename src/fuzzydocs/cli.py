@@ -38,8 +38,15 @@ from .features import (
     select_features,
     vectorize,
 )
-from .jsonfile import is_number, read_json
-from .labeling import classify_strength, label_clusters, render_report_table, save_report
+from .jsonfile import is_number, read_json, temporary_path
+from .labeling import (
+    AMBIGUITY_MARGIN_DEFAULT,
+    STRONG_THRESHOLD_DEFAULT,
+    classify_strength,
+    label_clusters,
+    render_report_table,
+    save_report,
+)
 from .preprocess import PreprocessConfig, load_stopwords, preprocess_document
 
 
@@ -108,8 +115,9 @@ def _option_value(name: str, value, kind: type):
 
 def _settings(args) -> dict:
     """Each option's value: its flag's, else the config file's, else its
-    declared default. An option with none is left out, so the library's
-    default applies. The raw ``preprocess`` block rides along."""
+    declared default, which is the library's where it has one. An option
+    with none (``--init-file``) is left out. The raw ``preprocess`` block
+    rides along."""
     config = _load_config(args.config)
     unknown = sorted(config.keys() - args.config_keys)
     if unknown:
@@ -168,23 +176,34 @@ def _parse_samples(pairs: list[str]) -> dict[str, str]:
     return samples
 
 
+def _output_path(path: str) -> Path:
+    """The ``--out`` file, if ``write_json`` can write it."""
+    try:
+        temporary_path(path)
+    except ValueError as exc:
+        raise UsageError(f"--out: {exc}") from exc
+    return Path(path)
+
+
 def _profile_path(label: str, out: Path) -> Path:
     """The label's ``<label>.profile.json`` next to ``out``; a label that
     cannot name a file of its own there is a usage error. A lone surrogate
     is a byte that is not UTF-8."""
-    name = f"{label}.profile.json"
     if any(ch in "/\0" or "\ud800" <= ch <= "\udfff" for ch in label):
         raise UsageError(f"--samples label must be valid UTF-8 without '/' or NUL, got {label!r}")
-    if name == out.name:
-        raise UsageError(f"--samples label {label!r} names its profile file {out}, the --out file")
-    if len(f".{name}.tmp".encode()) > 255:  # write_json's temporary file; NAME_MAX
-        raise UsageError(f"--samples label is too long for its profile file name, got {label!r}")
-    return out.parent / name
+    path = out.parent / f"{label}.profile.json"
+    try:
+        tmp = temporary_path(path)
+    except ValueError:
+        raise UsageError(f"--samples label is too long for its profile file name, got {label!r}") from None
+    if out in (path, tmp):  # writing the profile would replace the feature file
+        raise UsageError(f"--samples label {label!r} names its profile file {path} over the --out file {out}")
+    return path
 
 
 def cmd_features(s: dict) -> int:
     samples = _parse_samples(s["samples"])
-    out = Path(s["out"])
+    out = _output_path(s["out"])
     profile_paths = {label: _profile_path(label, out) for label in samples}
     if len(samples) < 2:
         raise UsageError("need at least two --samples LABEL=DIR pairs")
@@ -223,7 +242,7 @@ def _print_ratio_table(profiles, selected, top_k, min_ratio, min_wf) -> None:
 
 def cmd_cluster(s: dict) -> int:
     features_path = _existing_file(s["features"], "feature file")
-    out = Path(s["out"])
+    out = _output_path(s["out"])
     pre = _preprocess_config(s["preprocess"])
 
     init = None
@@ -231,8 +250,8 @@ def cmd_cluster(s: dict) -> int:
         init = read_json(_existing_file(s["init_file"], "init file"))
     try:
         params = FcmParams(
-            c=s["clusters"], init=init,
-            **{k: s[k] for k in ("fuzzifier", "epsilon", "max_iters", "seed") if k in s},
+            c=s["clusters"], fuzzifier=s["fuzzifier"], epsilon=s["epsilon"],
+            max_iters=s["max_iters"], init=init, seed=s["seed"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -271,14 +290,14 @@ def cmd_cluster(s: dict) -> int:
 
 def cmd_report(s: dict) -> int:
     result_path = _existing_file(s["result"], "result file")
-    thresholds = {k: s[k] for k in ("strong_threshold", "ambiguity_margin") if k in s}
-    out = Path(s["out"])
+    out = _output_path(s["out"])
 
     result = load_result(result_path)
     profiles = [load_profile(_existing_file(p, "profile file")) for p in s["profiles"]]
     labeling = label_clusters(result["centers"], profiles, result["features"])
     try:
-        reports = classify_strength(result["memberships"], result["doc_ids"], labeling, **thresholds)
+        reports = classify_strength(result["memberships"], result["doc_ids"], labeling,
+                                    s["strong_threshold"], s["ambiguity_margin"])
     except ValueError as exc:  # bad thresholds: load_result has checked the rest
         raise UsageError(str(exc)) from exc
 
@@ -325,18 +344,18 @@ def _build_parser() -> argparse.ArgumentParser:
     option("--corpus", default=REQUIRED, help="directory of UTF-8 text/HTML documents")
     option("--features", default=REQUIRED, help="feature file from the features command")
     option("--clusters", int, REQUIRED)
-    option("--fuzzifier", float)
-    option("--epsilon", float)
-    option("--max-iters", int)
-    option("--seed", int)
+    option("--fuzzifier", float, FcmParams.fuzzifier)
+    option("--epsilon", float, FcmParams.epsilon)
+    option("--max-iters", int, FcmParams.max_iters)
+    option("--seed", int, FcmParams.seed)
     option("--init-file", help="JSON c x n matrix used as the starting partition")
     option("--out", default="result.json", help="result file to write")
 
     option = command("report", cmd_report, "label clusters and report membership strength")
     option("--result", default=REQUIRED, help="result file from the cluster command")
     option("--profiles", list, REQUIRED, metavar="FILE", help="profile file; repeat for each label")
-    option("--strong-threshold", float)
-    option("--ambiguity-margin", float)
+    option("--strong-threshold", float, STRONG_THRESHOLD_DEFAULT)
+    option("--ambiguity-margin", float, AMBIGUITY_MARGIN_DEFAULT)
     option("--out", default="report.json", help="report file to write")
 
     return parser

@@ -4,7 +4,9 @@ Every file is UTF-8 with LF line endings, indented by two spaces, keeps
 non-ASCII text as is and ends in a newline. A file is written whole or
 not at all: ``write_json`` streams into a temporary dot file next to the
 target and renames it over the target only once the dump has finished.
-A missing directory on the way to the target is created.
+A missing directory on the way to the target is created. A target whose
+temporary name passes the 255-byte file name limit is refused before
+anything is written.
 """
 
 from __future__ import annotations
@@ -13,18 +15,31 @@ import json
 import os
 from pathlib import Path
 
-__all__ = ["is_number", "read_json", "write_json"]
+__all__ = ["is_number", "read_json", "temporary_path", "write_json"]
+
+NAME_MAX = 255  # bytes in one file name on Linux and macOS file systems
+
+
+def temporary_path(path: str | Path) -> Path:
+    """The dot file ``write_json`` streams ``path`` into. A dot file, so a
+    corpus directory never reads it as a document; a name too long for it
+    raises ValueError naming ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    if len(os.fsencode(tmp.name)) > NAME_MAX:
+        raise ValueError(f"file name too long to write: {path}")
+    return tmp
 
 
 def write_json(payload, path: str | Path) -> None:
     """Replace ``path`` with ``payload`` as JSON. A write that fails leaves
     the previous file, or none, and no temporary file; a string that cannot
-    be encoded as UTF-8 raises ValueError naming ``path``."""
+    be encoded as UTF-8, or a name too long, raises ValueError naming
+    ``path``."""
     path = Path(path)
+    tmp = temporary_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # a dot file, so a corpus directory never reads it as a document; open()
-    # rather than mkstemp, so the umask sets its mode as for any other output
-    tmp = path.with_name(f".{path.name}.tmp")
+    # open() rather than mkstemp, so the umask sets its mode as for any other output
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
             json.dump(payload, f, ensure_ascii=False, indent=2)

@@ -136,6 +136,8 @@ class TestFeaturesCommand:
         pytest.param("a\0b", "features.json", BAD_CHARACTERS, id="nul"),
         # the profile would replace the feature file
         pytest.param("x", "x.profile.json", "names its profile file", id="names-out"),
+        # the profile's temporary file would truncate the feature file
+        pytest.param("x", ".x.profile.json.tmp", "names its profile file", id="names-out-tmp"),
         # the profile's name fits in 255 bytes, its .NAME.tmp does not
         pytest.param("a" * 238, "features.json", "too long for its profile file name",
                      id="tmp-name-too-long"),
@@ -632,6 +634,18 @@ def test_nul_in_output_path_is_usage_error(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([*argv, "--config", str(config_path)]) == 2
     assert capsys.readouterr().err.startswith("error: config key out must be a string without NUL")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["features", "cluster", "report"])
+def test_out_name_too_long_is_usage_error(tmp_path, capsys, command):
+    """The name fits the 255-byte limit, its .NAME.tmp does not."""
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    argv[argv.index("--out") + 1] = str(tmp_path / "out" / ("f" * 246 + ".json"))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --out: file name too long to write: ")
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from fuzzydocs.jsonfile import read_json, write_json
+from fuzzydocs.jsonfile import read_json, temporary_path, write_json
 
 
 def leftovers(directory):
@@ -26,6 +26,19 @@ def test_creates_missing_directory(tmp_path):
     write_json([1], path)
     assert read_json(path) == [1]
     assert leftovers(path.parent) == []
+
+
+def test_name_too_long_for_its_temporary_file(tmp_path):
+    # .NAME.tmp adds five bytes to the 255-byte name limit
+    longest = tmp_path / "out" / ("f" * 245 + ".json")
+    write_json([1], longest)
+    assert read_json(longest) == [1]
+    path = tmp_path / "new" / ("f" * 246 + ".json")
+    with pytest.raises(ValueError, match=re.escape(f"file name too long to write: {path}")):
+        write_json([1], path)
+    with pytest.raises(ValueError, match="file name too long"):
+        temporary_path(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
 
 def test_failed_write_keeps_previous_file(tmp_path):
