@@ -16,12 +16,18 @@ epsilon. The objective it descends is
     J_m = sum_i sum_j u_ji^m ||x_i - v_j||^2.
 
 Each iteration builds the c x n squared distances once, in
-``squared_distances``, one center at a time, so an iteration works in
-O(n*m + c*n) memory; the memberships read their square roots and J_m
-reads them directly. All reductions are evaluated in fixed
-document-index order (einsum without optimization), so repeated runs are
-bit-identical, and iteration k of a run leaves exactly the partition and
-centers of a run with max_iters=k.
+``squared_distances``, one feature at a time over a feature-major copy of
+the matrix, so an iteration works in O(n*m + c*n) memory; the memberships
+read their square roots and J_m reads them directly. The distances and
+the membership column sums are elementwise accumulations in a fixed
+order (feature by feature, cluster by cluster), not numpy reductions,
+whose summation order numpy picks from the array's shape and memory
+layout. The centers and J_m stay einsum reductions over arrays whose
+layout ``run_fcm`` fixes: it works on one feature-major copy of the
+matrix, and ``validate_partition`` returns a C-ordered copy. So the
+caller's memory layout does not change a bit of the result, repeated
+runs are bit-identical, and iteration k of a run leaves exactly the
+partition and centers of a run with max_iters=k.
 """
 
 from __future__ import annotations
@@ -138,7 +144,8 @@ class FcmResult:
 
 
 def validate_partition(u: np.ndarray, n: int | None = None, c: int | None = None) -> np.ndarray:
-    """Check membership range and column stochasticity; returns float64 copy."""
+    """Check membership range and column stochasticity; returns a C-ordered
+    float64 copy."""
     u = _checked_matrix(u, "invalid partition: memberships", 1.0)
     if c is not None and u.shape[0] != c:
         raise ValueError(f"invalid partition: expected {c} rows, got {u.shape[0]}")
@@ -147,7 +154,7 @@ def validate_partition(u: np.ndarray, n: int | None = None, c: int | None = None
     col_sums = np.einsum("cn->n", u)
     if np.max(np.abs(col_sums - 1.0)) > PARTITION_COLUMN_TOL:
         raise ValueError("invalid partition: columns must sum to 1")
-    return u
+    return np.array(u, order="C")
 
 
 def init_partition(
@@ -177,13 +184,20 @@ def update_centers(u: np.ndarray, x: np.ndarray, fuzzifier: float) -> np.ndarray
 
 
 def squared_distances(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of every document to every center, c x n,
-    built one center at a time, so the only temporary is one n x m
-    difference."""
-    sq = np.empty((v.shape[0], x.shape[0]))
-    for j, center in enumerate(v):
-        diff = x - center
-        np.einsum("nm,nm->n", diff, diff, out=sq[j])
+    """Squared Euclidean distance of every document to every center, c x n.
+
+    sq_ji adds (x_ik - v_jk) * (x_ik - v_jk) one feature k at a time, left
+    to right, over the feature-major (m x n) view of x, which is a copy
+    unless x is Fortran-ordered; the other temporary is one c x n
+    difference.
+    """
+    xt = np.ascontiguousarray(x.T)
+    sq = np.zeros((v.shape[0], x.shape[0]))
+    diff = np.empty_like(sq)
+    for k, feature in enumerate(xt):
+        np.subtract(feature, v[:, k, None], out=diff)
+        diff *= diff
+        sq += diff
     return sq
 
 
@@ -195,23 +209,33 @@ def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
     A regular column is scaled by its smallest distance:
     w_j = (d_min / d_j)^(2/(m-1)) lies in [0, 1] and is exactly 1 at the
     nearest center, so u_j = w_j / sum_k w_k cannot overflow or divide 0
-    by 0, and a ratio that underflows to 0 is its exact limit. Working
-    memory is a few c x n arrays.
+    by 0, and a ratio that underflows to 0 is its exact limit. The sum
+    runs in cluster order, one elementwise add per cluster, so a column's
+    bits do not depend on the other columns. Working memory is a few
+    c x n arrays; without a zero distance, one.
     """
-    c, n = d.shape
-    u = np.zeros((c, n))
-    zero = d == 0.0
-    singular = zero.any(axis=0)
-    if np.any(singular):
-        cols = np.flatnonzero(singular)
-        u[np.argmax(zero[:, cols], axis=0), cols] = 1.0
+    d_min = d.min(axis=0)
+    singular = d_min == 0.0
+    if not singular.any():
+        return _regular_memberships(d, d_min, fuzzifier)
+    u = np.zeros(d.shape)
+    cols = np.flatnonzero(singular)
+    u[np.argmax(d[:, cols] == 0.0, axis=0), cols] = 1.0
     regular = ~singular
-    if np.any(regular):
-        dr = d[:, regular]
-        w = dr.min(axis=0) / dr
-        w **= 2.0 / (fuzzifier - 1.0)
-        u[:, regular] = w / np.einsum("cn->n", w)
+    if regular.any():
+        u[:, regular] = _regular_memberships(d[:, regular], d_min[regular], fuzzifier)
     return u
+
+
+def _regular_memberships(d: np.ndarray, d_min: np.ndarray, fuzzifier: float) -> np.ndarray:
+    """Memberships of zero-free columns d with column minima d_min."""
+    w = d_min / d
+    w **= 2.0 / (fuzzifier - 1.0)
+    total = w[0].copy()
+    for row in w[1:]:
+        total += row
+    w /= total
+    return w
 
 
 def objective(u: np.ndarray, sq: np.ndarray, fuzzifier: float) -> float:
@@ -226,7 +250,7 @@ def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
     max_iters is hit. Deterministic for a given matrix and params.
     """
     u = init_partition(x.n_docs, params.c, params.init, params.seed)
-    data = x.data
+    data = np.asfortranarray(x.data)  # feature-major, as squared_distances reads it
     m = params.fuzzifier
     objective_history: list[float] = []
     max_change_history: list[float] = []

@@ -24,9 +24,18 @@ from fuzzydocs.fcm import (
 
 
 def broadcast_squared_distances(x, v):
-    """Reference: the c x n x m difference tensor reduced over features."""
+    """Cross-check: the c x n x m difference tensor reduced over features,
+    in the order numpy's einsum picks."""
     diff = x[None, :, :] - v[:, None, :]
     return np.einsum("cnm,cnm->cn", diff, diff)
+
+
+def sequential_squared_distances(x, v):
+    """Reference: each squared distance summed feature by feature, left to
+    right, in Python floats (d * d, not d ** 2, which libm's pow may round
+    differently)."""
+    return np.array([[sum((xi[k] - vj[k]) * (xi[k] - vj[k]) for k in range(len(xi)))
+                      for xi in x.tolist()] for vj in v.tolist()])
 
 
 def ratio_memberships(d, fuzzifier):
@@ -198,7 +207,10 @@ class TestSquaredDistances:
         x = rng.uniform(0.0, 10000.0, size=(n, m))
         v = rng.uniform(0.0, 10000.0, size=(c, m))
         v[0] = x[0]  # one exact zero distance
-        np.testing.assert_array_equal(squared_distances(x, v), broadcast_squared_distances(x, v))
+        sq = squared_distances(x, v)
+        np.testing.assert_array_equal(sq, sequential_squared_distances(x, v))
+        np.testing.assert_array_equal(squared_distances(np.asfortranarray(x), v), sq)
+        np.testing.assert_allclose(sq, broadcast_squared_distances(x, v), rtol=1e-15)
 
     def test_working_memory_is_one_difference(self):
         n, m, c = 5000, 20, 16
@@ -250,6 +262,23 @@ class TestUpdateMemberships:
         p = 2.0 / (fuzzifier - 1.0)
         np.testing.assert_allclose(u, ratio_memberships(d, fuzzifier), rtol=0,
                                    atol=1e-16 * max(10.0, p))
+
+    @given(st.integers(1, 12), st.integers(2, 40), st.floats(1.02, 4.0), st.integers(0, 10_000))
+    @settings(max_examples=300, deadline=None)
+    def test_column_does_not_depend_on_other_columns(self, c, n, fuzzifier, seed):
+        rng = np.random.default_rng(seed)
+        d = np.sqrt(rng.uniform(1.0, 1e4, size=(c, n)))
+        planted = d.copy()
+        zero_cols = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+        planted[rng.integers(0, c, size=zero_cols.size), zero_cols] = 0.0
+        clean = np.setdiff1d(np.arange(n), zero_cols)
+        np.testing.assert_array_equal(update_memberships(planted, fuzzifier)[:, clean],
+                                      update_memberships(d, fuzzifier)[:, clean])
+
+    def test_working_memory_without_zeros(self):
+        c, n = 16, 5000
+        d = np.sqrt(np.random.default_rng(0).uniform(1.0, 1e4, size=(c, n)))
+        assert traced_peak_bytes(update_memberships, d, 1.3) <= (3 * c * n + 4 * n) * 8
 
     def test_working_memory_is_a_few_partitions(self):
         c, n = 16, 5000
@@ -328,6 +357,26 @@ class TestRunFcm:
         v = update_centers(res.partition, example_matrix.data, 2.0)
         u = update_memberships(np.sqrt(squared_distances(example_matrix.data, v)), 2.0)
         assert np.max(np.abs(u - res.partition)) < params.epsilon
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_result_does_not_depend_on_memory_layout(self, tmp_path, seed):
+        n, m, c = 500, 20, 4
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(0.0, 10000.0, size=(n, m))
+        doc_ids = tuple(f"d{i}" for i in range(n))
+        features = [f"t{k}" for k in range(m)]
+        init = init_partition(n, c, seed=seed)
+
+        def result_bytes(order, init):
+            x = FeatureMatrix(doc_ids, np.array(data, order=order))
+            params = FcmParams(c=c, fuzzifier=1.3, max_iters=10, seed=seed, init=init)
+            save_result(run_fcm(x, params), doc_ids, features, tmp_path / "result.json")
+            return (tmp_path / "result.json").read_bytes()
+
+        assert len({result_bytes(order, None) for order in "CF"}) == 1
+        given = {result_bytes(order, np.array(init, order=init_order))
+                 for order in "CF" for init_order in "CF"}
+        assert len(given) == 1
 
     def test_max_iters_reached_not_converged(self, example_matrix, crisp_init):
         res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init, max_iters=2))
