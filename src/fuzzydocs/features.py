@@ -15,7 +15,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .jsonfile import is_number, read_json, write_json
+import numpy as np
+
+from .jsonfile import read_json, write_json
 
 __all__ = [
     "WF_SCALE",
@@ -149,7 +151,19 @@ def save_profile(profile: LabeledProfile, path: str | Path) -> None:
 def load_profile(path: str | Path) -> LabeledProfile:
     raw = read_json(path)
     label, wf = (raw.get("label"), raw.get("wf")) if isinstance(raw, dict) else (None, None)
-    if not isinstance(label, str) or not label or not isinstance(wf, dict) or not all(
-            is_number(v) and 0 <= v <= WF_SCALE for v in wf.values()):
+    values = _wf_values(wf) if isinstance(label, str) and label and isinstance(wf, dict) else None
+    if values is None:
         raise ValueError(f"invalid profile file: {path}")
-    return LabeledProfile(label, {t: float(v) for t, v in wf.items()})
+    return LabeledProfile(label, dict(zip(wf, values.tolist())))
+
+
+def _wf_values(wf: dict) -> np.ndarray | None:
+    """The WFs as floats, or None unless each is a JSON number in [0, WF_SCALE]."""
+    # by type, since ``true`` loads as a bool, a subclass of int
+    if not {type(v) for v in wf.values()} <= {int, float}:
+        return None
+    try:
+        a = np.fromiter(wf.values(), dtype=float, count=len(wf))
+    except OverflowError:  # an integer past the float range
+        return None
+    return a if np.all((a >= 0) & (a <= WF_SCALE)) else None  # NaN fails both

@@ -1,9 +1,13 @@
 """The JSON files the pipeline stages hand to each other.
 
-Every file is UTF-8 with LF line endings, indented by two spaces, keeps
-non-ASCII text as is and ends in a newline. A file is written whole or
-not at all: ``write_json`` streams into a temporary dot file next to the
-target and renames it over the target only once the dump has finished.
+Every file is UTF-8 with LF line endings, keeps non-ASCII text as is and
+ends in a newline. A top-level array or object holds one element or
+member per line, indented by two spaces, each written on its line as
+``json.dumps`` writes it without indent (so a ``report.json`` has one
+document per line); an empty container or a scalar is one line. A file
+is written whole or not at all: ``write_json`` streams into a temporary
+dot file next to the target and renames it over the target only once
+the last line has been written.
 A missing directory on the way to the target is created. A target whose
 temporary name passes the 255-byte file name limit is refused before
 anything is written.
@@ -42,14 +46,35 @@ def write_json(payload, path: str | Path) -> None:
     # open() rather than mkstemp, so the umask sets its mode as for any other output
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(payload, f, ensure_ascii=False, indent=2)
-            f.write("\n")
+            _dump(payload, f)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, UnicodeEncodeError):  # a lone surrogate in a string
             raise ValueError(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def _dump(payload, f) -> None:
+    """Write ``payload`` to ``f`` one top-level element or member per line.
+    Without indent the stdlib encodes in C; with it, in pure Python."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    if isinstance(payload, dict) and payload:
+        brackets = "{}"
+        # a one-member object encodes its key exactly as the whole object would
+        members = (encode({key: value})[1:-1] for key, value in payload.items())
+    elif isinstance(payload, (list, tuple)) and payload:
+        brackets = "[]"
+        members = map(encode, payload)
+    else:
+        f.write(encode(payload) + "\n")
+        return
+    separator = brackets[0] + "\n  "
+    for member in members:
+        f.write(separator)
+        f.write(member)
+        separator = ",\n  "
+    f.write("\n" + brackets[1] + "\n")
 
 
 def read_json(path: str | Path):

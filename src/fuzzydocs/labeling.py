@@ -136,18 +136,32 @@ def save_report(reports: Sequence[dict], path: str | Path) -> None:
 
 
 def render_report_table(reports: Sequence[dict]) -> str:
-    """Aligned plain-text table, one row per document, in the given order."""
+    """Aligned plain-text table, one row per document, in the given order;
+    degrees to four decimals, in the first entry's label order."""
     if not reports:
         return ""
     labels = list(reports[0]["labels"])
-    header = ["doc_id"] + labels + ["top_label", "strength"]
-    rows = [header]
-    for r in reports:
-        rows.append(
-            [r["doc_id"]]
-            + [f"{r['labels'][lab]:.4f}" for lab in labels]
-            + [r["top_label"], r["strength"]]
-        )
-    widths = [max(len(row[k]) for row in rows) for k in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    return "\n".join(lines)
+    degrees = [[r["labels"][lab] for lab in labels] for r in reports]
+    widths = [_width("doc_id", [r["doc_id"] for r in reports]),
+              *map(_degree_width, labels, np.array(degrees, dtype=float).T),
+              _width("top_label", [r["top_label"] for r in reports]),
+              _width("strength", [r["strength"] for r in reports])]
+    cells = [f"{{:<{w}}}" for w in widths]
+    header = "  ".join(cells).format("doc_id", *labels, "top_label", "strength").rstrip()
+    cells[1:-2] = [f"{{:<{w}.4f}}" for w in widths[1:-2]]
+    row = "  ".join(cells)
+    lines = [row.format(r["doc_id"], *ds, r["top_label"], r["strength"]).rstrip()
+             for r, ds in zip(reports, degrees)]
+    return "\n".join([header, *lines])
+
+
+def _width(name: str, cells: Sequence[str]) -> int:
+    return max(len(name), *map(len, cells))
+
+
+def _degree_width(label: str, degrees: np.ndarray) -> int:
+    """The widest of a label and its degrees printed to four decimals. A
+    degree in [0, 1] prints as six characters, "0.1234" or "1.0000"; only
+    the others (-0.0 among them) are printed to be measured."""
+    unit = (degrees >= 0) & (degrees <= 1) & ~np.signbit(degrees)
+    return max(len(label), 6 if unit.any() else 0, *(len(f"{d:.4f}") for d in degrees[~unit]))

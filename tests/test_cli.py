@@ -773,6 +773,15 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, command, text):
                  id="profile-wf-string"),
     pytest.param("sports.profile.json", lambda raw: {**raw, "wf": {**raw["wf"], "ball": True}},
                  id="profile-wf-boolean"),
+    pytest.param("sports.profile.json", lambda raw: {**raw, "wf": {**raw["wf"], "ball": None}},
+                 id="profile-wf-null"),
+    pytest.param("sports.profile.json",
+                 lambda raw: {**raw, "wf": {**raw["wf"], "ball": float("nan")}},
+                 id="profile-wf-nan"),
+    pytest.param("sports.profile.json", lambda raw: {**raw, "wf": {**raw["wf"], "ball": 10000.5}},
+                 id="profile-wf-above-scale"),
+    pytest.param("sports.profile.json", lambda raw: {**raw, "wf": {**raw["wf"], "ball": 10**400}},
+                 id="profile-wf-int-past-float-range"),
     pytest.param("result.json",
                  lambda raw: {**raw, "memberships": [[str(v) for v in row] for row in raw["memberships"]]},
                  id="memberships-strings"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -200,6 +201,21 @@ class TestRoundTrips:
         path.write_text('["nope"]', encoding="utf-8")
         with pytest.raises(ValueError, match="invalid profile"):
             load_profile(path)
+
+    @pytest.mark.parametrize("wf", ["true", '"5"', "null", "NaN", "Infinity", "-1", "10000.5",
+                                    "1" + "0" * 400])
+    def test_profile_rejects_wf_outside_json_numbers_in_range(self, tmp_path, wf):
+        path = tmp_path / "bad.profile.json"
+        path.write_text(f'{{"label": "x", "wf": {{"ball": 2.5, "team": {wf}}}}}', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"invalid profile file: {path}")):
+            load_profile(path)
+
+    def test_profile_keeps_bounds_and_converts_ints(self, tmp_path):
+        path = tmp_path / "ok.profile.json"
+        path.write_text('{"label": "x", "wf": {"a": 0, "b": 10000, "c": 0.5}}', encoding="utf-8")
+        loaded = load_profile(path)
+        assert loaded.wf == {"a": 0.0, "b": 10000.0, "c": 0.5}
+        assert all(type(v) is float for v in loaded.wf.values())
 
 
 class TestProperties:

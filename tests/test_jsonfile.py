@@ -1,8 +1,13 @@
 import json
 import os
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzydocs.jsonfile import read_json, temporary_path, write_json
 
@@ -12,13 +17,60 @@ def leftovers(directory):
 
 
 def test_format(tmp_path):
+    """One top-level element or member per line, each as json.dumps writes it."""
+    shapes = [
+        ({"label": "sports", "wf": {"ball": 12.5, "team": 0.1}, "rows": [[1, 2], []]},
+         '{\n  "label": "sports",\n  "wf": {"ball": 12.5, "team": 0.1},\n'
+         '  "rows": [[1, 2], []]\n}\n'),
+        (["team", 1, 2.5, None, True, {"a": [1, {"b": {}}]}],
+         '[\n  "team",\n  1,\n  2.5,\n  null,\n  true,\n  {"a": [1, {"b": {}}]}\n]\n'),
+        ({}, "{}\n"),
+        ([], "[]\n"),
+        (0.1, "0.1\n"),
+        ("café", '"café"\n'),
+        ({"étiquette": ["café", "naïve ☃"]}, '{\n  "étiquette": ["café", "naïve ☃"]\n}\n'),
+    ]
     path = tmp_path / "out.json"
-    payload = {"label": "café", "wf": {"ball": 12.5, "team": 0.1}, "rows": [[1, 2]]}
-    write_json(payload, path)
-    expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    assert path.read_bytes() == expected.encode("utf-8")
-    assert read_json(path) == payload
+    for payload, expected in shapes:
+        write_json(payload, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_json(path) == payload
     assert leftovers(tmp_path) == []
+
+
+def test_keys_as_json_dumps_writes_them(tmp_path):
+    path = tmp_path / "out.json"
+    payload = {1: "int", 2.5: "float", False: "bool", None: "null", "1": "str"}
+    write_json(payload, path)
+    text = path.read_text("utf-8")
+    assert text == ('{\n  "1": "int",\n  "2.5": "float",\n  "false": "bool",\n'
+                    '  "null": "null",\n  "1": "str"\n}\n')
+    assert text == json.dumps(payload, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        write_json({(1, 2): "tuple"}, path)
+    assert leftovers(tmp_path) == []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_round_trip_in_c_and_python(value):
+    """Every value reads back equal, and the pure-Python encoder writes the
+    same bytes as the C one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write_json(value, path)
+        written = path.read_bytes()
+        assert read_json(path) == value
+        with mock.patch("json.encoder.c_make_encoder", None):
+            write_json(value, path)
+        assert path.read_bytes() == written
 
 
 def test_creates_missing_directory(tmp_path):
@@ -47,6 +99,16 @@ def test_failed_write_keeps_previous_file(tmp_path):
     # the encoder has streamed the first key before it meets the set
     with pytest.raises(TypeError):
         write_json({"rows": list(range(1000)), "bad": {1, 2}}, path)
+    assert path.read_bytes() == b"previous\n"
+    assert leftovers(tmp_path) == []
+
+
+def test_unencodable_later_member_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"previous\n")
+    # the first member outgrows the write buffer, so it reaches the file
+    with pytest.raises(ValueError, match=re.escape(f"cannot write {path}")):
+        write_json({"text": "x" * 100_000, "bad": ["ok", "\udcff"]}, path)
     assert path.read_bytes() == b"previous\n"
     assert leftovers(tmp_path) == []
 

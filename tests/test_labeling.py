@@ -33,6 +33,29 @@ def final_partition() -> np.ndarray:
 SPORTS_FIRST = ("sports", "politics")
 
 
+def report(doc_id, labels, top_label, strength):
+    return {"doc_id": doc_id, "labels": labels, "top_label": top_label, "strength": strength}
+
+
+def reference_report_table(reports):
+    """The table padded one cell at a time with ljust, as render_report_table
+    did before it formatted each row with one format string."""
+    if not reports:
+        return ""
+    labels = list(reports[0]["labels"])
+    header = ["doc_id"] + labels + ["top_label", "strength"]
+    rows = [header]
+    for r in reports:
+        rows.append(
+            [r["doc_id"]]
+            + [f"{r['labels'][lab]:.4f}" for lab in labels]
+            + [r["top_label"], r["strength"]]
+        )
+    widths = [max(len(row[k]) for row in rows) for k in range(len(header))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    return "\n".join(lines)
+
+
 def brute_force_labels(centers, profiles, features):
     """Reference search: every injective assignment in lexicographic label
     order, each distance computed afresh, the first strict minimum kept."""
@@ -266,3 +289,26 @@ class TestReportFiles:
 
     def test_render_empty(self):
         assert render_report_table([]) == ""
+
+    @pytest.mark.parametrize("reports", [
+        pytest.param(classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST),
+                     id="worked-example"),
+        pytest.param([report("d", {"a-much-longer-label": 0.25, "b": 0.75}, "b", "moderate")],
+                     id="long-label"),
+        pytest.param([report("doc-" + "x" * 40, {"a": 0.5, "b": 0.5}, "a", "ambiguous"),
+                      report("d2", {"a": 1.0, "b": 0.0}, "a", "strong")], id="long-doc-id"),
+        pytest.param([report("d1", {"a": 0.0, "b": 1.0}, "b", "strong"),
+                      report("d2", {"a": 1.0, "b": 0.0}, "a", "strong")], id="zero-and-one"),
+        pytest.param([report("d1", {"only": 1.0}, "only", "strong"),
+                      report("d2", {"only": 1.0}, "only", "strong")], id="one-cluster"),
+        pytest.param([report("d1", {"a": -0.0, "b": 12.5}, "b", "x"),
+                      report("d2", {"a": float("nan"), "b": -3.25}, "a", "y"),
+                      report("d3", {"a": float("inf"), "b": 0.99999}, "a", "z")],
+                     id="outside-unit-interval"),
+        pytest.param([report("d1", {"a": float("nan"), "b": float("-inf")}, "a", "x")],
+                     id="no-finite-degree"),
+        pytest.param([], id="empty"),
+    ])
+    def test_render_matches_cell_by_cell_table(self, reports):
+        assert render_report_table(reports) == reference_report_table(reports)
+
