@@ -38,8 +38,8 @@ def report(doc_id, labels, top_label, strength):
 
 
 def reference_report_table(reports):
-    """The table padded one cell at a time with ljust, as render_report_table
-    did before it formatted each row with one format string."""
+    """The table padded one cell at a time with ljust: the reference that
+    render_report_table must match byte for byte."""
     if not reports:
         return ""
     labels = list(reports[0]["labels"])
