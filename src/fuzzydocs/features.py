@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -84,39 +85,61 @@ def select_features(
 ) -> FeatureSet:
     """Pick the terms whose WF differs most between labeled profiles.
 
-    Each term is scored by :func:`discrimination_ratio` over the
-    profiles, a term missing from a profile counting as WF 0. Terms with
-    score >= min_ratio and best-label WF >= min_wf qualify; the top_k
-    qualifiers are returned in descending score order, ties broken
-    lexicographically.
+    Walks :func:`score_terms`' ranking, descending score with ties
+    broken lexicographically, and stops at the first score below
+    min_ratio or once it has top_k terms. A term it visits is kept when
+    its best-label WF is >= min_wf. Every WF must be in [0, WF_SCALE]
+    (``ValueError`` naming the profile's label otherwise).
     """
     if len(profiles) < 2:
         raise ValueError("need at least two labeled profiles")
     if top_k < 1:
         raise ValueError("top_k must be positive")
-    scored = [(term, ratio) for term, ratio in score_terms(profiles) if ratio >= min_ratio]
-    selected = [term for term, ratio in scored
-                if max(p.wf.get(term, 0.0) for p in profiles) >= min_wf]
+    selected = []
+    for term, ratio in score_terms(profiles):
+        if not ratio >= min_ratio or len(selected) == top_k:
+            break
+        if max(p.wf.get(term, 0.0) for p in profiles) >= min_wf:
+            selected.append(term)
     if not selected:
         raise ValueError("no discriminative features")
-    return selected[:top_k]
+    return selected
 
 
 def score_terms(profiles: Sequence[LabeledProfile]) -> list[tuple[str, float]]:
     """Discrimination ratio of every term seen in any profile, sorted by
-    descending ratio (ties lexicographic)."""
-    universe = sorted({t for p in profiles for t in p.wf})
-    scored = [(term, discrimination_ratio([p.wf.get(term, 0.0) for p in profiles]))
-              for term in universe]
-    scored.sort(key=lambda tr: (-tr[1], tr[0]))
-    return scored
+    descending ratio (ties lexicographic).
+
+    The ratios come from one L x V table of WFs, a row per profile and a
+    column per term, a term missing from a profile counting as WF 0.
+    Each WF must be in [0, WF_SCALE], the range :func:`load_profile`
+    checks in a file: a NaN, negative or larger WF raises ``ValueError``
+    naming its profile's label.
+    """
+    if not profiles:
+        return []
+    terms = list(dict.fromkeys(chain.from_iterable(p.wf for p in profiles)))
+    table = np.array([np.fromiter(map(p.wf.get, terms, repeat(0.0)), dtype=float, count=len(terms))
+                      for p in profiles])
+    in_range = _wfs_in_range(table, axis=1)
+    if not in_range.all():
+        label = profiles[int(in_range.argmin())].label
+        raise ValueError(f"WF outside [0, {WF_SCALE:g}] in profile {label!r}")
+    # Python orders the terms: a numpy string array would be as wide as
+    # the longest term and would drop trailing NULs
+    by_term = np.array(sorted(range(len(terms)), key=terms.__getitem__), dtype=np.intp)
+    ratios = discrimination_ratio(table)[by_term]
+    ranked = np.argsort(-ratios, kind="stable")
+    return list(zip(map(terms.__getitem__, by_term[ranked].tolist()), ratios[ranked].tolist()))
 
 
-def discrimination_ratio(wfs: Sequence[float]) -> float:
-    """How much one term's WF differs between labels: ``max(wfs) /
-    (min(wfs) + 1)`` over its WF in each profile; the +1 keeps a term
-    absent from one label finitely ranked."""
-    return max(wfs) / (min(wfs) + 1.0)
+def discrimination_ratio(wfs) -> float | np.ndarray:
+    """How much a term's WF differs between labels: ``max / (min + 1)``
+    over its WF in each profile, reduced over axis 0, so a list of one
+    term's WFs gives one ratio and an L x V table a ratio per column. The
+    +1 keeps a term absent from one label finitely ranked."""
+    wfs = np.asarray(wfs, dtype=float)
+    return wfs.max(axis=0) / (wfs.min(axis=0) + 1.0)
 
 
 def vectorize(terms: Sequence[str], features: Sequence[str]) -> tuple[float, ...]:
@@ -166,4 +189,10 @@ def _wf_values(wf: dict) -> np.ndarray | None:
         a = np.fromiter(wf.values(), dtype=float, count=len(wf))
     except OverflowError:  # an integer past the float range
         return None
-    return a if np.all((a >= 0) & (a <= WF_SCALE)) else None  # NaN fails both
+    return a if _wfs_in_range(a) else None
+
+
+def _wfs_in_range(a: np.ndarray, axis: int | None = None):
+    """Whether the WFs in ``a`` (along ``axis``) are all in [0, WF_SCALE];
+    NaN fails both bounds."""
+    return np.all((a >= 0) & (a <= WF_SCALE), axis=axis)

@@ -121,6 +121,42 @@ class TestFeaturesCommand:
         assert [line.split()[0] for line in lines[1:-1]] == selected
         assert lines[-1].startswith("---- selected 5 feature(s): top_k=50 ")
 
+    def test_ratio_table_golden(self, tmp_path, capsys):
+        sports, politics = make_sample_dirs(tmp_path)
+        code = main([
+            "features", "--samples", f"sports={sports}", "--samples", f"politics={politics}",
+            "--config", str(write_plain_config(tmp_path)), "--out", str(tmp_path / "features.json"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "term       wf[politics]  wf[sports]     ratio\n"
+            "stadium          0.0000    150.0000  150.0000\n"
+            "democracy      140.0000      0.0000  140.0000\n"
+            "candidate       40.0000      0.0000   40.0000\n"
+            "ball            30.0000    400.0000   12.9032\n"
+            "team            80.0000    200.0000    2.4691\n"
+            "---- selected 5 feature(s): top_k=50 min_ratio=2 min_wf=5 ----\n"
+        )
+
+    def test_one_term_corpus_has_the_largest_wf(self, tmp_path, capsys):
+        # a profile built from a corpus of one repeated term holds WF
+        # 10000, the top of the range select_features accepts
+        sports, politics = tmp_path / "sports", tmp_path / "politics"
+        sports.mkdir()
+        politics.mkdir()
+        (sports / "s1.txt").write_text("ball ball ball", encoding="utf-8")
+        (politics / "p1.txt").write_text("vote ball", encoding="utf-8")
+        code = main([
+            "features", "--samples", f"sports={sports}", "--samples", f"politics={politics}",
+            "--config", str(write_plain_config(tmp_path)), "--out", str(tmp_path / "features.json"),
+        ])
+        assert code == 0
+        assert json.loads((tmp_path / "sports.profile.json").read_text(encoding="utf-8"))["wf"] == {
+            "ball": 10000.0}
+        assert json.loads((tmp_path / "features.json").read_text(encoding="utf-8")) == ["vote"]
+        assert capsys.readouterr().out.splitlines()[1].split() == [
+            "vote", "5000.0000", "0.0000", "5000.0000"]
+
     def test_single_sample_is_usage_error(self, tmp_path):
         sports, _ = make_sample_dirs(tmp_path)
         assert main(["features", "--samples", f"sports={sports}"]) == 2

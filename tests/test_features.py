@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import goldens
 from fuzzydocs.features import (
+    WF_SCALE,
     LabeledProfile,
     build_profile,
     discrimination_ratio,
@@ -19,6 +20,47 @@ from fuzzydocs.features import (
     word_frequency,
 )
 from fuzzydocs.preprocess import preprocess_document
+
+
+def reference_score_terms(profiles):
+    """The per-term scoring that the one-table :func:`score_terms`
+    replaced: one ``max / (min + 1)`` in Python per term, sorted by
+    ``(-ratio, term)``."""
+    universe = sorted({t for p in profiles for t in p.wf})
+    scored = []
+    for term in universe:
+        wfs = [p.wf.get(term, 0.0) for p in profiles]
+        scored.append((term, max(wfs) / (min(wfs) + 1.0)))
+    scored.sort(key=lambda tr: (-tr[1], tr[0]))
+    return scored
+
+
+def reference_select_features(profiles, top_k, min_ratio, min_wf):
+    """Filter the whole reference ranking, then truncate to top_k."""
+    scored = [(term, ratio) for term, ratio in reference_score_terms(profiles)
+              if ratio >= min_ratio]
+    selected = [term for term, ratio in scored
+                if max(p.wf.get(term, 0.0) for p in profiles) >= min_wf]
+    if not selected:
+        raise ValueError("no discriminative features")
+    return selected[:top_k]
+
+
+def selection_or_error(select, *args):
+    try:
+        return select(*args)
+    except ValueError as e:
+        return str(e)
+
+
+# Few distinct values, so that ratios tie; integers as well as floats;
+# terms that are non-ASCII, hold NUL, or are missing from some profiles.
+wf_values = st.one_of(st.sampled_from([0.0, 1.0, 19.0, 40.0, 10000.0]),
+                      st.integers(0, int(WF_SCALE)), st.floats(0.0, WF_SCALE))
+profile_lists = st.lists(
+    st.dictionaries(st.text("ab\x00\xe9\u65e5", max_size=3), wf_values, max_size=6),
+    min_size=2, max_size=4,
+).map(lambda wfs: [LabeledProfile(f"l{i}", wf) for i, wf in enumerate(wfs)])
 
 # A clustering-explainer paragraph; after stemming, "observation" maps
 # to "observ" (twice) and "centre" to "centr" (once).
@@ -121,6 +163,9 @@ class TestSelectFeatures:
         # the +1 keeps a term absent from one label finitely ranked
         assert discrimination_ratio([100.0, 0.0]) == 100.0
         assert discrimination_ratio([19.0, 40.0, 29.0]) == 2.0
+        # a profiles x terms table gives one ratio per term
+        table = [[100.0, 19.0, 0.0], [0.0, 40.0, 0.0], [50.0, 29.0, 0.0]]
+        assert discrimination_ratio(table).tolist() == [100.0, 2.0, 0.0]
 
     def test_top_k_truncates(self, profiles):
         assert select_features(profiles, top_k=2) == ["democracy", "stadium"]
@@ -143,6 +188,30 @@ class TestSelectFeatures:
     def test_selected_features_have_support(self, profiles):
         for term in select_features(profiles, top_k=4):
             assert any(p.wf.get(term, 0.0) > 0.0 for p in profiles)
+
+    def test_tie_break_is_python_string_order(self):
+        # a numpy string array would drop the trailing NUL and see one term
+        p = LabeledProfile("a", {"a\0": 40.0, "a": 40.0})
+        q = LabeledProfile("b", {"a": 19.0, "a\0": 19.0})
+        assert score_terms([p, q]) == [("a", 2.0), ("a\0", 2.0)]
+        assert select_features([p, q]) == ["a", "a\0"]
+
+    @pytest.mark.parametrize("wf", [math.nan, -1, -0.5, 10000.5, math.inf])
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_wf_outside_range_names_its_profile(self, wf, bad_first):
+        good = LabeledProfile("good", {"x": 5.0, "y": 40.0})
+        bad = LabeledProfile("bad", {"x": wf, "y": 1.0})
+        profiles = [bad, good] if bad_first else [good, bad]
+        message = re.escape("WF outside [0, 10000] in profile 'bad'")
+        with pytest.raises(ValueError, match=message):
+            score_terms(profiles)
+        with pytest.raises(ValueError, match=message):
+            select_features(profiles)
+
+    def test_wf_range_bounds_are_accepted(self):
+        p = LabeledProfile("a", {"x": 0, "y": 10000})
+        q = LabeledProfile("b", {"x": 0.0, "y": 10000.0})
+        assert score_terms([p, q]) == [("y", 10000.0 / 10001.0), ("x", 0.0)]
 
 
 class TestVectorize:
@@ -239,3 +308,30 @@ class TestProperties:
         p = LabeledProfile("p", wf1)
         q = LabeledProfile("q", wf2)
         assert score_terms([p, q]) == score_terms([q, p])
+
+    @given(profile_lists)
+    def test_score_terms_equals_reference(self, profiles):
+        scored = score_terms(profiles)
+        assert scored == reference_score_terms(profiles)  # ratios compared with ==
+        assert all(type(ratio) is float for _, ratio in scored)
+
+    @given(profile_lists, st.sampled_from([0.0, 0.5, 2.0, 100.0]),
+           st.sampled_from([0.0, 5.0, 100.0]))
+    def test_select_features_equals_reference(self, profiles, min_ratio, min_wf):
+        qualifying = selection_or_error(reference_select_features, profiles, 10**9,
+                                        min_ratio, min_wf)
+        n = len(qualifying) if isinstance(qualifying, list) else 0
+        # top_k below, at and above the number of qualifying terms
+        for top_k in {1, max(n - 1, 1), max(n, 1), n + 1}:
+            args = (profiles, top_k, min_ratio, min_wf)
+            assert (selection_or_error(select_features, *args)
+                    == selection_or_error(reference_select_features, *args))
+
+    @given(st.lists(st.lists(st.sampled_from(["ball", "win", "team", "cup"]), min_size=1,
+                             max_size=30), min_size=1, max_size=3),
+           st.lists(st.sampled_from(["ball", "vote", "cup"]), min_size=1, max_size=30))
+    def test_built_profiles_are_in_wf_range(self, docs, other):
+        # the CLI scores only build_profile's output, so the range check
+        # never stops it
+        profiles = [build_profile("a", docs), build_profile("b", [other])]
+        assert score_terms(profiles) == reference_score_terms(profiles)
