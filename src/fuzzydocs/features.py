@@ -112,19 +112,20 @@ def score_terms(profiles: Sequence[LabeledProfile]) -> list[tuple[str, float]]:
 
     The ratios come from one L x V table of WFs, a row per profile and a
     column per term, a term missing from a profile counting as WF 0.
-    Each WF must be in [0, WF_SCALE], the range :func:`load_profile`
-    checks in a file: a NaN, negative or larger WF raises ``ValueError``
-    naming its profile's label.
+    Each WF must pass the check :func:`load_profile` makes in a file, an
+    int or float in [0, WF_SCALE]: a bool, NaN, negative or larger WF
+    raises ``ValueError`` naming its profile's label.
     """
     if not profiles:
         return []
     terms = list(dict.fromkeys(chain.from_iterable(p.wf for p in profiles)))
-    table = np.array([np.fromiter(map(p.wf.get, terms, repeat(0.0)), dtype=float, count=len(terms))
-                      for p in profiles])
-    in_range = _wfs_in_range(table, axis=1)
-    if not in_range.all():
-        label = profiles[int(in_range.argmin())].label
-        raise ValueError(f"WF outside [0, {WF_SCALE:g}] in profile {label!r}")
+    rows = []
+    for p in profiles:
+        row = _wf_values(p.wf, map(p.wf.get, terms, repeat(0.0)))
+        if row is None:
+            raise ValueError(f"WF outside [0, {WF_SCALE:g}] in profile {p.label!r}")
+        rows.append(row)
+    table = np.array(rows)
     # Python orders the terms: a numpy string array would be as wide as
     # the longest term and would drop trailing NULs
     by_term = np.array(sorted(range(len(terms)), key=terms.__getitem__), dtype=np.intp)
@@ -174,25 +175,22 @@ def save_profile(profile: LabeledProfile, path: str | Path) -> None:
 def load_profile(path: str | Path) -> LabeledProfile:
     raw = read_json(path)
     label, wf = (raw.get("label"), raw.get("wf")) if isinstance(raw, dict) else (None, None)
-    values = _wf_values(wf) if isinstance(label, str) and label and isinstance(wf, dict) else None
+    values = (_wf_values(wf, wf.values()) if isinstance(label, str) and label
+              and isinstance(wf, dict) else None)
     if values is None:
         raise ValueError(f"invalid profile file: {path}")
     return LabeledProfile(label, dict(zip(wf, values.tolist())))
 
 
-def _wf_values(wf: dict) -> np.ndarray | None:
-    """The WFs as floats, or None unless each is a JSON number in [0, WF_SCALE]."""
+def _wf_values(wf: dict, values: Iterable) -> np.ndarray | None:
+    """``values``, WFs drawn from ``wf`` (0 for a term it lacks), as floats,
+    or None unless each WF in ``wf`` is an int or float in [0, WF_SCALE]."""
     # by type, since ``true`` loads as a bool, a subclass of int
-    if not {type(v) for v in wf.values()} <= {int, float}:
+    if not set(map(type, wf.values())) <= {int, float}:
         return None
     try:
-        a = np.fromiter(wf.values(), dtype=float, count=len(wf))
+        a = np.fromiter(values, dtype=float)
     except OverflowError:  # an integer past the float range
         return None
-    return a if _wfs_in_range(a) else None
-
-
-def _wfs_in_range(a: np.ndarray, axis: int | None = None):
-    """Whether the WFs in ``a`` (along ``axis``) are all in [0, WF_SCALE];
-    NaN fails both bounds."""
-    return np.all((a >= 0) & (a <= WF_SCALE), axis=axis)
+    # NaN fails both bounds
+    return a if np.all((a >= 0) & (a <= WF_SCALE)) else None

@@ -4,8 +4,14 @@ per-document strength reports.
 A labelling is a tuple of profile labels indexed by cluster: ``labels[j]``
 names cluster j. It is chosen jointly: each center-to-profile Euclidean
 distance is computed once, and over all injective cluster-to-label
-assignments the one with the smallest total distance wins; among equal
-totals, the lexicographically smallest label sequence. Membership
+assignments the one with the smallest total distance wins; totals within
+``TIE_TOLERANCE * max(T*, 1)`` of the smallest total T* count as equal,
+and among those the lexicographically smallest label sequence wins. The
+optimum is found as a rectangular linear assignment by shortest
+augmenting paths (Jonker & Volgenant 1987; Crouse 2016), in O(c^2 L)
+for c clusters and L labels, and the tie rule re-solves at most c L
+residual problems, so the cost is polynomial, not the L!/(L-c)! label
+sequences of a search. Membership
 strength is read off the partition column: a dominant degree is "strong",
 a flat column is "ambiguous", everything else "moderate".
 
@@ -17,7 +23,6 @@ or left as it was.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -37,6 +42,9 @@ __all__ = [
 
 STRONG_THRESHOLD_DEFAULT = 0.85
 AMBIGUITY_MARGIN_DEFAULT = 0.1
+# labelling totals this close to the optimum, relative to max(optimum, 1),
+# are ties: rounding can split equal sums of distances by an ulp or two
+TIE_TOLERANCE = 1e-9
 
 
 def label_clusters(
@@ -45,10 +53,19 @@ def label_clusters(
     features: Sequence[str],
 ) -> tuple[str, ...]:
     """The label of each cluster, matched by minimum total center-to-profile
-    distance over injective assignments; ties resolve to the
-    lexicographically smallest label sequence.
+    distance over injective assignments.
+
+    centers is c x len(features), a row per cluster. Totals within
+    ``TIE_TOLERANCE * max(T*, 1)`` of the optimum T* tie, and ties resolve
+    to the lexicographically smallest label sequence. The optimum comes
+    from an assignment solver in O(c^2 L) for L profiles, and the tie rule
+    adds at most c L solves of the residual problem, skipping each label
+    whose reduced cost alone already exceeds the tolerance.
     """
     centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != len(features):
+        raise ValueError(f"centers must be a c x {len(features)} array (a row per cluster, "
+                         f"a column per feature), got shape {centers.shape}")
     c = centers.shape[0]
     if len(profiles) < c:
         raise ValueError("insufficient profiles")
@@ -57,13 +74,78 @@ def label_clusters(
     if len(set(labels)) != len(labels):
         raise ValueError("profile labels must be unique")
     vectors = [np.array([p.wf.get(t, 0.0) for t in features], dtype=float) for p in profiles]
-    dist = [[float(np.linalg.norm(center - vector)) for vector in vectors] for center in centers]
+    dist = np.array([[float(np.linalg.norm(center - vector)) for vector in vectors]
+                     for center in centers]).reshape(c, len(labels))
     if not np.all(np.isfinite(dist)):
         raise ValueError("centers and profile WFs must be finite")
-    # permutations come in lexicographic order and min keeps the first minimum
-    best = min(itertools.permutations(range(len(labels)), c),
-               key=lambda ks: sum(row[k] for row, k in zip(dist, ks)))
-    return tuple(labels[k] for k in best)
+    return tuple(labels[k] for k in _first_best_assignment(dist).tolist())
+
+
+def _first_best_assignment(cost: np.ndarray) -> np.ndarray:
+    """The lexicographically smallest column sequence, one distinct column
+    per row of the c x L table, whose total is within the tie tolerance of
+    the optimum: each row in turn takes the smallest free column that the
+    optimum of the rows after it can still complete within the tolerance."""
+    c, n_cols = cost.shape
+    rows = np.arange(c)
+    cols, u, v = _assign(cost)
+    best = cost[rows, cols].sum()
+    slack = TIE_TOLERANCE * max(best, 1.0)
+    # an assignment through (i, k) totals at least best + reduced[i, k]
+    reduced = cost - u[:, None] - v
+    free = np.ones(n_cols, dtype=bool)
+    for i in range(c):
+        for k in np.flatnonzero(free[:cols[i]] & (reduced[i, :cols[i]] <= slack)).tolist():
+            free[k] = False
+            rest = np.flatnonzero(free)
+            trial = np.concatenate([cols[:i], [k], rest[_assign(cost[i + 1:, rest])[0]]])
+            if cost[rows, trial].sum() <= best + slack:
+                cols = trial
+                break
+            free[k] = True
+        free[cols[i]] = False
+    return cols
+
+
+def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A minimum-total assignment of the rows of a c x L table, c <= L, to
+    distinct columns, as ``(col of each row, u, v)``: shortest augmenting
+    paths adding one row at a time (Crouse, IEEE Trans. AES 52(4), 2016).
+    The duals satisfy ``cost - u[:, None] - v >= 0``, with equality on the
+    assignment, and ``v <= 0``, zero on the columns left free."""
+    c, n_cols = cost.shape
+    u, v = np.zeros(c), np.zeros(n_cols)
+    col_of = np.full(c, -1)
+    row_of = np.full(n_cols, -1)
+    for start in range(c):
+        shortest = np.full(n_cols, np.inf)
+        via = np.full(n_cols, -1)
+        seen_rows = np.zeros(c, dtype=bool)
+        seen_cols = np.zeros(n_cols, dtype=bool)
+        i, low = start, 0.0
+        while True:  # grow the shortest-path tree until it reaches a free column
+            seen_rows[i] = True
+            reach = low + cost[i] - u[i] - v
+            closer = ~seen_cols & (reach < shortest)
+            shortest[closer] = reach[closer]
+            via[closer] = i
+            j = int(np.argmin(np.where(seen_cols, np.inf, shortest)))
+            low = shortest[j]
+            seen_cols[j] = True
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        u[start] += low
+        seen_rows[start] = False
+        u[seen_rows] += low - shortest[col_of[seen_rows]]
+        v[seen_cols] -= low - shortest[seen_cols]
+        while True:  # flip the path back to the start row
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    return col_of, u, v
 
 
 def classify_strength(

@@ -9,6 +9,7 @@ import pytest
 
 import fuzzydocs
 import goldens
+from fuzzydocs.fcm import FcmResult, save_result
 from fuzzydocs.features import LabeledProfile, save_feature_set, save_profile
 from fuzzydocs.cli import main
 
@@ -599,6 +600,28 @@ class TestReportCommand:
             assert code == 0
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1]
+
+    def test_many_profiles_finish_in_time(self, tmp_path):
+        # 13! label sequences for 12 clusters: a search over them ran for
+        # over an hour; the process gets 60 s, start-up included
+        rng = np.random.default_rng(2)
+        features = [f"t{i}" for i in range(5)]
+        u = rng.random((12, 30))
+        result = FcmResult(u / u.sum(axis=0), rng.integers(0, 3, (12, 5)) * 1.0, 1, (1.0,),
+                           (0.0,), True)
+        save_result(result, [f"d{i:02d}" for i in range(30)], features, tmp_path / "result.json")
+        argv = ["report", "--result", "result.json", "--out", "report.json"]
+        for k in range(13):
+            wf = dict(zip(features, rng.integers(0, 3, 5) * 1.0))
+            save_profile(LabeledProfile(f"l{k:02d}", wf), tmp_path / f"l{k:02d}.profile.json")
+            argv += ["--profiles", f"l{k:02d}.profile.json"]
+        env = {**os.environ, "PYTHONPATH": str(Path(fuzzydocs.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "fuzzydocs.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reports = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert len({r["top_label"] for r in reports}) > 1
+        assert len(reports[0]["labels"]) == 12
 
 
 def command_argv(tmp_path, command):

@@ -208,6 +208,22 @@ class TestSelectFeatures:
         with pytest.raises(ValueError, match=message):
             select_features(profiles)
 
+    @pytest.mark.parametrize("wf", [
+        pytest.param(True, id="bool"),
+        pytest.param(10 ** 400, id="int-past-float"),
+        pytest.param("5", id="str"),
+    ])
+    def test_wf_not_a_number_names_its_profile(self, wf):
+        # the type rule load_profile applies to a file
+        good = LabeledProfile("good", {"x": 5.0, "y": 40.0})
+        bad = LabeledProfile("bad", {"x": 1.0, "y": wf})
+        message = re.escape("WF outside [0, 10000] in profile 'bad'")
+        for profiles in ([bad, good], [good, bad]):
+            with pytest.raises(ValueError, match=message):
+                score_terms(profiles)
+            with pytest.raises(ValueError, match=message):
+                select_features(profiles)
+
     def test_wf_range_bounds_are_accepted(self):
         p = LabeledProfile("a", {"x": 0, "y": 10000})
         q = LabeledProfile("b", {"x": 0.0, "y": 10000.0})

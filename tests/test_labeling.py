@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import goldens
 from fuzzydocs.features import LabeledProfile
 from fuzzydocs.labeling import (
+    TIE_TOLERANCE,
     classify_strength,
     label_clusters,
     rank_documents,
@@ -58,16 +60,16 @@ def reference_report_table(reports):
 
 def brute_force_labels(centers, profiles, features):
     """Reference search: every injective assignment in lexicographic label
-    order, each distance computed afresh, the first strict minimum kept."""
+    order, each distance computed afresh, and the first whose total is
+    within the tie tolerance of the minimum kept."""
     vectors = {p.label: np.array([p.wf.get(t, 0.0) for t in features], dtype=float)
                for p in profiles}
-    best, best_total = None, np.inf
-    for labels in itertools.permutations(sorted(vectors), len(centers)):
-        total = sum(float(np.linalg.norm(centers[j] - vectors[lab]))
-                    for j, lab in enumerate(labels))
-        if total < best_total:
-            best, best_total = labels, total
-    return best
+    totals = [(labels, sum(float(np.linalg.norm(centers[j] - vectors[lab]))
+                           for j, lab in enumerate(labels)))
+              for labels in itertools.permutations(sorted(vectors), len(centers))]
+    best = min(total for _, total in totals)
+    return next(labels for labels, total in totals
+                if total <= best + TIE_TOLERANCE * max(best, 1.0))
 
 
 @st.composite
@@ -150,6 +152,55 @@ class TestLabelClusters:
         # remote in the selected dimensions, so it should never win
         extra = LabeledProfile("weather", {"stadium": 9000.0, "rain": 400.0})
         assert label_clusters(CENTERS, profiles + [extra], FEATURES) == SPORTS_FIRST
+
+    def test_totals_split_by_rounding_tie(self):
+        # sqrt(2) + sqrt(8) and 0 + sqrt(18) are both 3 sqrt(2), but their
+        # float sums differ in the last bit
+        profiles = [LabeledProfile("a", {"x": 0.0, "y": 0.0}),
+                    LabeledProfile("b", {"x": 1.0, "y": 1.0})]
+        centers = np.array([[1.0, 1.0], [3.0, 3.0]])
+        assert 2 ** 0.5 + 8 ** 0.5 != 18 ** 0.5
+        assert label_clusters(centers, profiles, ["x", "y"]) == ("a", "b")
+
+    @pytest.mark.parametrize("centers", [
+        pytest.param(np.array([1.0, 9.0]), id="1-d"),
+        pytest.param(np.ones((2, 4, 1)), id="3-d"),
+        pytest.param(np.ones((2, 3)), id="narrow"),
+        pytest.param(np.ones((2, 5)), id="wide"),
+    ])
+    def test_centers_shape_checked(self, profiles, centers):
+        with pytest.raises(ValueError, match=r"centers must be a c x 4 array .*got shape"):
+            label_clusters(centers, profiles, FEATURES)
+
+    def test_many_labels_in_polynomial_time(self):
+        # 20!/4! label sequences: a search over them would never finish
+        rng = np.random.default_rng(5)
+        features = [f"t{i}" for i in range(6)]
+        profiles = [LabeledProfile(f"l{k:02d}", dict(zip(features, rng.integers(0, 3, 6) * 1.0)))
+                    for k in range(20)]
+        centers = rng.integers(0, 3, (16, 6)) * 1.0
+        start = time.perf_counter()
+        labels = label_clusters(centers, profiles, features)
+        assert time.perf_counter() - start < 5.0
+        assert len(set(labels)) == 16
+
+    def test_total_matches_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_labels = int(rng.integers(1, 21))
+            c = int(rng.integers(1, n_labels + 1))
+            m = int(rng.integers(1, 6))
+            features = [f"t{i}" for i in range(m)]
+            vectors = rng.random((n_labels, m)) * 100
+            centers = rng.random((c, m)) * 100
+            profiles = [LabeledProfile(f"l{k:02d}", dict(zip(features, vec)))
+                        for k, vec in enumerate(vectors.tolist())]
+            dist = np.linalg.norm(centers[:, None, :] - vectors[None, :, :], axis=2)
+            rows, cols = optimize.linear_sum_assignment(dist)
+            labels = label_clusters(centers, profiles, features)
+            total = dist[np.arange(c), [int(lab[1:]) for lab in labels]].sum()
+            assert total == pytest.approx(dist[rows, cols].sum(), rel=1e-9)
 
 
 class TestClassifyStrength:
