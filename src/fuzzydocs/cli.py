@@ -268,7 +268,7 @@ def cmd_cluster(s: dict) -> int:
         rows.append(vectorize(terms, selected))
     if params.c > len(rows):
         raise ValueError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
-    if init is not None:
+    if "init_file" in s:  # a file holding null is no partition either
         try:
             validate_partition(init, n=len(rows), c=params.c)
         except ValueError as exc:

@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import WF_SCALE
-from .jsonfile import read_json, write_json
+from .features import WF_SCALE, _is_feature_set
+from .jsonfile import checked_numbers, read_json, write_json
 
 __all__ = [
     "FeatureMatrix",
@@ -85,18 +85,10 @@ class FeatureMatrix:
 
 
 def _checked_matrix(value, what: str, high: float) -> np.ndarray:
-    """value as a non-empty 2-d float64 array of numbers in [0, high]."""
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:  # not numbers, or ragged rows
-        raise ValueError(f"{what} must be numbers: {exc}") from exc
+    """value as a non-empty 2-d float64 array that passes ``checked_numbers``."""
+    a = checked_numbers(value, what, high, 2)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"{what} must be a 2-d non-empty matrix")
-    # the conversion reads "0.5" and true as numbers; JSON rows may hold them
-    if isinstance(value, list) and {type(v) for row in value for v in row} & {bool, str}:
-        raise ValueError(f"{what} must be numbers")
-    if not np.all(np.isfinite(a)) or a.min() < 0.0 or a.max() > high:
-        raise ValueError(f"{what} must lie in [0, {high:g}]")
     return a
 
 
@@ -281,7 +273,6 @@ def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
 
 def harden(u: np.ndarray) -> np.ndarray:
     """Crisp assignment: per-column argmax, ties to the lowest cluster index."""
-    u = np.asarray(u)
     return np.argmax(u, axis=0)
 
 
@@ -307,7 +298,8 @@ def save_result(
 
 def load_result(path: str | Path) -> dict:
     """A result file with memberships and centers as arrays; a file whose
-    keys, types, shapes or ranges do not match ``save_result`` raises ValueError."""
+    keys, types, shapes or ranges do not match ``save_result``, or whose
+    doc_ids or features repeat, raises ValueError."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"invalid result file {path}: not a JSON object")
@@ -316,11 +308,14 @@ def load_result(path: str | Path) -> dict:
     missing = required - raw.keys()
     if missing:
         raise ValueError(f"invalid result file {path}: missing {sorted(missing)}")
-    for key in ("doc_ids", "features"):
-        if not isinstance(raw[key], list) or not all(isinstance(s, str) for s in raw[key]):
-            raise ValueError(f"invalid result file {path}: {key} must be a list of strings")
+    doc_ids = raw["doc_ids"]
+    if not (isinstance(doc_ids, list) and all(isinstance(s, str) for s in doc_ids)
+            and len(set(doc_ids)) == len(doc_ids)):
+        raise ValueError(f"invalid result file {path}: doc_ids must be a list of unique strings")
+    if not _is_feature_set(raw["features"]):  # as load_feature_set requires
+        raise ValueError(f"invalid result file {path}: features must be unique non-empty strings")
     try:
-        u = validate_partition(raw["memberships"], n=len(raw["doc_ids"]))
+        u = validate_partition(raw["memberships"], n=len(doc_ids))
         v = _checked_matrix(raw["centers"], "centers", WF_SCALE)  # weighted means of WF rows
     except ValueError as exc:
         raise ValueError(f"invalid result file {path}: {exc}") from exc

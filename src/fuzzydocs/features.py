@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonfile import read_json, write_json
+from .jsonfile import checked_numbers, read_json, write_json
 
 __all__ = [
     "WF_SCALE",
@@ -112,26 +112,29 @@ def score_terms(profiles: Sequence[LabeledProfile]) -> list[tuple[str, float]]:
 
     The ratios come from one L x V table of WFs, a row per profile and a
     column per term, a term missing from a profile counting as WF 0.
-    Each WF must pass the check :func:`load_profile` makes in a file, an
-    int or float in [0, WF_SCALE]: a bool, NaN, negative or larger WF
-    raises ``ValueError`` naming its profile's label.
+    Each WF must pass :func:`fuzzydocs.jsonfile.checked_numbers`, as in a
+    profile file: a bool, a string, NaN, a negative or a larger WF raises
+    ``ValueError`` naming its profile's label.
     """
     if not profiles:
         return []
     terms = list(dict.fromkeys(chain.from_iterable(p.wf for p in profiles)))
-    rows = []
-    for p in profiles:
-        row = _wf_values(p.wf, map(p.wf.get, terms, repeat(0.0)))
-        if row is None:
-            raise ValueError(f"WF outside [0, {WF_SCALE:g}] in profile {p.label!r}")
-        rows.append(row)
-    table = np.array(rows)
+    table = _wf_table(profiles, terms)
     # Python orders the terms: a numpy string array would be as wide as
     # the longest term and would drop trailing NULs
     by_term = np.array(sorted(range(len(terms)), key=terms.__getitem__), dtype=np.intp)
     ratios = discrimination_ratio(table)[by_term]
     ranked = np.argsort(-ratios, kind="stable")
     return list(zip(map(terms.__getitem__, by_term[ranked].tolist()), ratios[ranked].tolist()))
+
+
+def _wf_table(profiles: Sequence[LabeledProfile], terms: Sequence[str]) -> np.ndarray:
+    """The WF of each term (a column) in each profile (a row), 0 where a
+    profile lacks the term; a row that fails ``checked_numbers`` raises
+    ``ValueError`` naming its profile's label."""
+    return np.array([checked_numbers(list(map(p.wf.get, terms, repeat(0.0))),
+                                     f"WFs of profile {p.label!r}", WF_SCALE, 1)
+                     for p in profiles])
 
 
 def discrimination_ratio(wfs) -> float | np.ndarray:
@@ -158,14 +161,16 @@ def save_feature_set(features: Sequence[str], path: str | Path) -> None:
 
 def load_feature_set(path: str | Path) -> FeatureSet:
     features = read_json(path)
-    if (
-        not isinstance(features, list)
-        or not features
-        or not all(isinstance(t, str) and t for t in features)
-        or len(set(features)) != len(features)
-    ):
+    if not _is_feature_set(features):
         raise ValueError(f"invalid feature set file: {path}")
     return features
+
+
+def _is_feature_set(features) -> bool:
+    """Whether a value read from JSON is a non-empty list of unique,
+    non-empty strings."""
+    return (isinstance(features, list) and all(isinstance(t, str) and t for t in features)
+            and 0 < len(set(features)) == len(features))
 
 
 def save_profile(profile: LabeledProfile, path: str | Path) -> None:
@@ -175,22 +180,7 @@ def save_profile(profile: LabeledProfile, path: str | Path) -> None:
 def load_profile(path: str | Path) -> LabeledProfile:
     raw = read_json(path)
     label, wf = (raw.get("label"), raw.get("wf")) if isinstance(raw, dict) else (None, None)
-    values = (_wf_values(wf, wf.values()) if isinstance(label, str) and label
-              and isinstance(wf, dict) else None)
-    if values is None:
+    if not (isinstance(label, str) and label and isinstance(wf, dict)):
         raise ValueError(f"invalid profile file: {path}")
+    values = checked_numbers(list(wf.values()), f"invalid profile file: {path}: WFs", WF_SCALE, 1)
     return LabeledProfile(label, dict(zip(wf, values.tolist())))
-
-
-def _wf_values(wf: dict, values: Iterable) -> np.ndarray | None:
-    """``values``, WFs drawn from ``wf`` (0 for a term it lacks), as floats,
-    or None unless each WF in ``wf`` is an int or float in [0, WF_SCALE]."""
-    # by type, since ``true`` loads as a bool, a subclass of int
-    if not set(map(type, wf.values())) <= {int, float}:
-        return None
-    try:
-        a = np.fromiter(values, dtype=float)
-    except OverflowError:  # an integer past the float range
-        return None
-    # NaN fails both bounds
-    return a if np.all((a >= 0) & (a <= WF_SCALE)) else None

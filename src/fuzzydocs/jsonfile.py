@@ -11,15 +11,25 @@ the last line has been written.
 A missing directory on the way to the target is created. A target whose
 temporary name passes the 255-byte file name limit is refused before
 anything is written.
+
+A value read from outside that should hold numbers -- a profile's WFs, a
+partition's memberships, cluster centers -- passes one rule,
+``checked_numbers``: a number is a Python or numpy int or float, never a
+bool; a list as JSON loads it holds only numbers, or at the depth of a
+matrix's rows only lists of numbers; and each number lies in [0, high].
+``is_number`` is its type test for one value.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from pathlib import Path
 
-__all__ = ["is_number", "read_json", "temporary_path", "write_json"]
+import numpy as np
+
+__all__ = ["checked_numbers", "is_number", "read_json", "temporary_path", "write_json"]
 
 NAME_MAX = 255  # bytes in one file name on Linux and macOS file systems
 
@@ -89,5 +99,35 @@ def read_json(path: str | Path):
 
 
 def is_number(value) -> bool:
-    """Whether a value read from JSON is a number; ``true`` loads as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a value is a number: a Python or numpy int or float, never a
+    bool (``true`` loads from JSON as an int)."""
+    return _number_type(type(value))
+
+
+def _number_type(kind: type) -> bool:
+    return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
+
+
+def checked_numbers(value, what: str, high: float, ndim: int) -> np.ndarray:
+    """``value`` as a float64 array, if it is a numpy array of numbers or a
+    number or a list of numbers nested up to ``ndim`` deep, as JSON loads
+    them, and each number lies in [0, high]. Otherwise ValueError, ``WHAT
+    must be numbers`` (a list nested deeper holds lists, not numbers) or
+    ``WHAT must lie in [0, HIGH]`` (NaN and an int past the float range
+    among them). The caller checks the shape."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{what} must lie in [0, {high:g}]") from None
+    except (TypeError, ValueError):  # ragged lists, or values no float() reads
+        raise ValueError(f"{what} must be numbers") from None
+    # by type, as the conversion also reads "5", true and null
+    leaves = [value]
+    for _ in range(min(a.ndim, ndim)):
+        leaves = chain.from_iterable(leaves)
+    kinds = {value.dtype.type} if isinstance(value, np.ndarray) else set(map(type, leaves))
+    if not all(map(_number_type, kinds)):
+        raise ValueError(f"{what} must be numbers")
+    if not np.all((a >= 0) & (a <= high)):  # NaN fails both bounds
+        raise ValueError(f"{what} must lie in [0, {high:g}]")
+    return a

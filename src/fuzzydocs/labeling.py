@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import LabeledProfile
-from .jsonfile import write_json
+from .features import WF_SCALE, LabeledProfile, _wf_table
+from .jsonfile import checked_numbers, write_json
 
 __all__ = [
     "label_clusters",
@@ -60,9 +60,12 @@ def label_clusters(
     to the lexicographically smallest label sequence. The optimum comes
     from an assignment solver in O(c^2 L) for L profiles, and the tie rule
     adds at most c L solves of the residual problem, skipping each label
-    whose reduced cost alone already exceeds the tolerance.
+    whose reduced cost alone already exceeds the tolerance. The centers,
+    and each profile's WFs of ``features``, must pass
+    :func:`fuzzydocs.jsonfile.checked_numbers` (``ValueError`` naming the
+    profile's label for a bad WF).
     """
-    centers = np.asarray(centers, dtype=float)
+    centers = checked_numbers(centers, "centers", WF_SCALE, 2)  # weighted means of WF rows
     if centers.ndim != 2 or centers.shape[1] != len(features):
         raise ValueError(f"centers must be a c x {len(features)} array (a row per cluster, "
                          f"a column per feature), got shape {centers.shape}")
@@ -73,11 +76,9 @@ def label_clusters(
     labels = [p.label for p in profiles]
     if len(set(labels)) != len(labels):
         raise ValueError("profile labels must be unique")
-    vectors = [np.array([p.wf.get(t, 0.0) for t in features], dtype=float) for p in profiles]
+    vectors = _wf_table(profiles, features)
     dist = np.array([[float(np.linalg.norm(center - vector)) for vector in vectors]
                      for center in centers]).reshape(c, len(labels))
-    if not np.all(np.isfinite(dist)):
-        raise ValueError("centers and profile WFs must be finite")
     return tuple(labels[k] for k in _first_best_assignment(dist).tolist())
 
 
@@ -160,9 +161,10 @@ def classify_strength(
 
     strong: top degree >= strong_threshold; ambiguous: degree spread
     (max - min) < ambiguity_margin; moderate otherwise. Strong wins when
-    both conditions hold (only possible with a single cluster).
+    both conditions hold (only possible with a single cluster). Each
+    degree must pass :func:`fuzzydocs.jsonfile.checked_numbers` in [0, 1].
     """
-    u = np.asarray(u, dtype=float)
+    u = checked_numbers(u, "memberships", 1.0, 2)
     c, n = u.shape
     validate_thresholds(strong_threshold, ambiguity_margin, c)
     _check_names(doc_ids, labels, c, n)
@@ -202,8 +204,8 @@ def rank_documents(
     label: str,
 ) -> list[tuple[str, float]]:
     """Documents ordered by descending membership in one labeled cluster,
-    ties by ascending doc_id."""
-    u = np.asarray(u, dtype=float)
+    ties by ascending doc_id; each degree must lie in [0, 1]."""
+    u = checked_numbers(u, "memberships", 1.0, 2)
     _check_names(doc_ids, labels, *u.shape)
     if label not in labels:
         raise ValueError(f"unknown label: {label}")

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzzydocs
 import goldens
@@ -482,6 +487,8 @@ class TestClusterCommand:
         pytest.param([[1.0] * 8, [0.0] * 7], id="ragged"),
         pytest.param([["0.5"] * 8, [0.5] * 8], id="numeric-strings"),
         pytest.param([[True, False] * 4, [False, True] * 4], id="booleans"),
+        pytest.param(None, id="null"),
+        pytest.param([[10 ** 400] * 8, [0] * 8], id="int-past-float"),
     ])
     def test_bad_init_file_is_data_error(self, tmp_path, capsys, init):
         path = tmp_path / "init.json"
@@ -844,6 +851,14 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, command, text):
     pytest.param("result.json",
                  lambda raw: {**raw, "memberships": [[str(v) for v in row] for row in raw["memberships"]]},
                  id="memberships-strings"),
+    # as save_result never writes it: report would print eight rows named "same"
+    pytest.param("result.json", lambda raw: {**raw, "doc_ids": ["same"] * 8,
+                                             "features": raw["features"][:3] + raw["features"][:1]},
+                 id="doc_ids-and-features-repeated"),
+    pytest.param("result.json", lambda raw: {**raw, "doc_ids": ["same"] * 8},
+                 id="doc_ids-repeated"),
+    pytest.param("result.json", lambda raw: {**raw, "features": raw["features"][:3] + [""]},
+                 id="features-empty-string"),
 ])
 def test_malformed_input_file_is_data_error(tmp_path, capsys, name, edit):
     argv = command_argv(tmp_path, "report")
@@ -855,6 +870,94 @@ def test_malformed_input_file_is_data_error(tmp_path, capsys, name, edit):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(path) in err
+
+
+@pytest.mark.parametrize("command,name,key", [
+    pytest.param("cluster", "init.json", None, id="init-file"),
+    pytest.param("report", "result.json", "memberships", id="memberships"),
+    pytest.param("report", "result.json", "centers", id="centers"),
+])
+def test_int_past_float_range_is_one_error_line(tmp_path, capsys, command, name, key):
+    argv = command_argv(tmp_path, command)
+    path = tmp_path / name
+    if key is None:
+        path.write_text(json.dumps([[10 ** 400] * 8, [0] * 8]), encoding="utf-8")
+        argv += ["--clusters", "2", "--init-file", str(path)]
+    else:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw[key][0][0] = 10 ** 400
+        path.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert str(path) in err[0]
+
+
+# JSON texts that are no number in range, 1e999 among them, which json.dumps
+# cannot write
+HOSTILE_TOKENS = ["1" + "0" * 400, "null", '"5"', "true", "1e999"]
+HOSTILE_SLOT = "\0hostile"
+
+
+def hostile_json(value) -> str:
+    """The JSON text of a token or of a (nested, maybe ragged) list of them."""
+    return f"[{', '.join(map(hostile_json, value))}]" if isinstance(value, list) else value
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """A valid corpus, feature file, init file, result and two profiles."""
+    root = tmp_path_factory.mktemp("pipeline")
+    write_result(root)
+    write_profiles(root)
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from(["init.json", "memberships", "centers", "sports.profile.json"]),
+    where=st.sampled_from(["whole", "row", "cell"]),
+    value=st.recursive(st.sampled_from(HOSTILE_TOKENS), lambda kids: st.lists(kids, max_size=3),
+                       max_leaves=6),
+)
+def test_hostile_numbers_end_in_an_error_line(pipeline_files, target, where, value):
+    """A hostile value in an --init-file, a result's memberships or centers,
+    or a profile's WFs: exit 1 or 2, an error line last, no temporary file."""
+    base = pipeline_files
+    name = target if target.endswith(".json") else "result.json"
+    raw = json.loads((base / name).read_text(encoding="utf-8"))
+    if target == "sports.profile.json":
+        slots = {"whole": (raw, "wf"), "row": (raw["wf"], "zzz"), "cell": (raw["wf"], "ball")}
+    else:
+        matrix = raw if target == "init.json" else raw[target]
+        slots = {"whole": (raw, target), "row": (matrix, 1), "cell": (matrix[1], 2)}
+    if (target, where) == ("init.json", "whole"):
+        raw = HOSTILE_SLOT  # the init file holds the matrix alone
+    else:
+        parent, key = slots[where]
+        parent[key] = HOSTILE_SLOT
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp)
+        text = json.dumps(raw).replace(json.dumps(HOSTILE_SLOT), hostile_json(value))
+        (run / name).write_text(text, encoding="utf-8")
+        files = {n: run / n if n == name else base / n
+                 for n in ("init.json", "result.json", "sports.profile.json")}
+        if target == "init.json":
+            argv = ["cluster", "--corpus", str(base / "corpus"), "--features",
+                    str(base / "features.json"), "--clusters", "2", "--init-file",
+                    str(files["init.json"]), "--config", str(base / "config.json")]
+        else:
+            argv = ["report", "--result", str(files["result.json"]),
+                    "--profiles", str(files["sports.profile.json"]),
+                    "--profiles", str(base / "politics.profile.json")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(run / "out.json")])
+        assert code in (1, 2)
+        assert stderr.getvalue().splitlines()[-1].startswith("error: ")
+        assert not list(run.rglob(".*.tmp"))
 
 
 @pytest.mark.parametrize("command,name,code,text,reason", [

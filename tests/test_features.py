@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -202,27 +203,35 @@ class TestSelectFeatures:
         good = LabeledProfile("good", {"x": 5.0, "y": 40.0})
         bad = LabeledProfile("bad", {"x": wf, "y": 1.0})
         profiles = [bad, good] if bad_first else [good, bad]
-        message = re.escape("WF outside [0, 10000] in profile 'bad'")
+        message = re.escape("WFs of profile 'bad' must lie in [0, 10000]")
         with pytest.raises(ValueError, match=message):
             score_terms(profiles)
         with pytest.raises(ValueError, match=message):
             select_features(profiles)
 
-    @pytest.mark.parametrize("wf", [
-        pytest.param(True, id="bool"),
-        pytest.param(10 ** 400, id="int-past-float"),
-        pytest.param("5", id="str"),
+    @pytest.mark.parametrize("wf,rule", [
+        pytest.param(True, "must be numbers", id="bool"),
+        # an int, so a number, but one past the float range
+        pytest.param(10 ** 400, "must lie in [0, 10000]", id="int-past-float"),
+        pytest.param("5", "must be numbers", id="str"),
     ])
-    def test_wf_not_a_number_names_its_profile(self, wf):
-        # the type rule load_profile applies to a file
+    def test_wf_not_a_number_names_its_profile(self, wf, rule):
+        # the rule load_profile applies to a file
         good = LabeledProfile("good", {"x": 5.0, "y": 40.0})
         bad = LabeledProfile("bad", {"x": 1.0, "y": wf})
-        message = re.escape("WF outside [0, 10000] in profile 'bad'")
+        message = re.escape(f"WFs of profile 'bad' {rule}")
         for profiles in ([bad, good], [good, bad]):
             with pytest.raises(ValueError, match=message):
                 score_terms(profiles)
             with pytest.raises(ValueError, match=message):
                 select_features(profiles)
+
+    def test_numpy_scalar_wfs_are_numbers(self):
+        # a library profile built from an array holds numpy scalars
+        plain = [LabeledProfile("a", {"x": 40.0, "y": 2.0}), LabeledProfile("b", {"x": 1.0})]
+        scalars = [LabeledProfile(p.label, {t: np.float64(wf) for t, wf in p.wf.items()})
+                   for p in plain]
+        assert score_terms(scalars) == score_terms(plain)
 
     def test_wf_range_bounds_are_accepted(self):
         p = LabeledProfile("a", {"x": 0, "y": 10000})
@@ -293,6 +302,17 @@ class TestRoundTrips:
         path = tmp_path / "bad.profile.json"
         path.write_text(f'{{"label": "x", "wf": {{"ball": 2.5, "team": {wf}}}}}', encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"invalid profile file: {path}")):
+            load_profile(path)
+
+    @pytest.mark.parametrize("wf,rule", [
+        pytest.param("true", "must be numbers", id="bool"),
+        pytest.param("[2.5]", "must be numbers", id="list"),
+        pytest.param("1e999", "must lie in [0, 10000]", id="infinite"),
+    ])
+    def test_profile_says_which_rule_a_wf_breaks(self, tmp_path, wf, rule):
+        path = tmp_path / "bad.profile.json"
+        path.write_text(f'{{"label": "x", "wf": {{"ball": 2.5, "team": {wf}}}}}', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"invalid profile file: {path}: WFs {rule}")):
             load_profile(path)
 
     def test_profile_keeps_bounds_and_converts_ints(self, tmp_path):

@@ -5,11 +5,12 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzydocs.jsonfile import read_json, temporary_path, write_json
+from fuzzydocs.jsonfile import checked_numbers, is_number, read_json, temporary_path, write_json
 
 
 def leftovers(directory):
@@ -150,3 +151,56 @@ def test_unparsable_file_names_itself(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=re.escape(f"cannot parse {path}")):
         read_json(path)
+
+
+@pytest.mark.parametrize("value,ndim,expected", [
+    pytest.param(0, 0, 0.0, id="int-low"),
+    pytest.param(10000, 0, 10000.0, id="int-high"),
+    pytest.param([0.5, 7], 1, [0.5, 7.0], id="list"),
+    pytest.param([[1, 2.5], [0, 0]], 2, [[1.0, 2.5], [0.0, 0.0]], id="rows"),
+    pytest.param([np.float64(2.5), np.int64(3), np.float32(0.5)], 1, [2.5, 3.0, 0.5],
+                 id="numpy-scalars"),
+    pytest.param(np.array([[1, 2], [3, 4]]), 2, [[1.0, 2.0], [3.0, 4.0]], id="int-array"),
+    pytest.param(5.0, 2, 5.0, id="shallower-than-ndim"),
+])
+def test_checked_numbers_accepts_numbers_in_range(value, ndim, expected):
+    a = checked_numbers(value, "values", 10000, ndim)
+    assert a.dtype == np.float64
+    assert a.tolist() == expected
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(True, id="bool"),
+    pytest.param([1.0, True], id="bool-in-list"),
+    pytest.param(np.bool_(True), id="numpy-bool"),
+    pytest.param(np.array([True, False]), id="bool-array"),
+    pytest.param("5", id="numeric-string"),
+    pytest.param([1.0, None], id="null"),
+    pytest.param([1.0, {"a": 1}], id="object"),
+    pytest.param([[1.0], [2.0]], id="nested-deeper"),
+    pytest.param([[1.0], 2.0], id="ragged"),
+    pytest.param([1.0, [2.0, 3.0]], id="list-among-numbers"),
+])
+def test_checked_numbers_refuses_what_is_no_number(value):
+    with pytest.raises(ValueError, match=r"^values must be numbers$"):
+        checked_numbers(value, "values", 10, 1)
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(-1, id="negative"),
+    pytest.param([10.5], id="above"),
+    pytest.param([float("nan")], id="nan"),
+    pytest.param(json.loads("[1e999]"), id="infinite"),
+    pytest.param([10 ** 400], id="int-past-float"),
+    pytest.param(np.array([[0.0, -0.5]]), id="array"),
+])
+def test_checked_numbers_refuses_numbers_out_of_range(value):
+    with pytest.raises(ValueError, match=re.escape("values must lie in [0, 10]")):
+        checked_numbers(value, "values", 10, 2)
+
+
+def test_is_number_is_the_same_type_test():
+    for value in (0, 2.5, 10 ** 400, np.float64(1.0), np.int32(1)):
+        assert is_number(value)
+    for value in (True, np.bool_(False), "5", None, [1.0]):
+        assert not is_number(value)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import time
 
 import numpy as np
@@ -124,11 +125,23 @@ class TestLabelClusters:
     def test_non_finite_input_rejected(self, profiles, value):
         centers = CENTERS.copy()
         centers[1, 2] = value
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape("centers must lie in [0, 10000]")):
             label_clusters(centers, profiles, FEATURES)
         infinite = LabeledProfile("sports", {**profiles[0].wf, "ball": value})
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError,
+                           match=re.escape("WFs of profile 'sports' must lie in [0, 10000]")):
             label_clusters(CENTERS, [infinite, profiles[1]], FEATURES)
+
+    @pytest.mark.parametrize("wf,rule", [
+        pytest.param("5", "must be numbers", id="str"),
+        pytest.param(True, "must be numbers", id="bool"),
+        pytest.param(-1, "must lie in [0, 10000]", id="negative"),
+        pytest.param(10 ** 400, "must lie in [0, 10000]", id="int-past-float"),
+    ])
+    def test_bad_wf_names_its_profile(self, profiles, wf, rule):
+        bad = LabeledProfile("sports", {**profiles[0].wf, "ball": wf})
+        with pytest.raises(ValueError, match=re.escape(f"WFs of profile 'sports' {rule}")):
+            label_clusters(CENTERS, [bad, profiles[1]], FEATURES)
 
     def test_insufficient_profiles(self, sports_profile):
         with pytest.raises(ValueError, match="insufficient profiles"):
@@ -204,6 +217,17 @@ class TestLabelClusters:
 
 
 class TestClassifyStrength:
+    @pytest.mark.parametrize("u", [
+        pytest.param([[0.5], [float("nan")]], id="nan"),
+        pytest.param([[1.5], [-0.5]], id="outside-unit-interval"),
+        pytest.param([[True], [False]], id="bool"),
+    ])
+    def test_memberships_are_numbers_in_unit_interval(self, u):
+        with pytest.raises(ValueError, match="^memberships must "):
+            classify_strength(u, ["d"], SPORTS_FIRST)
+        with pytest.raises(ValueError, match="^memberships must "):
+            rank_documents(u, ["d"], SPORTS_FIRST, "sports")
+
     def test_strong_document(self):
         u = np.array([[0.890], [0.110]])
         reports = classify_strength(u, ["doc1"], SPORTS_FIRST)
