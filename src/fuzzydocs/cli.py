@@ -11,7 +11,9 @@ flag beats the config file, which beats the default. ``main`` resolves
 these settings once and passes the dict to the subcommand's handler.
 
 Exit codes: 0 success, 1 data error (``ValueError``, ``OSError``), 2 usage
-error. Warnings go to stderr; tables to stdout; JSON files go through
+error; a failed run's last stderr line is its one ``error: `` line, with
+any character that is not printable written as its escape. Warnings go
+to stderr; tables to stdout; JSON files go through
 :mod:`fuzzydocs.jsonfile`, which creates a missing output directory.
 """
 
@@ -365,12 +367,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(_settings(args))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (UsageError, ValueError, OSError) as exc:
+        # one line, though the message quotes a path or a key holding a line break
+        text = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in str(exc))
+        print(f"error: {text}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

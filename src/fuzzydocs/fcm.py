@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import WF_SCALE, _is_feature_set
-from .jsonfile import checked_numbers, read_json, write_json
+from .features import WF_SCALE
+from .jsonfile import checked_names, checked_numbers, read_json, write_json
 
 __all__ = [
     "FeatureMatrix",
@@ -61,18 +61,17 @@ PARTITION_COLUMN_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """n documents as rows of WF values over m features."""
+    """n documents as rows of WF values over m features; the doc ids must
+    pass :func:`fuzzydocs.jsonfile.checked_names`."""
 
     doc_ids: tuple[str, ...]
     data: np.ndarray  # n x m float64
 
     def __post_init__(self):
-        object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
         data = _checked_matrix(self.data, "feature values", WF_SCALE)
+        object.__setattr__(self, "doc_ids", checked_names(self.doc_ids, "doc_ids"))
         if len(self.doc_ids) != data.shape[0]:
             raise ValueError("doc_ids length must match the number of rows")
-        if len(set(self.doc_ids)) != len(self.doc_ids):
-            raise ValueError("doc_ids must be unique")
         object.__setattr__(self, "data", data)
 
     @property
@@ -136,8 +135,12 @@ class FcmResult:
 
 
 def validate_partition(u: np.ndarray, n: int | None = None, c: int | None = None) -> np.ndarray:
-    """Check membership range and column stochasticity; returns a C-ordered
-    float64 copy."""
+    """The one partition rule, for every reader: u is a non-empty c x n
+    matrix that passes :func:`fuzzydocs.jsonfile.checked_numbers` in
+    [0, 1], with n columns and c rows where given, and each column sums to
+    1 within ``PARTITION_COLUMN_TOL`` (a fuzzy partition, Bezdek 1981).
+    Returns a C-ordered float64 copy; otherwise ValueError, ``invalid
+    partition: ...``."""
     u = _checked_matrix(u, "invalid partition: memberships", 1.0)
     if c is not None and u.shape[0] != c:
         raise ValueError(f"invalid partition: expected {c} rows, got {u.shape[0]}")
@@ -282,10 +285,13 @@ def save_result(
     features: list[str],
     path: str | Path,
 ) -> None:
-    """Write a result file whole; floats keep their shortest round-trip form."""
+    """Write a result file whole; floats keep their shortest round-trip form.
+    The doc ids and features must pass
+    :func:`fuzzydocs.jsonfile.checked_names`, as ``load_result`` requires;
+    refused ones write nothing."""
     payload = {
-        "doc_ids": list(doc_ids),
-        "features": list(features),
+        "doc_ids": checked_names(doc_ids, "doc_ids"),
+        "features": checked_names(features, "features"),
         "memberships": result.partition.tolist(),
         "centers": result.centers.tolist(),
         "iterations": result.iterations,
@@ -297,9 +303,13 @@ def save_result(
 
 
 def load_result(path: str | Path) -> dict:
-    """A result file with memberships and centers as arrays; a file whose
-    keys, types, shapes or ranges do not match ``save_result``, or whose
-    doc_ids or features repeat, raises ValueError."""
+    """A result file with memberships and centers as arrays. Its doc_ids
+    and features, kept as lists, must pass
+    :func:`fuzzydocs.jsonfile.checked_names`, its memberships
+    ``validate_partition`` over the doc ids, and its centers
+    ``checked_numbers`` in a clusters x features matrix; a file that fails
+    one of these, or lacks a key ``save_result`` writes, raises ValueError
+    naming the file."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"invalid result file {path}: not a JSON object")
@@ -308,20 +318,15 @@ def load_result(path: str | Path) -> dict:
     missing = required - raw.keys()
     if missing:
         raise ValueError(f"invalid result file {path}: missing {sorted(missing)}")
-    doc_ids = raw["doc_ids"]
-    if not (isinstance(doc_ids, list) and all(isinstance(s, str) for s in doc_ids)
-            and len(set(doc_ids)) == len(doc_ids)):
-        raise ValueError(f"invalid result file {path}: doc_ids must be a list of unique strings")
-    if not _is_feature_set(raw["features"]):  # as load_feature_set requires
-        raise ValueError(f"invalid result file {path}: features must be unique non-empty strings")
     try:
-        u = validate_partition(raw["memberships"], n=len(doc_ids))
+        n = len(checked_names(raw["doc_ids"], "doc_ids"))
+        m = len(checked_names(raw["features"], "features"))
+        u = validate_partition(raw["memberships"], n=n)
         v = _checked_matrix(raw["centers"], "centers", WF_SCALE)  # weighted means of WF rows
     except ValueError as exc:
         raise ValueError(f"invalid result file {path}: {exc}") from exc
-    shape = (u.shape[0], len(raw["features"]))
-    if v.shape != shape:
-        raise ValueError(f"invalid result file {path}: centers must be {shape[0]} x {shape[1]}")
+    if v.shape != (u.shape[0], m):
+        raise ValueError(f"invalid result file {path}: centers must be {u.shape[0]} x {m}")
     raw["memberships"] = u
     raw["centers"] = v
     return raw

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonfile import checked_numbers, read_json, write_json
+from .jsonfile import checked_names, checked_numbers, read_json, write_json
 
 __all__ = [
     "WF_SCALE",
@@ -156,21 +156,16 @@ def vectorize(terms: Sequence[str], features: Sequence[str]) -> tuple[float, ...
 
 
 def save_feature_set(features: Sequence[str], path: str | Path) -> None:
-    write_json(list(features), path)
+    """Write a feature set, which must pass
+    :func:`fuzzydocs.jsonfile.checked_names` as ``load_feature_set``
+    requires; a refused one writes nothing."""
+    write_json(checked_names(features, "features"), path)
 
 
 def load_feature_set(path: str | Path) -> FeatureSet:
     features = read_json(path)
-    if not _is_feature_set(features):
-        raise ValueError(f"invalid feature set file: {path}")
+    checked_names(features, f"invalid feature set file: {path}: features")
     return features
-
-
-def _is_feature_set(features) -> bool:
-    """Whether a value read from JSON is a non-empty list of unique,
-    non-empty strings."""
-    return (isinstance(features, list) and all(isinstance(t, str) and t for t in features)
-            and 0 < len(set(features)) == len(features))
 
 
 def save_profile(profile: LabeledProfile, path: str | Path) -> None:

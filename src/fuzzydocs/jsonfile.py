@@ -18,6 +18,10 @@ partition's memberships, cluster centers -- passes one rule,
 bool; a list as JSON loads it holds only numbers, or at the depth of a
 matrix's rows only lists of numbers; and each number lies in [0, high].
 ``is_number`` is its type test for one value.
+
+A list of names -- doc ids, feature terms, profile labels -- passes one
+rule, ``checked_names``, on both sides of each file: a name list is a
+non-empty list or tuple of unique, non-empty strings.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["checked_numbers", "is_number", "read_json", "temporary_path", "write_json"]
+__all__ = ["checked_names", "checked_numbers", "is_number", "read_json", "temporary_path",
+           "write_json"]
 
 NAME_MAX = 255  # bytes in one file name on Linux and macOS file systems
 
@@ -131,3 +136,15 @@ def checked_numbers(value, what: str, high: float, ndim: int) -> np.ndarray:
     if not np.all((a >= 0) & (a <= high)):  # NaN fails both bounds
         raise ValueError(f"{what} must lie in [0, {high:g}]")
     return a
+
+
+def checked_names(value, what: str) -> tuple[str, ...]:
+    """``value`` as a tuple, if it is a non-empty list or tuple of unique,
+    non-empty strings; otherwise ValueError, ``WHAT must be unique
+    non-empty strings``. The element types are tested before the names
+    are hashed, so a nested JSON list gets the message, not a TypeError."""
+    if not (isinstance(value, (list, tuple))
+            and all(issubclass(kind, str) for kind in set(map(type, value)))
+            and "" not in (names := set(value)) and 0 < len(names) == len(value)):
+        raise ValueError(f"{what} must be unique non-empty strings")
+    return tuple(value)

@@ -28,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .fcm import validate_partition
 from .features import WF_SCALE, LabeledProfile, _wf_table
-from .jsonfile import checked_numbers, write_json
+from .jsonfile import checked_names, checked_numbers, write_json
 
 __all__ = [
     "label_clusters",
@@ -63,7 +64,8 @@ def label_clusters(
     whose reduced cost alone already exceeds the tolerance. The centers,
     and each profile's WFs of ``features``, must pass
     :func:`fuzzydocs.jsonfile.checked_numbers` (``ValueError`` naming the
-    profile's label for a bad WF).
+    profile's label for a bad WF), and the profile labels
+    :func:`fuzzydocs.jsonfile.checked_names`.
     """
     centers = checked_numbers(centers, "centers", WF_SCALE, 2)  # weighted means of WF rows
     if centers.ndim != 2 or centers.shape[1] != len(features):
@@ -72,10 +74,9 @@ def label_clusters(
     c = centers.shape[0]
     if len(profiles) < c:
         raise ValueError("insufficient profiles")
+    checked_names([p.label for p in profiles], "profile labels")
     profiles = sorted(profiles, key=lambda p: p.label)
     labels = [p.label for p in profiles]
-    if len(set(labels)) != len(labels):
-        raise ValueError("profile labels must be unique")
     vectors = _wf_table(profiles, features)
     dist = np.array([[float(np.linalg.norm(center - vector)) for vector in vectors]
                      for center in centers]).reshape(c, len(labels))
@@ -161,13 +162,14 @@ def classify_strength(
 
     strong: top degree >= strong_threshold; ambiguous: degree spread
     (max - min) < ambiguity_margin; moderate otherwise. Strong wins when
-    both conditions hold (only possible with a single cluster). Each
-    degree must pass :func:`fuzzydocs.jsonfile.checked_numbers` in [0, 1].
+    both conditions hold (only possible with a single cluster). doc_ids
+    and labels must pass :func:`fuzzydocs.jsonfile.checked_names`, and u
+    :func:`fuzzydocs.fcm.validate_partition` with a column per doc id and
+    a row per label.
     """
-    u = checked_numbers(u, "memberships", 1.0, 2)
-    c, n = u.shape
-    validate_thresholds(strong_threshold, ambiguity_margin, c)
-    _check_names(doc_ids, labels, c, n)
+    doc_ids, labels = checked_names(doc_ids, "doc_ids"), checked_names(labels, "labels")
+    u = validate_partition(u, n=len(doc_ids), c=len(labels))
+    validate_thresholds(strong_threshold, ambiguity_margin, len(labels))
     high = u.max(axis=0)
     strength = np.where(high >= strong_threshold, "strong",
                         np.where(high - u.min(axis=0) < ambiguity_margin, "ambiguous", "moderate"))
@@ -177,14 +179,6 @@ def classify_strength(
         for doc_id, degrees, j, s in zip(
             doc_ids, u.T.tolist(), u.argmax(axis=0).tolist(), strength.tolist())
     ]
-
-
-def _check_names(doc_ids: Sequence[str], labels: Sequence[str], c: int, n: int) -> None:
-    """doc_ids must name the n columns and labels the c rows of a partition."""
-    if len(doc_ids) != n:
-        raise ValueError("doc_ids length must match partition columns")
-    if len(labels) != c:
-        raise ValueError("labels length must match partition rows")
 
 
 def validate_thresholds(strong_threshold: float, ambiguity_margin: float, c: int) -> None:
@@ -204,9 +198,10 @@ def rank_documents(
     label: str,
 ) -> list[tuple[str, float]]:
     """Documents ordered by descending membership in one labeled cluster,
-    ties by ascending doc_id; each degree must lie in [0, 1]."""
-    u = checked_numbers(u, "memberships", 1.0, 2)
-    _check_names(doc_ids, labels, *u.shape)
+    ties by ascending doc_id. doc_ids, labels and u must pass the rules
+    :func:`classify_strength` names."""
+    doc_ids, labels = checked_names(doc_ids, "doc_ids"), checked_names(labels, "labels")
+    u = validate_partition(u, n=len(doc_ids), c=len(labels))
     if label not in labels:
         raise ValueError(f"unknown label: {label}")
     j = labels.index(label)

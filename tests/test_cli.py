@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fuzzydocs
 import goldens
+from fuzzydocs import cli
 from fuzzydocs.fcm import FcmResult, save_result
 from fuzzydocs.features import LabeledProfile, save_feature_set, save_profile
 from fuzzydocs.cli import main
@@ -817,6 +818,16 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_error_line_escapes_line_breaks(tmp_path, capsys):
+    """A config key holding line breaks is quoted in one error line."""
+    argv = command_argv(tmp_path, "report")
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"a\nerror: b\x1e": 1}), encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key(s): a\\nerror: b\\x1e\n"
+
+
 @pytest.mark.parametrize("name,edit", [
     pytest.param("result.json", lambda raw: [raw], id="result-list"),
     pytest.param("result.json", lambda raw: {**raw, "centers": 5}, id="centers-number"),
@@ -908,11 +919,41 @@ def hostile_json(value) -> str:
 
 @pytest.fixture(scope="module")
 def pipeline_files(tmp_path_factory):
-    """A valid corpus, feature file, init file, result and two profiles."""
+    """Two sample corpora and a valid corpus, feature file, init file,
+    result and two profiles."""
     root = tmp_path_factory.mktemp("pipeline")
+    make_sample_dirs(root)
     write_result(root)
     write_profiles(root)
     return root
+
+
+def run_with_hostile_file(base, name, raw, text, command="report"):
+    """Run ``command`` on the pipeline files with ``name`` replaced by
+    ``raw`` as JSON, its hostile slot written as ``text``; returns the exit
+    code, after checking that a failed run ends in an error line and that
+    no run leaves a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp)
+        (run / name).write_text(json.dumps(raw).replace(json.dumps(HOSTILE_SLOT), text),
+                                encoding="utf-8")
+        files = {n: run / n if n == name else base / n
+                 for n in ("features.json", "init.json", "result.json", "sports.profile.json")}
+        if command == "cluster":
+            argv = ["cluster", "--corpus", str(base / "corpus"), "--features",
+                    str(files["features.json"]), "--clusters", "2", "--init-file",
+                    str(files["init.json"]), "--config", str(base / "config.json")]
+        else:
+            argv = ["report", "--result", str(files["result.json"]),
+                    "--profiles", str(files["sports.profile.json"]),
+                    "--profiles", str(base / "politics.profile.json")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(run / "out.json")])
+        if code:
+            assert stderr.getvalue().splitlines()[-1].startswith("error: ")
+        assert not list(run.rglob(".*.tmp"))
+        return code
 
 
 @settings(max_examples=100, deadline=None)
@@ -938,26 +979,92 @@ def test_hostile_numbers_end_in_an_error_line(pipeline_files, target, where, val
     else:
         parent, key = slots[where]
         parent[key] = HOSTILE_SLOT
+    command = "cluster" if target == "init.json" else "report"
+    assert run_with_hostile_file(base, name, raw, hostile_json(value), command) in (1, 2)
+
+
+@pytest.mark.parametrize("value", [[1], ["a", "a"], [""], None, "x", [["a"]]],
+                         ids=["number", "repeated", "empty-string", "null", "string", "nested"])
+@pytest.mark.parametrize("name,key", [
+    pytest.param("result.json", "doc_ids", id="doc_ids"),
+    pytest.param("result.json", "features", id="features"),
+    pytest.param("features.json", None, id="features-file"),
+    pytest.param("sports.profile.json", "label", id="profile-label"),
+])
+def test_hostile_names_end_in_an_error_line(pipeline_files, name, key, value):
+    """A hostile value where names belong: a result's doc_ids or features,
+    the --features file, or a profile's label, which is one name, so the
+    string "x" is the one value it takes."""
+    raw = json.loads((pipeline_files / name).read_text(encoding="utf-8"))
+    if key is None:
+        raw = HOSTILE_SLOT  # the feature file holds the list alone
+    else:
+        raw[key] = HOSTILE_SLOT
+    command = "cluster" if name == "features.json" else "report"
+    code = run_with_hostile_file(pipeline_files, name, raw, json.dumps(value), command)
+    assert code == 0 if (key, value) == ("label", "x") else code in (1, 2)
+
+
+# any JSON value; a string holds no "/", so a path read from it stays in
+# the directory the run starts in
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 10), st.sampled_from([2 ** 63, 10 ** 400]),
+              st.floats(), st.text(st.characters(exclude_characters="/"), max_size=6)),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=5,
+)
+PREPROCESS_KEYS = ["strip_markup", "stemming", "bigrams", "stopwords_file"]
+
+
+def config_keys(command):
+    """The config keys the parser declares: each option's dest, plus
+    ``preprocess``; every subcommand accepts all of them."""
+    return sorted(cli._build_parser().parse_args([command]).config_keys)
+
+
+def valid_config(base, command):
+    """Settings that run ``command`` on the pipeline files, writing to the
+    current directory."""
+    return {"preprocess": {"stemming": False}, **{
+        "features": {"samples": [f"sports={base / 'sports'}", f"politics={base / 'politics'}"]},
+        "cluster": {"corpus": str(base / "corpus"), "features": str(base / "features.json"),
+                    "clusters": 2},
+        "report": {"result": str(base / "result.json"),
+                   "profiles": [str(base / "sports.profile.json"),
+                                str(base / "politics.profile.json")]},
+    }[command]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["features", "cluster", "report"]), data=st.data())
+def test_random_config_values_end_in_an_exit_code(pipeline_files, command, data):
+    """Random JSON values under declared config keys and preprocess keys:
+    exit 0, 1 or 2, a failed run's stderr ending in its one error line,
+    and no temporary file left. --max-iters on the command line bounds a
+    cluster run, while the config's max_iters value is still checked."""
+    keys = config_keys(command)
+    config = {**valid_config(pipeline_files, command),
+              **data.draw(st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=3))}
+    preprocess = data.draw(st.dictionaries(st.sampled_from(PREPROCESS_KEYS), JSON_VALUES,
+                                           max_size=2))
+    if isinstance(config["preprocess"], dict):
+        config["preprocess"] = {**config["preprocess"], **preprocess}
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        run = Path(tmp)
-        text = json.dumps(raw).replace(json.dumps(HOSTILE_SLOT), hostile_json(value))
-        (run / name).write_text(text, encoding="utf-8")
-        files = {n: run / n if n == name else base / n
-                 for n in ("init.json", "result.json", "sports.profile.json")}
-        if target == "init.json":
-            argv = ["cluster", "--corpus", str(base / "corpus"), "--features",
-                    str(base / "features.json"), "--clusters", "2", "--init-file",
-                    str(files["init.json"]), "--config", str(base / "config.json")]
-        else:
-            argv = ["report", "--result", str(files["result.json"]),
-                    "--profiles", str(files["sports.profile.json"]),
-                    "--profiles", str(base / "politics.profile.json")]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--out", str(run / "out.json")])
-        assert code in (1, 2)
-        assert stderr.getvalue().splitlines()[-1].startswith("error: ")
-        assert not list(run.rglob(".*.tmp"))
+        os.chdir(tmp)
+        try:
+            Path("config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = [command, "--config", "config.json"] + ["--max-iters", "50"] * (command == "cluster")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            leftovers = list(Path(tmp).rglob(".*.tmp"))
+        finally:
+            os.chdir(home)
+    assert code in (0, 1, 2)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
+    assert errors == (stderr.getvalue().splitlines()[-1:] if code else [])
+    assert not leftovers
 
 
 @pytest.mark.parametrize("command,name,code,text,reason", [

@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import goldens
 from fuzzydocs.fcm import (
     FcmParams,
+    FcmResult,
     FeatureMatrix,
     harden,
     init_partition,
@@ -21,6 +24,7 @@ from fuzzydocs.fcm import (
     update_memberships,
     validate_partition,
 )
+from fuzzydocs.features import load_feature_set, save_feature_set
 
 
 def broadcast_squared_distances(x, v):
@@ -76,6 +80,11 @@ class TestFeatureMatrix:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
             FeatureMatrix(("a", "a"), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("doc_ids", [(1, 2, 3), ("a", "", "c"), ("a", None, "c")])
+    def test_doc_ids_pass_the_names_rule(self, doc_ids):
+        with pytest.raises(ValueError, match="^doc_ids must be unique non-empty strings$"):
+            FeatureMatrix(doc_ids, np.ones((3, 2)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -454,6 +463,19 @@ class TestResultFiles:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert "max_change_history" not in load_result(path)
 
+    @pytest.mark.parametrize("doc_ids,features,what", [
+        pytest.param(goldens.DOC_IDS, ["f", "f", "g", "h"], "features", id="repeated-feature"),
+        pytest.param(goldens.DOC_IDS, ["f", "", "g", "h"], "features", id="empty-feature"),
+        pytest.param(range(8), ["f", "g", "h", "i"], "doc_ids", id="doc_ids-not-a-list"),
+        pytest.param(list(range(8)), ["f", "g", "h", "i"], "doc_ids", id="doc_ids-numbers"),
+    ])
+    def test_writer_refuses_what_its_reader_refuses(self, tmp_path, example_matrix, crisp_init,
+                                                      doc_ids, features, what):
+        res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init, max_iters=1))
+        with pytest.raises(ValueError, match=f"^{what} must be unique non-empty strings$"):
+            save_result(res, doc_ids, features, tmp_path / "result.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"doc_ids": []}', encoding="utf-8")
@@ -568,3 +590,47 @@ class TestProperties:
             np.testing.assert_allclose(
                 v[j], data[assignment == j].mean(axis=0), rtol=1e-12
             )
+
+
+# names as a caller might pass them: strings that collide and may be
+# empty, and values no name list holds
+NAME = st.one_of(st.text("ab", max_size=2), st.text(max_size=3), st.integers(0, 2), st.none(),
+                 st.booleans(), st.lists(st.text("a", max_size=1), max_size=1))
+NAMES = st.one_of(st.lists(NAME, max_size=4), st.lists(NAME, max_size=4).map(tuple),
+                  st.text(max_size=2), st.none())
+
+
+def _feature_set_round_trip(doc_ids, features, path):
+    save_feature_set(features, path)
+    return load_feature_set(path), list(features)
+
+
+def _result_round_trip(doc_ids, features, path):
+    n, m = len(doc_ids or ()), len(features or ())
+    save_result(FcmResult(np.ones((1, n)), np.zeros((1, m)), 1, (0.0,), (0.0,), True),
+                doc_ids, features, path)
+    loaded = load_result(path)
+    return [loaded["doc_ids"], loaded["features"]], [list(doc_ids), list(features)]
+
+
+def _clustered_matrix_round_trip(doc_ids, features, path):
+    x = FeatureMatrix(doc_ids, np.ones((len(doc_ids or ()), max(len(features or ()), 1))))
+    save_result(run_fcm(x, FcmParams(c=1, max_iters=1)), x.doc_ids, features, path)
+    loaded = load_result(path)
+    return [loaded["doc_ids"], loaded["features"]], [list(doc_ids), list(features)]
+
+
+@pytest.mark.parametrize("round_trip", [_feature_set_round_trip, _result_round_trip,
+                                        _clustered_matrix_round_trip])
+@settings(max_examples=100, deadline=None)
+@given(doc_ids=NAMES, features=NAMES)
+def test_names_round_trip_or_nothing_is_written(round_trip, doc_ids, features):
+    """Each writer of names either raises ValueError and leaves no file, or
+    its reader returns the names it was given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            read, written = round_trip(doc_ids, features, Path(tmp) / "out.json")
+        except ValueError:
+            assert list(Path(tmp).iterdir()) == []
+        else:
+            assert read == written

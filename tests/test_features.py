@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -281,6 +282,22 @@ class TestRoundTrips:
             load_feature_set(path)
         path.write_text('["dup", "dup"]', encoding="utf-8")
         with pytest.raises(ValueError, match="invalid feature set"):
+            load_feature_set(path)
+
+    @pytest.mark.parametrize("features", [
+        pytest.param(["a", "a"], id="repeated"),
+        pytest.param([], id="empty"),
+        pytest.param([""], id="empty-term"),
+        pytest.param([1], id="number"),
+    ])
+    def test_feature_set_writer_refuses_what_its_reader_refuses(self, tmp_path, features):
+        path = tmp_path / "features.json"
+        with pytest.raises(ValueError, match="^features must be unique non-empty strings$"):
+            save_feature_set(features, path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_text(json.dumps(features), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid feature set file: {path}: features must be unique non-empty strings")):
             load_feature_set(path)
 
     def test_profile(self, tmp_path, sports_profile):

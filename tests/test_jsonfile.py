@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzydocs.jsonfile import checked_numbers, is_number, read_json, temporary_path, write_json
+from fuzzydocs.jsonfile import checked_names, checked_numbers, is_number, read_json, temporary_path, write_json
 
 
 def leftovers(directory):
@@ -204,3 +204,32 @@ def test_is_number_is_the_same_type_test():
         assert is_number(value)
     for value in (True, np.bool_(False), "5", None, [1.0]):
         assert not is_number(value)
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(["b", "a"], id="list"),
+    pytest.param(("a", "café", " "), id="tuple"),
+    pytest.param([np.str_("a"), "b"], id="numpy-str"),
+])
+def test_checked_names_accepts_unique_non_empty_strings(value):
+    assert checked_names(value, "names") == tuple(value)
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param([], id="empty"),
+    pytest.param((), id="empty-tuple"),
+    pytest.param(None, id="null"),
+    pytest.param("ab", id="string"),
+    pytest.param({"a": 1}, id="object"),
+    pytest.param([1], id="number"),
+    pytest.param(["a", None], id="null-among-names"),
+    pytest.param(["a", True], id="bool"),
+    pytest.param(["a", "a"], id="repeated"),
+    pytest.param([""], id="empty-name"),
+    # unhashable: a set built before the type test would raise TypeError
+    pytest.param([["a"]], id="nested-list"),
+    pytest.param(["a", {"b": 1}], id="object-among-names"),
+])
+def test_checked_names_refuses_what_is_no_name_list(value):
+    with pytest.raises(ValueError, match=r"^names must be unique non-empty strings$"):
+        checked_names(value, "names")

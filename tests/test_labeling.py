@@ -223,10 +223,31 @@ class TestClassifyStrength:
         pytest.param([[True], [False]], id="bool"),
     ])
     def test_memberships_are_numbers_in_unit_interval(self, u):
-        with pytest.raises(ValueError, match="^memberships must "):
+        with pytest.raises(ValueError, match="^invalid partition: memberships must "):
             classify_strength(u, ["d"], SPORTS_FIRST)
-        with pytest.raises(ValueError, match="^memberships must "):
+        with pytest.raises(ValueError, match="^invalid partition: memberships must "):
             rank_documents(u, ["d"], SPORTS_FIRST, "sports")
+
+    @pytest.mark.parametrize("u,doc_ids,labels,message", [
+        # the 0.9 would be dropped from {"a": ...}, leaving top_label "a" at 0.1
+        pytest.param([[0.9], [0.1]], ["d"], ("a", "a"), "labels must be unique non-empty strings",
+                     id="repeated-labels"),
+        pytest.param([[0.9, 0.2], [0.1, 0.8]], ["d", "d"], SPORTS_FIRST,
+                     "doc_ids must be unique non-empty strings", id="repeated-doc-ids"),
+        pytest.param([[0.9], [0.1]], [""], SPORTS_FIRST, "doc_ids must be unique non-empty strings",
+                     id="empty-doc-id"),
+        pytest.param([[0.9], [0.1]], [7], SPORTS_FIRST, "doc_ids must be unique non-empty strings",
+                     id="doc-id-not-a-string"),
+        pytest.param([[0.9], [0.3]], ["d"], SPORTS_FIRST, "invalid partition: columns must sum to 1",
+                     id="column-sum-above-one"),
+        pytest.param([[0.5, 0.5], [0.1, 0.5]], ["d", "e"], SPORTS_FIRST,
+                     "invalid partition: columns must sum to 1", id="column-sum-below-one"),
+    ])
+    def test_names_and_partition_pass_their_rules(self, u, doc_ids, labels, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_strength(np.array(u), doc_ids, labels)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rank_documents(np.array(u), doc_ids, labels, labels[0])
 
     def test_strong_document(self):
         u = np.array([[0.890], [0.110]])
@@ -301,7 +322,7 @@ class TestClassifyStrength:
             classify_strength(np.array([[0.9], [0.1]]), ["a", "b"], SPORTS_FIRST)
 
     def test_label_count_must_match(self):
-        with pytest.raises(ValueError, match="labels length"):
+        with pytest.raises(ValueError, match="^invalid partition: expected 1 rows, got 2$"):
             classify_strength(np.array([[0.9], [0.1]]), ["d"], ("sports",))
 
 
@@ -332,11 +353,11 @@ class TestRankDocuments:
                            SPORTS_FIRST, "weather")
 
     def test_doc_count_must_match(self):
-        with pytest.raises(ValueError, match="doc_ids length"):
+        with pytest.raises(ValueError, match="^invalid partition: expected 2 columns, got 1$"):
             rank_documents(np.array([[0.9], [0.1]]), ["a", "b"], SPORTS_FIRST, "sports")
 
     def test_label_count_must_match(self):
-        with pytest.raises(ValueError, match="labels length"):
+        with pytest.raises(ValueError, match="^invalid partition: expected 3 rows, got 2$"):
             rank_documents(np.array([[0.9], [0.1]]), ["a"],
                            ("sports", "politics", "weather"), "weather")
 
