@@ -24,7 +24,7 @@ snippet = (
 flat = strip_markup(snippet)
 print("stripped :", flat.strip())
 
-# stage 2: tokenization. Lowercase, punctuation and digits split terms.
+# stage 2: tokenization. Lowercase; any character but ASCII a-z and 0-9 splits terms.
 tokens = tokenize(flat)
 print("tokens   :", tokens)
 

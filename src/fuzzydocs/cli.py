@@ -11,17 +11,21 @@ flag beats the config file, which beats the default. ``main`` resolves
 these settings once and passes the dict to the subcommand's handler.
 
 Exit codes: 0 success, 1 data error (``ValueError``, ``OSError``), 2 usage
-error; a failed run's last stderr line is its one ``error: `` line, with
-any character that is not printable written as its escape. Warnings go
-to stderr; tables to stdout; JSON files go through
-:mod:`fuzzydocs.jsonfile`, which creates a missing output directory.
+error; a failed run's last stderr line is its one ``error: `` line. That
+line, a warning's document id and the names in a table pass
+:func:`fuzzydocs.labeling.printable`, which writes each character that is
+not printable as its escape. Warnings go to stderr; tables to stdout;
+JSON files go through :mod:`fuzzydocs.jsonfile`, which creates a missing
+output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,7 @@ from .labeling import (
     STRONG_THRESHOLD_DEFAULT,
     classify_strength,
     label_clusters,
+    printable,
     render_report_table,
     save_report,
 )
@@ -66,18 +71,31 @@ def load_corpus(dirpath: str | Path) -> dict[str, str]:
     dirpath = Path(dirpath)
     if not dirpath.is_dir():
         raise UsageError(f"corpus directory not found: {dirpath}")
+    with os.scandir(dirpath) as listing:
+        entries = sorted(listing, key=attrgetter("name"))
+    # prefix + name is str(dirpath / name), without a Path per document
+    prefix = "" if dirpath == Path(".") else os.path.join(dirpath, "")
     docs = {}
-    for p in sorted(dirpath.iterdir()):
-        if p.name.startswith(".") or not p.is_file():
+    for entry in entries:
+        name = entry.name
+        if name.startswith("."):
+            continue
+        path = prefix + name
+        try:
+            is_file = entry.is_file()
+        except OSError:  # Path.is_file reads a symlink loop as no file and raises the rest
+            is_file = Path(path).is_file()
+        if not is_file:
             continue
         try:
-            p.name.encode("utf-8")  # undecodable bytes arrive as lone surrogates
+            name.encode("utf-8")  # undecodable bytes arrive as lone surrogates
         except UnicodeEncodeError:
-            raise ValueError(f"file name is not valid UTF-8: {str(p)!r}") from None
+            raise ValueError(f"file name is not valid UTF-8: {path!r}") from None
         try:
-            docs[p.name] = p.read_text("utf-8")
+            with open(path, encoding="utf-8") as f:
+                docs[name] = f.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ValueError(f"cannot read {p}: {exc}") from exc
+            raise ValueError(f"cannot read {path}: {exc}") from exc
     if not docs:
         raise ValueError(f"no documents in {dirpath}")
     return docs
@@ -231,7 +249,7 @@ def cmd_features(s: dict) -> int:
 
 
 def _print_ratio_table(profiles, selected, top_k, min_ratio, min_wf) -> None:
-    header = ["term"] + [f"wf[{p.label}]" for p in profiles] + ["ratio"]
+    header = ["term"] + [f"wf[{printable(p.label)}]" for p in profiles] + ["ratio"]
     rows = []
     for term in selected:
         wfs = [p.wf.get(term, 0.0) for p in profiles]
@@ -264,7 +282,7 @@ def cmd_cluster(s: dict) -> int:
     for doc_id, text in load_corpus(s["corpus"]).items():
         terms = preprocess_document(text, pre)
         if not terms:
-            print(f"warning: skipping empty document: {doc_id}", file=sys.stderr)
+            print(f"warning: skipping empty document: {printable(doc_id)}", file=sys.stderr)
             continue
         doc_ids.append(doc_id)
         rows.append(vectorize(terms, selected))
@@ -369,8 +387,7 @@ def main(argv=None) -> int:
         return args.handler(_settings(args))
     except (UsageError, ValueError, OSError) as exc:
         # one line, though the message quotes a path or a key holding a line break
-        text = "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in str(exc))
-        print(f"error: {text}", file=sys.stderr)
+        print(f"error: {printable(str(exc))}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
 
 

@@ -35,6 +35,7 @@ from .jsonfile import checked_names, checked_numbers, write_json
 __all__ = [
     "label_clusters",
     "classify_strength",
+    "printable",
     "rank_documents",
     "save_report",
     "render_report_table",
@@ -214,22 +215,37 @@ def save_report(reports: Sequence[dict], path: str | Path) -> None:
     write_json(reports, path)
 
 
+def printable(text: str) -> str:
+    """``text`` with each character that is not printable written as its
+    escape (a line break as ``\\n``), so that a name prints on one line
+    and cannot forge another; a printable text is returned as is."""
+    if text.isprintable():
+        return text
+    return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
+
+
 def render_report_table(reports: Sequence[dict]) -> str:
     """Aligned plain-text table, one row per document, in the given order;
-    degrees to four decimals, in the first entry's label order."""
+    degrees to four decimals, in the first entry's label order. Doc ids
+    and labels are written through :func:`printable`, and each column is
+    as wide as its widest escaped cell."""
     if not reports:
         return ""
     labels = list(reports[0]["labels"])
     degrees = [[r["labels"][lab] for lab in labels] for r in reports]
-    widths = [_width("doc_id", [r["doc_id"] for r in reports]),
-              *map(_degree_width, labels, np.array(degrees, dtype=float).T),
-              _width("top_label", [r["top_label"] for r in reports]),
+    names = list(map(printable, labels))
+    widths = [_width("doc_id", [printable(r["doc_id"]) for r in reports]),
+              *map(_degree_width, names, np.array(degrees, dtype=float).T),
+              _width("top_label", [printable(r["top_label"]) for r in reports]),
               _width("strength", [r["strength"] for r in reports])]
     cells = [f"{{:<{w}}}" for w in widths]
-    header = "  ".join(cells).format("doc_id", *labels, "top_label", "strength").rstrip()
+    header = "  ".join(cells).format("doc_id", *names, "top_label", "strength").rstrip()
     cells[1:-2] = [f"{{:<{w}.4f}}" for w in widths[1:-2]]
     row = "  ".join(cells)
-    lines = [row.format(r["doc_id"], *ds, r["top_label"], r["strength"]).rstrip()
+    # names escaped again, not kept from above: two more lists of n names
+    # would be alive while the lines are built
+    lines = [row.format(printable(r["doc_id"]), *ds, printable(r["top_label"]),
+                        r["strength"]).rstrip()
              for r, ds in zip(reports, degrees)]
     return "\n".join([header, *lines])
 

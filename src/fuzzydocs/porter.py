@@ -12,6 +12,12 @@ decides: the suffix is replaced if the condition holds, and the word is
 kept otherwise. Step 1b's restoration, which follows only the removal of
 -ed or -ing, is the one rule written as code.
 
+Most words end with no suffix of most steps, so each step is guarded by
+one ``str.endswith`` test against the tuple of all its suffixes, and its
+rows are read only when that test matches. Porter's reference
+implementation picks a step's rules by the word's last letters for the
+same reason.
+
 ``stem`` is memoized per process: text repeats its word forms, so each
 distinct surface form runs the rules once. The memo is a
 ``functools.lru_cache`` bounded at 16,384 forms (``_STEM_CACHE_SIZE``),
@@ -159,6 +165,9 @@ _STEPS = (
     # 5b: m > 1 of the whole word, which a second trailing l leaves unchanged
     (("ll", "l", lambda base: _m_above_1(base + "l")),),
 )
+# each step with the suffixes of its rows, so one endswith test skips a step
+# that no row matches
+_GUARDED_STEPS = tuple((tuple(suffix for suffix, _, _ in rows), rows) for rows in _STEPS)
 
 
 @lru_cache(maxsize=_STEM_CACHE_SIZE)
@@ -171,7 +180,9 @@ def stem(term: str) -> str:
     if len(term) <= 2:
         return term
     w = term
-    for rows in _STEPS:
+    for suffixes, rows in _GUARDED_STEPS:
+        if not w.endswith(suffixes):
+            continue
         for suffix, replacement, condition in rows:
             if w.endswith(suffix):
                 base = w[: -len(suffix)]

@@ -14,6 +14,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
+from itertools import filterfalse
 from pathlib import Path
 
 from .porter import stem
@@ -32,7 +33,8 @@ __all__ = [
 _TAG_RE = re.compile(r"<[^>]*>")
 _ENTITY_RE = re.compile(r"&(amp|lt|gt|quot|#[0-9]+);", re.IGNORECASE)
 _NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"'}
-_TERM_RE = re.compile(r"[a-z0-9]+")
+# every byte other than [a-z0-9] becomes a space
+_SEPARATORS = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for b in range(256))
 
 
 def _decode_entity(match: re.Match) -> str:
@@ -102,8 +104,9 @@ def _default_config() -> PreprocessConfig:
 
 def _split_terms(text: str) -> list[str]:
     # maximal [a-z0-9] runs after Unicode-aware lowercasing; anything
-    # else (hyphens included) is a separator
-    return _TERM_RE.findall(text.lower())
+    # else (hyphens included) is a separator. Each non-ASCII character,
+    # a lone surrogate too, encodes as "?", so it separates as well.
+    return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
 
 
 def _bigram_tokens(terms: Sequence[str]) -> list[str]:
@@ -118,7 +121,7 @@ def tokenize(text: str) -> list[str]:
 
 def remove_stopwords(terms: Sequence[str], stopwords: frozenset[str]) -> list[str]:
     """Keep, in order, the terms not in the stopword set."""
-    return [t for t in terms if t not in stopwords]
+    return list(filterfalse(stopwords.__contains__, terms))
 
 
 def preprocess_document(text: str, config: PreprocessConfig | None = None) -> tuple[str, ...]:
@@ -136,7 +139,7 @@ def preprocess_document(text: str, config: PreprocessConfig | None = None) -> tu
         text = strip_markup(text)
     terms = remove_stopwords(_split_terms(text), config.stopwords)
     if config.stemming:
-        terms = [stem(t) for t in terms]
+        terms = list(map(stem, terms))
     if config.bigrams:
         terms = terms + _bigram_tokens(terms)
     return tuple(terms)

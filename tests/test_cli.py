@@ -399,6 +399,50 @@ class TestClusterCommand:
         assert json.loads(out.read_text(encoding="utf-8"))["doc_ids"] == [
             f"doc{i}.txt" for i in range(1, 9)]
 
+    def test_load_corpus_order_and_skips(self, tmp_path):
+        """Documents in code point order of their names; dot files,
+        directories and symlinks to anything but a file are skipped, a
+        symlink to a file is read under its own name, and line endings
+        are read as universal newlines."""
+        corpus = tmp_path / "corpus"
+        (corpus / "sub").mkdir(parents=True)
+        (corpus / "sub" / "inner.txt").write_text("inner", encoding="utf-8")
+        for name, text in [("b.txt", "lower b"), ("B.txt", "upper b"), ("a10.txt", "a ten"),
+                           ("a9.txt", "a nine"), ("2.txt", "two"), ("_u.txt", "underscore"),
+                           ("été.txt", "summer"), ("Z", "zed"), (".hidden.txt", "dot"),
+                           ("crlf.txt", "one\r\ntwo\r")]:
+            (corpus / name).write_bytes(text.encode("utf-8"))
+        (tmp_path / "outside.txt").write_text("linked", encoding="utf-8")
+        (corpus / "link.txt").symlink_to(tmp_path / "outside.txt")
+        (corpus / "dirlink").symlink_to(corpus / "sub")
+        (corpus / "broken").symlink_to(tmp_path / "missing.txt")
+        (corpus / "loop").symlink_to(corpus / "loop")
+        assert list(cli.load_corpus(corpus).items()) == [
+            ("2.txt", "two"),
+            ("B.txt", "upper b"),
+            ("Z", "zed"),
+            ("_u.txt", "underscore"),
+            ("a10.txt", "a ten"),
+            ("a9.txt", "a nine"),
+            ("b.txt", "lower b"),
+            ("crlf.txt", "one\ntwo\n"),
+            ("link.txt", "linked"),
+            ("été.txt", "summer"),
+        ]
+
+    def test_skipped_document_id_is_escaped(self, tmp_path, capsys):
+        """A line break in a skipped document's name cannot forge a line."""
+        corpus = write_corpus(tmp_path)
+        (corpus / "a\nerror: b").write_text("", encoding="utf-8")
+        code = main(["cluster", "--corpus", str(corpus),
+                     "--features", str(write_features_file(tmp_path)),
+                     "--clusters", "2", "--out", str(tmp_path / "result.json")])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if line.startswith("warning:")] == [
+            "warning: skipping empty document: a\\nerror: b"]
+        assert not [line for line in lines if line.startswith("error:")]
+
     def test_no_documents_is_data_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         (corpus / "sub").mkdir(parents=True)

@@ -41,18 +41,23 @@ def report(doc_id, labels, top_label, strength):
 
 
 def reference_report_table(reports):
-    """The table padded one cell at a time with ljust: the reference that
+    """The table padded one cell at a time with ljust, each character of a
+    name that is not printable written as its escape: the reference that
     render_report_table must match byte for byte."""
     if not reports:
         return ""
+
+    def escaped(name):
+        return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in name)
+
     labels = list(reports[0]["labels"])
-    header = ["doc_id"] + labels + ["top_label", "strength"]
+    header = ["doc_id"] + [escaped(lab) for lab in labels] + ["top_label", "strength"]
     rows = [header]
     for r in reports:
         rows.append(
-            [r["doc_id"]]
+            [escaped(r["doc_id"])]
             + [f"{r['labels'][lab]:.4f}" for lab in labels]
-            + [r["top_label"], r["strength"]]
+            + [escaped(r["top_label"]), r["strength"]]
         )
     widths = [max(len(row[k]) for row in rows) for k in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
@@ -386,6 +391,13 @@ class TestReportFiles:
     def test_render_empty(self):
         assert render_report_table([]) == ""
 
+    def test_render_escapes_names(self):
+        # one line per document however its name reads; widths count the escapes
+        reports = [report("a\nerror: b", {"s\tt": 1.0}, "s\tt", "strong")]
+        assert render_report_table(reports) == (
+            "doc_id       s\\tt    top_label  strength\n"
+            "a\\nerror: b  1.0000  s\\tt       strong")
+
     @pytest.mark.parametrize("reports", [
         pytest.param(classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST),
                      id="worked-example"),
@@ -403,6 +415,9 @@ class TestReportFiles:
                      id="outside-unit-interval"),
         pytest.param([report("d1", {"a": float("nan"), "b": float("-inf")}, "a", "x")],
                      id="no-finite-degree"),
+        pytest.param([report("a\nerror: b", {"x\ty": 0.25, "é": 0.75}, "x\ty", "moderate"),
+                      report("d\x1b[2J", {"x\ty": 1.0, "é": 0.0}, "é", "strong")],
+                     id="unprintable-names"),
         pytest.param([], id="empty"),
     ])
     def test_render_matches_cell_by_cell_table(self, reports):

@@ -3,7 +3,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fuzzydocs import preprocess
 from fuzzydocs.preprocess import (
@@ -70,6 +70,24 @@ class TestTokenize:
 
     def test_non_ascii_letters_split(self):
         assert tokenize("naïve fan") == ["na", "ve", "fan"]
+
+    @pytest.mark.parametrize("text,expected", [
+        ("\u212a", ["k"]),  # the Kelvin sign lowercases to an ASCII k
+        ("\u0130x", ["i", "x"]),  # dotted capital I lowercases to i and a combining dot
+        ("\ud800ab", ["ab"]),  # a lone surrogate separates
+        ("\uff11\uff12", []),  # full-width digits are not ASCII digits
+        ("\x1c", []),  # an ASCII control character
+    ])
+    def test_unicode_edge_cases(self, text, expected):
+        assert tokenize(text) == expected == re.findall("[a-z0-9]+", text.lower())
+
+    @settings(max_examples=300)
+    @given(st.text(st.one_of(st.characters(exclude_categories=()),
+                             st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+                             st.sampled_from("aZ09 -_\u212a\u0130")), max_size=80))
+    def test_matches_regex_oracle(self, text):
+        # the token rule: maximal [a-z0-9] runs of the lowercased text
+        assert tokenize(text) == re.findall("[a-z0-9]+", text.lower())
 
 
 class TestRemoveStopwords:
