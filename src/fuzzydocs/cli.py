@@ -11,10 +11,11 @@ flag beats the config file, which beats the default. ``main`` resolves
 these settings once and passes the dict to the subcommand's handler.
 
 Exit codes: 0 success, 1 data error (``ValueError``, ``OSError``), 2 usage
-error; a failed run's last stderr line is its one ``error: `` line. That
-line, a warning's document id and the names in a table pass
-:func:`fuzzydocs.labeling.printable`, which writes each character that is
-not printable as its escape. Warnings go to stderr; tables to stdout;
+error; a failed run's last stderr line is its one ``error: `` line. Every
+stderr line (``wrote PATH``, a warning, the error) and every name in a
+table pass :func:`fuzzydocs.labeling.printable`, which writes each
+character that is not printable as its escape, so a path or a name cannot
+forge a line. Warnings go to stderr; tables to stdout;
 JSON files go through :mod:`fuzzydocs.jsonfile`, which creates a missing
 output directory.
 """
@@ -63,6 +64,11 @@ class UsageError(Exception):
 
 
 REQUIRED = object()  # the default of an option a subcommand cannot run without
+
+
+def _note(line: str) -> None:
+    """Print one stderr line, escaped so that no name in it can break it."""
+    print(printable(line), file=sys.stderr)
 
 
 def load_corpus(dirpath: str | Path) -> dict[str, str]:
@@ -239,10 +245,10 @@ def cmd_features(s: dict) -> int:
     selected = select_features(profiles, s["top_k"], s["min_ratio"], s["min_wf"])
 
     save_feature_set(selected, out)
-    print(f"wrote {out}", file=sys.stderr)
+    _note(f"wrote {out}")
     for profile in profiles:
         save_profile(profile, profile_paths[profile.label])
-        print(f"wrote {profile_paths[profile.label]}", file=sys.stderr)
+        _note(f"wrote {profile_paths[profile.label]}")
 
     _print_ratio_table(profiles, selected, s["top_k"], s["min_ratio"], s["min_wf"])
     return 0
@@ -282,7 +288,7 @@ def cmd_cluster(s: dict) -> int:
     for doc_id, text in load_corpus(s["corpus"]).items():
         terms = preprocess_document(text, pre)
         if not terms:
-            print(f"warning: skipping empty document: {printable(doc_id)}", file=sys.stderr)
+            _note(f"warning: skipping empty document: {doc_id}")
             continue
         doc_ids.append(doc_id)
         rows.append(vectorize(terms, selected))
@@ -296,12 +302,11 @@ def cmd_cluster(s: dict) -> int:
     matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
     zero_rows = int(np.count_nonzero(~matrix.data.any(axis=1)))
     if zero_rows:  # clustering cannot tell these documents apart
-        print(f"warning: {zero_rows} document(s) contain none of the selected features",
-              file=sys.stderr)
+        _note(f"warning: {zero_rows} document(s) contain none of the selected features")
     result = run_fcm(matrix, params)
 
     save_result(result, matrix.doc_ids, selected, out)
-    print(f"wrote {out}", file=sys.stderr)
+    _note(f"wrote {out}")
     print(f"iterations: {result.iterations}")
     print(f"converged: {'true' if result.converged else 'false'}")
     print(f"objective: {result.objective_history[-1]!r}")
@@ -323,7 +328,7 @@ def cmd_report(s: dict) -> int:
 
     reports.sort(key=lambda e: (e["top_label"], -e["labels"][e["top_label"]], e["doc_id"]))
     save_report(reports, out)
-    print(f"wrote {out}", file=sys.stderr)
+    _note(f"wrote {out}")
     print(render_report_table(reports))
     return 0
 
@@ -387,7 +392,7 @@ def main(argv=None) -> int:
         return args.handler(_settings(args))
     except (UsageError, ValueError, OSError) as exc:
         # one line, though the message quotes a path or a key holding a line break
-        print(f"error: {printable(str(exc))}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2 if isinstance(exc, UsageError) else 1
 
 

@@ -15,16 +15,20 @@ epsilon. The objective it descends is
 
     J_m = sum_i sum_j u_ji^m ||x_i - v_j||^2.
 
-Each iteration builds the c x n squared distances once, in
-``squared_distances``, one feature at a time over a feature-major copy of
-the matrix, so an iteration works in O(n*m + c*n) memory; the memberships
-read their square roots and J_m reads them directly. The distances and
-the membership column sums are elementwise accumulations in a fixed
-order (feature by feature, cluster by cluster), not numpy reductions,
-whose summation order numpy picks from the array's shape and memory
-layout. The centers and J_m stay einsum reductions over arrays whose
-layout ``run_fcm`` fixes: it works on one feature-major copy of the
-matrix, and ``validate_partition`` returns a C-ordered copy. So the
+Each iteration raises its new partition to m once: those weights
+w = u^m give J_m for that partition and the centers of the next
+iteration, so ``update_centers`` and ``objective`` take w, not u. It
+builds the c x n squared distances once, in ``squared_distances``, one
+feature at a time over a feature-major copy of the matrix, so an
+iteration works in O(n*m + c*n) memory; the memberships read their
+square roots and J_m reads them directly. One expression gives every
+membership column, a column with a zero distance included. The
+distances and the membership column sums are elementwise accumulations
+in a fixed order (feature by feature, cluster by cluster), not numpy
+reductions, whose summation order numpy picks from the array's shape and
+memory layout. The centers and J_m stay einsum reductions over arrays
+whose layout ``run_fcm`` fixes: it works on one feature-major copy of
+the matrix, and ``validate_partition`` returns a C-ordered copy. So the
 caller's memory layout does not change a bit of the result, repeated
 runs are bit-identical, and iteration k of a run leaves exactly the
 partition and centers of a run with max_iters=k.
@@ -169,9 +173,9 @@ def init_partition(
     return u / np.einsum("cn->n", u)
 
 
-def update_centers(u: np.ndarray, x: np.ndarray, fuzzifier: float) -> np.ndarray:
-    """Fuzzily weighted document means, one row per cluster."""
-    w = u**fuzzifier
+def update_centers(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fuzzily weighted document means, one row per cluster, from the
+    c x n weights w = u^m of a partition u."""
     weight_sums = np.einsum("cn->c", w)
     if np.any(weight_sums == 0.0):
         raise ValueError("empty cluster")
@@ -201,42 +205,38 @@ def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
     zero-distance document becomes a one-hot column on the first such
     cluster.
 
-    A regular column is scaled by its smallest distance:
+    Each column is scaled by its smallest distance:
     w_j = (d_min / d_j)^(2/(m-1)) lies in [0, 1] and is exactly 1 at the
     nearest center, so u_j = w_j / sum_k w_k cannot overflow or divide 0
-    by 0, and a ratio that underflows to 0 is its exact limit. The sum
+    by 0, and a ratio that underflows to 0 is its exact limit. A zero
+    distance is divided as if it were 1, so a column whose d_min is 0 has
+    every w_j = 0 until its first zero is set to 1, in the same pass over
+    the clusters that sums the column; nothing is divided by 0. That sum
     runs in cluster order, one elementwise add per cluster, so a column's
-    bits do not depend on the other columns. Working memory is a few
-    c x n arrays; without a zero distance, one.
+    bits do not depend on the other columns. Working memory is one c x n
+    array and its c x n zero mask.
     """
     d_min = d.min(axis=0)
-    singular = d_min == 0.0
-    if not singular.any():
-        return _regular_memberships(d, d_min, fuzzifier)
-    u = np.zeros(d.shape)
-    cols = np.flatnonzero(singular)
-    u[np.argmax(d[:, cols] == 0.0, axis=0), cols] = 1.0
-    regular = ~singular
-    if regular.any():
-        u[:, regular] = _regular_memberships(d[:, regular], d_min[regular], fuzzifier)
-    return u
-
-
-def _regular_memberships(d: np.ndarray, d_min: np.ndarray, fuzzifier: float) -> np.ndarray:
-    """Memberships of zero-free columns d with column minima d_min."""
-    w = d_min / d
+    zero = d == 0.0
+    w = np.where(zero, 1.0, d)
+    np.divide(d_min, w, out=w)
     w **= 2.0 / (fuzzifier - 1.0)
-    total = w[0].copy()
-    for row in w[1:]:
+    total = np.zeros(d.shape[1])
+    unclaimed = np.ones(d.shape[1], dtype=bool)  # no zero distance in the column yet
+    for row, first in zip(w, zero):
+        first &= unclaimed
+        row += first
+        unclaimed ^= first
         total += row
     w /= total
     return w
 
 
-def objective(u: np.ndarray, sq: np.ndarray, fuzzifier: float) -> float:
-    """J_m: fuzzily weighted sum of the squared document-center distances
-    ``sq`` (c x n, from ``squared_distances``)."""
-    return float(np.einsum("cn,cn->", u**fuzzifier, sq))
+def objective(w: np.ndarray, sq: np.ndarray) -> float:
+    """J_m: the squared document-center distances ``sq`` (c x n, from
+    ``squared_distances``) summed with the weights w = u^m of the
+    partition u."""
+    return float(np.einsum("cn,cn->", w, sq))
 
 
 def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
@@ -252,11 +252,13 @@ def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
     converged = False
     iterations = 0
     v = None
+    w = u**m
     for iterations in range(1, params.max_iters + 1):
-        v = update_centers(u, data, m)
+        v = update_centers(w, data)
         sq = squared_distances(data, v)
         u_next = update_memberships(np.sqrt(sq), m)
-        jm = objective(u_next, sq, m)
+        w = u_next**m
+        jm = objective(w, sq)
         change = float(np.max(np.abs(u_next - u)))
         objective_history.append(jm)
         max_change_history.append(change)

@@ -40,7 +40,7 @@ def test_criterion_1_word_frequency_golden():
 
 def test_criterion_2_center_golden_exact_quarters():
     x, u0 = worked_example()
-    v = update_centers(u0, x.data, 2.0)
+    v = update_centers(u0**2.0, x.data)
     for got, want in zip(v[0], goldens.CENTER_1):
         assert abs(got - want) <= 1e-9
     for got, want in zip(v[1], goldens.CENTER_2):
@@ -49,7 +49,7 @@ def test_criterion_2_center_golden_exact_quarters():
 
 def test_criterion_3_distance_golden_both_bands():
     x, u0 = worked_example()
-    v = update_centers(u0, x.data, 2.0)
+    v = update_centers(u0**2.0, x.data)
     d = np.sqrt(squared_distances(x.data, v))
     for j, (oracle, worksheet) in enumerate(
         [(goldens.D1, goldens.D1_WORKSHEET), (goldens.D2, goldens.D2_WORKSHEET)]
@@ -157,9 +157,9 @@ def test_criterion_7_randomized_property_suite():
         data = rng.uniform(0.0, 10000.0, size=(n, m))
         u0 = init_partition(n, c, seed=int(rng.integers(0, 2**31)))
         perm = rng.permutation(n)
-        v_plain = update_centers(u0, data, 2.0)
+        v_plain = update_centers(u0**2.0, data)
         u_plain = update_memberships(np.sqrt(squared_distances(data, v_plain)), 2.0)
-        v_perm = update_centers(u0[:, perm], data[perm], 2.0)
+        v_perm = update_centers(u0[:, perm]**2.0, data[perm])
         u_perm = update_memberships(np.sqrt(squared_distances(data[perm], v_perm)), 2.0)
         assert np.allclose(v_perm, v_plain, rtol=1e-9, atol=1e-9)
         assert np.allclose(u_perm, u_plain[:, perm], rtol=1e-9, atol=1e-12)
@@ -206,7 +206,7 @@ def test_criterion_8_oracle_equivalence_one_iteration():
         data = rng.uniform(0.0, 10000.0, size=(n, m))
         u0 = init_partition(n, c, seed=int(rng.integers(0, 2**31)))
 
-        v_engine = update_centers(u0, data, fuzzifier)
+        v_engine = update_centers(u0**fuzzifier, data)
         d_engine = np.sqrt(squared_distances(data, v_engine))
         u_engine = update_memberships(d_engine, fuzzifier)
 

@@ -221,6 +221,21 @@ class TestFeaturesCommand:
         assert capsys.readouterr().err == "error: duplicate sample label: sports\n"
         assert not out.exists()
 
+    def test_written_path_is_escaped(self, tmp_path, capsys):
+        """A line break in a label, so in its profile's path, cannot forge
+        a line on a run that succeeds."""
+        sports, politics = make_sample_dirs(tmp_path)
+        out = tmp_path / "features.json"
+        code = main(["features", "--samples", f"a\nerror: x={sports}",
+                     "--samples", f"b={politics}", "--min-ratio", "1", "--min-wf", "0",
+                     "--out", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"wrote {out}", f"wrote {tmp_path}/a\\nerror: x.profile.json",
+                         f"wrote {tmp_path}/b.profile.json"]
+        assert all(line.startswith("wrote ") for line in lines)
+        assert not [line for line in lines if line.startswith("error:")]
+
     def test_stopwords_file_drops_terms(self, tmp_path):
         sports, politics = make_sample_dirs(tmp_path)
         stopwords = tmp_path / "stopwords.txt"

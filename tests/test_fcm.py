@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import goldens
+from fuzzydocs import fcm
 from fuzzydocs.fcm import (
     FcmParams,
     FcmResult,
@@ -47,6 +48,31 @@ def ratio_memberships(d, fuzzifier):
     from the c x c x n ratio tensor."""
     ratios = (d[:, None, :] / d[None, :, :]) ** (2.0 / (fuzzifier - 1.0))
     return 1.0 / np.einsum("jkn->jn", ratios)
+
+
+def two_path_memberships(d, fuzzifier):
+    """Reference: the zero-distance columns one-hot on their first zero,
+    the others through the min-ratio form on a copy of those columns."""
+
+    def regular(d, d_min):
+        w = d_min / d
+        w **= 2.0 / (fuzzifier - 1.0)
+        total = w[0].copy()
+        for row in w[1:]:
+            total += row
+        w /= total
+        return w
+
+    d_min = d.min(axis=0)
+    singular = d_min == 0.0
+    if not singular.any():
+        return regular(d, d_min)
+    u = np.zeros(d.shape)
+    cols = np.flatnonzero(singular)
+    u[np.argmax(d[:, cols] == 0.0, axis=0), cols] = 1.0
+    if (~singular).any():
+        u[:, ~singular] = regular(d[:, ~singular], d_min[~singular])
+    return u
 
 
 def traced_peak_bytes(f, *args):
@@ -153,38 +179,38 @@ class TestInitPartition:
 
 class TestUpdateCenters:
     def test_crisp_centers_are_exact_quarters(self, example_matrix, crisp_init):
-        v = update_centers(crisp_init, example_matrix.data, 2.0)
+        v = update_centers(crisp_init**2.0, example_matrix.data)
         np.testing.assert_allclose(v[0], goldens.CENTER_1, rtol=0, atol=1e-9)
         np.testing.assert_allclose(v[1], goldens.CENTER_2, rtol=0, atol=1e-9)
 
     def test_uniform_memberships_give_global_mean(self, example_matrix):
         u = np.full((2, 8), 0.5)
-        v = update_centers(u, example_matrix.data, 2.0)
+        v = update_centers(u**2.0, example_matrix.data)
         mean = example_matrix.data.mean(axis=0)
         np.testing.assert_allclose(v[0], mean, rtol=1e-12)
         np.testing.assert_allclose(v[1], mean, rtol=1e-12)
 
     def test_second_iteration_centers(self, example_matrix):
         u1 = np.array([goldens.U1_ROW1, [1.0 - x for x in goldens.U1_ROW1]])
-        v = update_centers(u1, example_matrix.data, 2.0)
+        v = update_centers(u1**2.0, example_matrix.data)
         np.testing.assert_allclose(v[0], goldens.SECOND_CENTER_1, rtol=0, atol=1e-6)
         np.testing.assert_allclose(v[1], goldens.SECOND_CENTER_2, rtol=0, atol=1e-6)
 
     def test_empty_cluster_raises(self, example_matrix):
         u = np.vstack([np.zeros(8), np.ones(8)])
         with pytest.raises(ValueError, match="empty cluster"):
-            update_centers(u, example_matrix.data, 2.0)
+            update_centers(u**2.0, example_matrix.data)
 
     def test_centers_inside_data_hull(self, example_matrix):
         u = init_partition(8, 3, seed=5)
-        v = update_centers(u, example_matrix.data, 2.0)
+        v = update_centers(u**2.0, example_matrix.data)
         lo = example_matrix.data.min(axis=0) - 1e-9
         hi = example_matrix.data.max(axis=0) + 1e-9
         assert np.all(v >= lo) and np.all(v <= hi)
 
     def test_crisp_memberships_give_cluster_means_any_fuzzifier(self, example_matrix, crisp_init):
         for fuzzifier in (1.5, 2.0, 3.7):
-            v = update_centers(crisp_init, example_matrix.data, fuzzifier)
+            v = update_centers(crisp_init**fuzzifier, example_matrix.data)
             members1 = example_matrix.data[crisp_init[0] == 1.0]
             members2 = example_matrix.data[crisp_init[1] == 1.0]
             np.testing.assert_allclose(v[0], members1.mean(axis=0), rtol=1e-12)
@@ -284,6 +310,25 @@ class TestUpdateMemberships:
         np.testing.assert_array_equal(update_memberships(planted, fuzzifier)[:, clean],
                                       update_memberships(d, fuzzifier)[:, clean])
 
+    @given(st.integers(1, 8), st.integers(1, 30), st.floats(-300.0, 300.0),
+           st.floats(1.01, 7.5), st.integers(0, 10_000))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bit_identical_to_two_path_form(self, c, n, log_scale, fuzzifier, seed):
+        """One expression for every column gives the bits of a separate
+        zero-distance path: zeros in some columns, several in one, equal
+        distances to two centers and equal columns, at any scale."""
+        rng = np.random.default_rng(seed)
+        d = np.sqrt(rng.uniform(0.0, 1.0, size=(c, n))) * 10.0**log_scale
+        for col in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+            d[rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False), col] = 0.0
+        if c > 1 and rng.random() < 0.5:
+            d[-1] = d[0]
+        if n > 1 and rng.random() < 0.5:
+            d[:, -1] = d[:, 0]
+        assert update_memberships(d, fuzzifier).tobytes() == \
+            two_path_memberships(d, fuzzifier).tobytes()
+
     def test_working_memory_without_zeros(self):
         c, n = 16, 5000
         d = np.sqrt(np.random.default_rng(0).uniform(1.0, 1e4, size=(c, n)))
@@ -315,11 +360,11 @@ class TestObjective:
         x = np.array([[5.0, 5.0]])
         u = np.array([[1.0]])
         v = np.array([[5.0, 5.0]])
-        assert objective(u, squared_distances(x, v), 2.0) == 0.0
+        assert objective(u**2.0, squared_distances(x, v)) == 0.0
 
     def test_crisp_init_objective_is_exact(self, example_matrix, crisp_init):
         v = np.array([goldens.CENTER_1, goldens.CENTER_2])
-        j = objective(crisp_init, squared_distances(example_matrix.data, v), 2.0)
+        j = objective(crisp_init**2.0, squared_distances(example_matrix.data, v))
         assert j == pytest.approx(goldens.OBJECTIVE_AT_INIT, abs=1e-9)
 
     def test_matches_brute_force(self, example_matrix, crisp_init):
@@ -332,7 +377,7 @@ class TestObjective:
                 )
                 expected += crisp_init[j, i] ** 2 * dist_sq
         sq = squared_distances(example_matrix.data, v)
-        assert objective(crisp_init, sq, 2.0) == pytest.approx(expected, rel=1e-12)
+        assert objective(crisp_init**2.0, sq) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRunFcm:
@@ -363,7 +408,7 @@ class TestRunFcm:
     def test_converged_state_is_fixed_point(self, example_matrix, crisp_init):
         params = FcmParams(c=2, init=crisp_init)
         res = run_fcm(example_matrix, params)
-        v = update_centers(res.partition, example_matrix.data, 2.0)
+        v = update_centers(res.partition**2.0, example_matrix.data)
         u = update_memberships(np.sqrt(squared_distances(example_matrix.data, v)), 2.0)
         assert np.max(np.abs(u - res.partition)) < params.epsilon
 
@@ -386,6 +431,29 @@ class TestRunFcm:
         given = {result_bytes(order, np.array(init, order=init_order))
                  for order in "CF" for init_order in "CF"}
         assert len(given) == 1
+
+    def test_one_power_per_partition(self, example_matrix, monkeypatch):
+        """The weights J_m reads at iteration k are the very array the
+        centers of iteration k + 1 read."""
+        centers_w, objective_w = [], []
+        update, weigh = fcm.update_centers, fcm.objective
+
+        def recording_update(w, x):
+            centers_w.append(w)
+            return update(w, x)
+
+        def recording_objective(w, sq):
+            objective_w.append(w)
+            return weigh(w, sq)
+
+        monkeypatch.setattr(fcm, "update_centers", recording_update)
+        monkeypatch.setattr(fcm, "objective", recording_objective)
+        res = run_fcm(example_matrix, FcmParams(c=2, fuzzifier=1.7, epsilon=1e-12, max_iters=6,
+                                                   seed=3))
+        assert len(centers_w) == len(objective_w) == res.iterations == 6
+        assert all(a is b for a, b in zip(objective_w, centers_w[1:]))
+        assert centers_w[0].tobytes() == (init_partition(8, 2, seed=3) ** 1.7).tobytes()
+        assert objective_w[-1].tobytes() == (res.partition**1.7).tobytes()
 
     def test_max_iters_reached_not_converged(self, example_matrix, crisp_init):
         res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init, max_iters=2))
@@ -533,6 +601,23 @@ class TestProperties:
         for earlier, later in zip(hist, hist[1:]):
             assert later <= earlier * (1 + 1e-9) + 1e-12
 
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(5, 12), st.integers(0, 4),
+           st.integers(0, 3), st.floats(1.05, 5.0), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_objective_descends_to_1e_12(self, c, m, distinct, duplicates, zeros, fuzzifier,
+                                         seed):
+        """J_m never rises from one iteration to the next (Bezdek 1980),
+        to 1e-12 relative, with duplicate and all-zero documents."""
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(0.0, 10000.0, size=(distinct, m))
+        data = np.vstack([data, data[rng.integers(0, distinct, size=duplicates)],
+                          np.zeros((zeros, m))])
+        x = FeatureMatrix(tuple(f"d{i}" for i in range(len(data))), data)
+        hist = run_fcm(x, FcmParams(c=c, fuzzifier=fuzzifier, epsilon=1e-9, max_iters=30,
+                                    seed=seed)).objective_history
+        for earlier, later in zip(hist, hist[1:]):
+            assert later <= earlier * (1 + 1e-12)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_memberships_monotone_in_distance(self, seed):
@@ -554,7 +639,7 @@ class TestProperties:
         perm = rng.permutation(n)
 
         def one_iteration(matrix, u):
-            v = update_centers(u, matrix, 2.0)
+            v = update_centers(u**2.0, matrix)
             return update_memberships(np.sqrt(squared_distances(matrix, v)), 2.0), v
 
         u_plain, v_plain = one_iteration(data, u0)
@@ -570,7 +655,7 @@ class TestProperties:
         res = run_fcm(x, params)
         if not res.converged:
             return
-        v = update_centers(res.partition, x.data, 2.0)
+        v = update_centers(res.partition**2.0, x.data)
         u = update_memberships(np.sqrt(squared_distances(x.data, v)), 2.0)
         assert np.max(np.abs(u - res.partition)) < params.epsilon
 
@@ -585,7 +670,7 @@ class TestProperties:
         u = np.zeros((2, n))
         u[assignment, np.arange(n)] = 1.0
         fuzzifier = float(rng.uniform(1.1, 4.0))
-        v = update_centers(u, data, fuzzifier)
+        v = update_centers(u**fuzzifier, data)
         for j in range(2):
             np.testing.assert_allclose(
                 v[j], data[assignment == j].mean(axis=0), rtol=1e-12
