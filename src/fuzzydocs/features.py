@@ -178,4 +178,6 @@ def load_profile(path: str | Path) -> LabeledProfile:
     if not (isinstance(label, str) and label and isinstance(wf, dict)):
         raise ValueError(f"invalid profile file: {path}")
     values = checked_numbers(list(wf.values()), f"invalid profile file: {path}: WFs", WF_SCALE, 1)
-    return LabeledProfile(label, dict(zip(wf, values.tolist())))
+    if not set(map(type, wf.values())) <= {float}:  # an int WF is read as its float
+        wf = dict(zip(wf, values.tolist()))
+    return LabeledProfile(label, wf)

@@ -19,11 +19,21 @@ A report is the list ``report.json`` holds, one plain dict per document:
 ``{"doc_id", "labels": {label: degree}, "top_label", "strength"}``. It is
 saved as is with :mod:`fuzzydocs.jsonfile`, so the file is replaced whole
 or left as it was.
+
+The report table prints each degree to four decimals, and each degree
+cell equals ``format(x, ".4f")`` of the degree read as a float. The cells
+of a column are computed in numpy, from the nearest integer to
+``x * 1e4``, for every degree in [0, 1] away from a rounding tie; -0.0, a
+degree outside [0, 1] (NaN and the infinities among them) and a degree
+whose ``x * 1e4`` lies within 1e-9 of a half-integer go through
+``format``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -228,26 +238,75 @@ def render_report_table(reports: Sequence[dict]) -> str:
     """Aligned plain-text table, one row per document, in the given order;
     degrees to four decimals, in the first entry's label order. Doc ids
     and labels are written through :func:`printable`, and each column is
-    as wide as its widest escaped cell."""
+    as wide as its widest escaped cell. Each degree is read as a float
+    and each cell equals ``format(x, ".4f")`` padded to its column;
+    :func:`_degree_blocks` writes them all as one ASCII block."""
     if not reports:
         return ""
     labels = list(reports[0]["labels"])
-    degrees = [[r["labels"][lab] for lab in labels] for r in reports]
     names = list(map(printable, labels))
+    degrees = _degree_table(reports, labels)
     widths = [_width("doc_id", [printable(r["doc_id"]) for r in reports]),
-              *map(_degree_width, names, np.array(degrees, dtype=float).T),
+              *map(_degree_width, names, degrees.T),
               _width("top_label", [printable(r["top_label"]) for r in reports]),
               _width("strength", [r["strength"] for r in reports])]
-    cells = [f"{{:<{w}}}" for w in widths]
-    header = "  ".join(cells).format("doc_id", *names, "top_label", "strength").rstrip()
-    cells[1:-2] = [f"{{:<{w}.4f}}" for w in widths[1:-2]]
-    row = "  ".join(cells)
+    header = "  ".join(f"{{:<{w}}}" for w in widths).format(
+        "doc_id", *names, "top_label", "strength").rstrip()
+    # the block carries the separator after each degree column, so no
+    # labels (c = 0) leave one separator between doc id and top label
+    row = f"{{:<{widths[0]}}}  {{}}{{:<{widths[-2]}}}  {{:<{widths[-1]}}}"
     # names escaped again, not kept from above: two more lists of n names
     # would be alive while the lines are built
-    lines = [row.format(printable(r["doc_id"]), *ds, printable(r["top_label"]),
+    lines = [row.format(printable(r["doc_id"]), block, printable(r["top_label"]),
                         r["strength"]).rstrip()
-             for r, ds in zip(reports, degrees)]
+             for r, block in zip(reports, _degree_blocks(degrees, widths[1:-2]))]
     return "\n".join([header, *lines])
+
+
+def _degree_table(reports: Sequence[dict], labels: Sequence[str]) -> np.ndarray:
+    """The degrees as an n x c float array, a row per report, a column per
+    label in the order of ``labels``."""
+    n, c = len(reports), len(labels)
+    if c < 2:  # itemgetter needs a key, and of one key returns the value, not a 1-tuple
+        values = (r["labels"][label] for r in reports for label in labels)
+    else:
+        values = chain.from_iterable(map(itemgetter(*labels), map(itemgetter("labels"), reports)))
+    return np.fromiter(values, float, n * c).reshape(n, c)
+
+
+def _degree_blocks(degrees: np.ndarray, widths: Sequence[int]) -> list[str]:
+    """Each row's degree cells, each padded to its column's width and
+    followed by two spaces, as one string per row.
+
+    A degree x in [0, 1], not -0.0, whose y = x * 1e4 lies more than 1e-9
+    from a half-integer is written from k = rint(y) as ``k // 10000``,
+    ``.`` and the four digits of ``k % 10000``. This is what
+    ``format(x, ".4f")`` prints: 1e4 is exact, so y is within 2**-40 of
+    the true product, which is then no tie and rounds to the same
+    integer. Every other degree -- NaN, an infinity, one outside [0, 1],
+    -0.0 or a near-tie -- is padded through ``format``. The columns are
+    written one at a time, so each temporary is n long."""
+    n = len(degrees)
+    stride = sum(widths) + 2 * len(widths)
+    block = np.full((n, stride), ord(" "), dtype=np.uint8)
+    at = 0
+    for x, w in zip(degrees.T, widths):
+        unit = (x >= 0) & (x <= 1) & ~np.signbit(x)
+        y = np.where(unit, x, 0.0) * 1e4  # no NaN or infinity goes on
+        k = np.rint(y)
+        fast = unit & (np.abs(y - k) < 0.5 - 1e-9)
+        if fast.any():  # so the column is at least six wide
+            k = k.astype(np.uint16)  # at most 10000
+            block[:, at] = k // 10000 + ord("0")
+            block[:, at + 1] = ord(".")
+            for place, power in enumerate((1000, 100, 10, 1), at + 2):
+                block[:, place] = k // power % 10 + ord("0")
+        slow = np.flatnonzero(~fast)
+        for i, d in zip(slow.tolist(), x[slow].tolist()):
+            block[i, at:at + w] = np.frombuffer(format(d, f"<{w}.4f").encode(), np.uint8)
+        at += w + 2
+    text = block.tobytes().decode("ascii")
+    return [text[i:i + stride] for i in range(0, n * stride, stride)] if stride else [""] * n
 
 
 def _width(name: str, cells: Sequence[str]) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import fuzzydocs
@@ -1124,6 +1124,120 @@ def test_random_config_values_end_in_an_exit_code(pipeline_files, command, data)
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error: ")]
     assert errors == (stderr.getvalue().splitlines()[-1:] if code else [])
     assert not leftovers
+
+
+# the pipeline fuzz: documents on two topics, so that a features run
+# can succeed, and the hostile kinds below, so that runs can fail. Each
+# example allows a subset of the hostile kinds (swarm testing: Groce et
+# al., ISSTA 2012), so that some examples run all three stages
+TOPIC_WORDS = (["ball", "team", "goal", "stadium"], ["vote", "law", "senate", "democracy"])
+HOSTILE_DOCUMENTS = {
+    "markup": st.lists(st.sampled_from([
+        "<p>", "</div>", "<!--", "-->", "<script>x</script>", "&amp;", "&#99999999999;",
+        "&#55296;", "&#x41;", "&nbsp;", "&", ";", "<", ">", "\u00e9t\u00e9", "\x00", "\n", " ",
+        "sses", "y" * 40]), max_size=30).map("".join),
+    "bytes": st.binary(max_size=200),
+    "empty": st.just(""),
+}
+
+
+def fuzz_corpus(topic, hostile, min_size=1):
+    words = st.lists(st.sampled_from(TOPIC_WORDS[topic] + ["the", "xfill"]), min_size=1,
+                     max_size=40).map(" ".join)
+    one_term = st.sampled_from(TOPIC_WORDS[topic])
+    documents = st.one_of(words, words, one_term, *map(HOSTILE_DOCUMENTS.get, sorted(hostile)))
+    names = st.sampled_from(["d0.txt", "d1.html", "d2", "a\nerror: b", "\u00e9.txt", " sp"])
+    return st.dictionaries(names, documents, min_size=min_size, max_size=min_size + 3)
+
+
+def flag_values(kind, low, high, wide=True):
+    """A flag's values: mostly in range (an int in [low, high], a float in
+    (low, high)), some anywhere (only in range when not ``wide``, so that
+    --max-iters keeps each run short), some that argparse cannot read."""
+    fit = (st.integers(low, high) if kind is int else
+           st.floats(low, high, exclude_min=True, exclude_max=True))
+    anywhere = (fit if not wide else st.integers(-2 ** 70, 2 ** 70) if kind is int else
+                st.floats() | st.sampled_from(["inf", "-inf", "1e999", "-0"]))
+    return st.one_of(*[fit.map(str)] * 3, anywhere.map(str), st.sampled_from(["", "x", "0x1"]))
+
+
+FUZZ_FLAGS = {
+    "features": {"--top-k": flag_values(int, 1, 6), "--min-ratio": flag_values(float, 1, 5),
+                 "--min-wf": flag_values(float, 0, 50)},
+    "cluster": {"--clusters": flag_values(int, 1, 3), "--fuzzifier": flag_values(float, 1, 4),
+                "--epsilon": flag_values(float, 0, 1), "--max-iters": flag_values(int, -1, 40, False),
+                "--seed": flag_values(int, 0, 9)},
+    "report": {"--strong-threshold": flag_values(float, 0, 1),
+               "--ambiguity-margin": flag_values(float, 0, 1)},
+}
+
+
+def run_main(argv):
+    """main's exit code and output; argparse exits 2 by SystemExit."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_pipeline_on_generated_corpora(data):
+    """features, cluster and report on generated corpora, each with at most
+    one random flag value: each run exits 0, 1 or 2, a failed run's stderr
+    ends in its one error line, no temporary file is left, and every output
+    file present parses; a result's memberships are column-stochastic, and
+    the report table has a row per report entry. Each stage runs once the
+    stage before it has succeeded."""
+    hostile = data.draw(st.sets(st.sampled_from(sorted(HOSTILE_DOCUMENTS))), label="hostile")
+    sports, politics = (data.draw(fuzz_corpus(topic, hostile), label=name)
+                        for topic, name in enumerate(["sports", "politics"]))
+    corpus = {**data.draw(fuzz_corpus(0, hostile, 2), label="corpus"),
+              **{f"p{name}": text for name, text in
+                 data.draw(fuzz_corpus(1, hostile, 1), label="corpus, topic 1").items()}}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, docs in (("sports", sports), ("politics", politics), ("corpus", corpus)):
+            (root / name).mkdir()
+            for doc, text in docs.items():
+                path = root / name / doc
+                path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text, "utf-8")
+        out = root / "out"
+        profiles = [str(out / "politics.profile.json"), str(out / "sports.profile.json")]
+        stages = {
+            "features": ["--samples", f"sports={root / 'sports'}",
+                         "--samples", f"politics={root / 'politics'}",
+                         "--out", str(out / "features.json")],
+            "cluster": ["--corpus", str(root / "corpus"), "--features", str(out / "features.json"),
+                        "--clusters", "2", "--out", str(out / "result.json")],
+            "report": ["--result", str(out / "result.json"), "--profiles", profiles[0],
+                       "--profiles", profiles[1], "--out", str(out / "report.json")],
+        }
+        for command, argv in stages.items():
+            flags = FUZZ_FLAGS[command]
+            flag = data.draw(st.none() | st.sampled_from(sorted(flags)), label=command)
+            if flag:  # --flag=value, so that a value such as -inf reads as a value
+                argv = [*argv, f"{flag}={data.draw(flags[flag], label=flag)}"]
+            code, stdout, stderr = run_main([command, *argv])
+            event(f"{command} exit {code}")
+            assert code in (0, 1, 2)
+            # argparse's own message names the program and the command
+            errors = [line for line in stderr.splitlines()
+                      if line.startswith(("error: ", f"fuzzydocs {command}: error: "))]
+            assert errors == (stderr.splitlines()[-1:] if code else [])
+            assert not list(root.rglob(".*.tmp"))
+            written = {path.name: json.loads(path.read_text(encoding="utf-8"))
+                       for path in out.glob("*.json")} if out.exists() else {}
+            if code:
+                break
+            if command == "cluster":
+                u = np.array(written["result.json"]["memberships"])
+                assert np.abs(u.sum(axis=0) - 1.0).max() <= 1e-9
+            if command == "report":
+                assert len(stdout.splitlines()) == 1 + len(written["report.json"])
 
 
 @pytest.mark.parametrize("command,name,code,text,reason", [

@@ -339,6 +339,23 @@ class TestRoundTrips:
         assert loaded.wf == {"a": 0.0, "b": 10000.0, "c": 0.5}
         assert all(type(v) is float for v in loaded.wf.values())
 
+    @pytest.mark.parametrize("wf", ['{"a": 0, "b": 2.5}', '{"a": 1e4, "b": -0.0, "c": 3}'])
+    def test_profile_reads_an_int_wf_as_a_float(self, tmp_path, wf):
+        path = tmp_path / "ok.profile.json"
+        path.write_text(f'{{"label": "x", "wf": {wf}}}', encoding="utf-8")
+        loaded = load_profile(path)
+        assert list(loaded.wf.items()) == list(json.loads(wf).items())
+        assert all(type(v) is float for v in loaded.wf.values())
+
+    def test_profile_of_float_wfs_loads_unchanged(self, tmp_path):
+        wf = {"ball": 2.5, "team": 0.0, "cup": -0.0, "goal": 10000.0, "win": 1 / 3}
+        path = tmp_path / "ok.profile.json"
+        path.write_text(json.dumps({"label": "x", "wf": wf}), encoding="utf-8")
+        loaded = load_profile(path)
+        assert list(loaded.wf.items()) == list(wf.items())
+        assert all(type(v) is float for v in loaded.wf.values())
+        assert str(loaded.wf["cup"]) == "-0.0"
+
 
 class TestProperties:
     @given(st.lists(st.sampled_from(["ball", "win", "team", "cup", "goal"]),

@@ -418,8 +418,50 @@ class TestReportFiles:
         pytest.param([report("a\nerror: b", {"x\ty": 0.25, "é": 0.75}, "x\ty", "moderate"),
                       report("d\x1b[2J", {"x\ty": 1.0, "é": 0.0}, "é", "strong")],
                      id="unprintable-names"),
+        pytest.param([report("d1", {}, "a", "x"), report("d-two", {}, "b", "y")],
+                     id="zero-labels"),
+        pytest.param([report("d1", {"a": 0.03125, "b": 0.00005, "c": 0.99995}, "c", "x"),
+                      report("d2", {"a": 0.12345, "b": 0.5, "c": 0.00015}, "b", "y")],
+                     id="near-tie"),
         pytest.param([], id="empty"),
     ])
     def test_render_matches_cell_by_cell_table(self, reports):
+        assert render_report_table(reports) == reference_report_table(reports)
+
+    def test_render_every_four_decimal_value_and_near_tie(self):
+        # every k / 10000, and every tie (2k + 1) / 20000 nudged by up to
+        # 4 ulps each way: the cells computed in numpy against format()
+        ties = (2 * np.arange(10000) + 1) / 20000
+        columns = [np.arange(10000) / 10000, ties]
+        for direction in (0.0, 1.0):
+            nudged = ties
+            for _ in range(4):
+                nudged = np.nextafter(nudged, direction)
+                columns.append(nudged)
+        names = [f"x{j}" for j in range(len(columns))]
+        reports = [report(f"d{i}", dict(zip(names, row)), "x0", "moderate")
+                   for i, row in enumerate(np.column_stack(columns).tolist())]
+        reports.append(report("one", dict.fromkeys(names, 1.0), "x0", "strong"))
+        assert render_report_table(reports) == reference_report_table(reports)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([0, 1, 8]).flatmap(lambda c: st.lists(
+        st.lists(st.one_of(
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0).map(np.float64),
+            st.floats(0.0, 1.0, width=32).map(np.float32),
+            st.integers(0, 9_999).map(lambda k: (2 * k + 1) / 20_000),  # ties
+            st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 0.00005]),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(-10**6, 10**6),
+            st.integers(-10**6, 10**6).map(np.int64),
+            st.booleans(),
+            st.booleans().map(np.bool_),
+        ), min_size=c, max_size=c),
+        min_size=1, max_size=12)))
+    def test_render_any_degrees_as_format_does(self, rows):
+        names = [f"label{j}" for j in range(len(rows[0]))]
+        reports = [report(f"d{i}", dict(zip(names, row)), "t", "s")
+                   for i, row in enumerate(rows)]
         assert render_report_table(reports) == reference_report_table(reports)
 
