@@ -3,7 +3,9 @@ feature selection, and document vectorization.
 
 A word frequency (WF) is ``count / total * 10000`` -- occurrences per ten
 thousand terms, kept as a real number throughout. Profiles and document
-rows count terms the same way: a ``Counter`` over the term sequence.
+rows count terms the same way, a ``Counter`` over the term sequence,
+except that a row counts only the terms that are features; its total is
+still every term, so each WF is the same number.
 Feature sets and profiles are saved with :mod:`fuzzydocs.jsonfile`, so
 each file is replaced whole or left as it was.
 """
@@ -147,11 +149,13 @@ def discrimination_ratio(wfs) -> float | np.ndarray:
 
 
 def vectorize(terms: Sequence[str], features: Sequence[str]) -> tuple[float, ...]:
-    """WF of each feature in one document's terms, zero where absent."""
+    """WF of each feature in one document's terms, zero where absent.
+    Only the terms that are features are counted; the total is every
+    term."""
     total = len(terms)
     if total <= 0:
         raise ValueError("empty document")
-    counts = Counter(terms)
+    counts = Counter(filter(frozenset(features).__contains__, terms))
     return tuple(word_frequency(counts[t], total) for t in features)
 
 

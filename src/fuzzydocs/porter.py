@@ -18,20 +18,14 @@ rows are read only when that test matches. Porter's reference
 implementation picks a step's rules by the word's last letters for the
 same reason.
 
-``stem`` is memoized per process: text repeats its word forms, so each
-distinct surface form runs the rules once. The memo is a
-``functools.lru_cache`` bounded at 16,384 forms (``_STEM_CACHE_SIZE``),
-so a wide vocabulary evicts the least recently used forms rather than
-growing without limit. The output is the same as without it;
-``stem.__wrapped__`` is the uncached function.
+``stem`` runs the rules on every call and keeps no memo: the caller
+decides what to remember. ``preprocess_document`` stems each distinct
+surface form once per process through its term memo.
 """
-
-from functools import lru_cache
 
 __all__ = ["stem"]
 
 _VOWELS = frozenset("aeiou")
-_STEM_CACHE_SIZE = 1 << 14
 
 
 def _consonants(word: str) -> list[bool]:
@@ -170,7 +164,6 @@ _STEPS = (
 _GUARDED_STEPS = tuple((tuple(suffix for suffix, _, _ in rows), rows) for rows in _STEPS)
 
 
-@lru_cache(maxsize=_STEM_CACHE_SIZE)
 def stem(term: str) -> str:
     """Stem a single lowercase term.
 

@@ -5,6 +5,17 @@ All functions are pure; a document's text flows through
 strip_markup -> tokenize -> remove_stopwords -> stem -> bigram emission,
 which is what :func:`preprocess_document` composes. A document's terms
 are a plain tuple of strings; the caller keeps the document id.
+
+Text repeats its word forms, so :func:`preprocess_document` resolves
+each token through a term memo: a dict from a surface form to its final
+term (the stem, the form itself when stemming is off, or ``None`` for a
+stopword), filled on first sight. A repeated form then costs one dict
+lookup, and each distinct form is tested against the stopwords and
+stemmed once. Configs with equal ``stopwords`` and ``stemming`` share
+one memo, so every command in a process reuses it. A memo holds at most
+16,384 forms (``_MEMO_SIZE``) and is emptied when full; at most
+``_MEMO_COUNT`` memos are kept for configs that are gone. The output is
+the same as without the memo.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from itertools import filterfalse
 from pathlib import Path
@@ -35,6 +46,8 @@ _ENTITY_RE = re.compile(r"&(amp|lt|gt|quot|#[0-9]+);", re.IGNORECASE)
 _NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"'}
 # every byte other than [a-z0-9] becomes a space
 _SEPARATORS = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for b in range(256))
+_MEMO_SIZE = 1 << 14
+_MEMO_COUNT = 8
 
 
 def _decode_entity(match: re.Match) -> str:
@@ -56,8 +69,10 @@ def strip_markup(text: str) -> str:
     return _ENTITY_RE.sub(_decode_entity, _TAG_RE.sub(" ", text))
 
 
+@cache
 def default_stopwords() -> frozenset[str]:
-    """The stopword list shipped with the package (~170 English terms)."""
+    """The stopword list shipped with the package (~170 English terms),
+    read once per process."""
     text = resources.files("fuzzydocs.data").joinpath("stopwords_en.txt").read_text("utf-8")
     return _parse_stopwords(text.splitlines())
 
@@ -77,6 +92,31 @@ def _parse_stopwords(lines: Iterable[str]) -> frozenset[str]:
     return frozenset(terms)
 
 
+class _TermMemo(dict):
+    """Surface form -> final term: its stem, the form itself when stemming
+    is off, or ``None`` for a stopword. A miss calls ``stem`` through this
+    module's global, and a full memo is emptied before it takes a form."""
+
+    __slots__ = ("stopwords", "stemming")
+
+    def __init__(self, stopwords: frozenset[str], stemming: bool):
+        super().__init__()
+        self.stopwords = stopwords
+        self.stemming = stemming
+
+    def __missing__(self, form: str) -> str | None:
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        term = None if form in self.stopwords else stem(form) if self.stemming else form
+        self[form] = term
+        return term
+
+
+@lru_cache(maxsize=_MEMO_COUNT)
+def _term_memo(stopwords: frozenset[str], stemming: bool) -> _TermMemo:
+    return _TermMemo(stopwords, stemming)
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
     """Knobs for the preprocessing pipeline.
@@ -94,11 +134,14 @@ class PreprocessConfig:
         for w in self.stopwords:
             if w != w.lower() or not w or any(ch.isspace() for ch in w):
                 raise ValueError(f"invalid stopword: {w!r}")
+        # the term memo, resolved once here so that no document hashes the
+        # stopword set; not a field, so equality, repr and hash ignore it
+        object.__setattr__(self, "_terms", _term_memo(self.stopwords, self.stemming))
 
 
 @cache
 def _default_config() -> PreprocessConfig:
-    # built once: the stopword file is read and checked on each construction
+    # built once: each construction checks every stopword
     return PreprocessConfig()
 
 
@@ -109,8 +152,8 @@ def _split_terms(text: str) -> list[str]:
     return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
 
 
-def _bigram_tokens(terms: Sequence[str]) -> list[str]:
-    return [f"{a}_{b}" for a, b in zip(terms, terms[1:])]
+def _bigram_tokens(terms: Sequence[str]) -> tuple[str, ...]:
+    return tuple(f"{a}_{b}" for a, b in zip(terms, terms[1:]))
 
 
 def tokenize(text: str) -> list[str]:
@@ -131,15 +174,15 @@ def preprocess_document(text: str, config: PreprocessConfig | None = None) -> tu
     bigram emission. Stemming runs after stopword removal so inflected
     forms are filtered by their surface form, and bigrams pair the final
     content roots. Without a config, the default ``PreprocessConfig()``
-    applies, built once per process.
+    applies, built once per process. The stopword and stem stages read
+    the config's term memo, one dict lookup per token; a term is never
+    empty, so ``filter`` drops exactly the stopwords.
     """
     if config is None:
         config = _default_config()
     if config.strip_markup:
         text = strip_markup(text)
-    terms = remove_stopwords(_split_terms(text), config.stopwords)
-    if config.stemming:
-        terms = list(map(stem, terms))
+    terms = tuple(filter(None, map(config._terms.__getitem__, _split_terms(text))))
     if config.bigrams:
-        terms = terms + _bigram_tokens(terms)
-    return tuple(terms)
+        terms += _bigram_tokens(terms)
+    return terms

@@ -401,6 +401,25 @@ class TestClusterCommand:
         assert "blank.txt" not in result["doc_ids"]
         assert len(result["doc_ids"]) == 8
 
+    @pytest.mark.parametrize("texts,cause", [
+        (["ball team", "ball team"], "the 2 documents hold 1 distinct vector(s), and --clusters is 2"),
+        (["cup final", "league cup", "final whistle"],
+         "the 3 documents hold 1 distinct vector(s), and --clusters is 2;"
+         " 3 of them contain none of the selected features"),
+    ], ids=["identical-documents", "no-selected-features"])
+    def test_coincident_documents_name_the_cause(self, tmp_path, capsys, texts, cause):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i, text in enumerate(texts):
+            (corpus / f"d{i}.txt").write_text(text, encoding="utf-8")
+        out = tmp_path / "result.json"
+        code = main(["cluster", "--corpus", str(corpus),
+                     "--features", str(write_features_file(tmp_path)),
+                     "--clusters", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: empty cluster: {cause}"
+        assert not out.exists()
+
     def test_dot_files_and_subdirectories_skipped(self, tmp_path):
         corpus = write_corpus(tmp_path)
         (corpus / ".hidden.txt").write_text("stadium " * 50, encoding="utf-8")
@@ -1129,7 +1148,8 @@ def test_random_config_values_end_in_an_exit_code(pipeline_files, command, data)
 # the pipeline fuzz: documents on two topics, so that a features run
 # can succeed, and the hostile kinds below, so that runs can fail. Each
 # example allows a subset of the hostile kinds (swarm testing: Groce et
-# al., ISSTA 2012), so that some examples run all three stages
+# al., ISSTA 2012), so that some examples run all three stages. The
+# "identical" kind gives every document of the clustered corpus one text
 TOPIC_WORDS = (["ball", "team", "goal", "stadium"], ["vote", "law", "senate", "democracy"])
 HOSTILE_DOCUMENTS = {
     "markup": st.lists(st.sampled_from([
@@ -1139,13 +1159,15 @@ HOSTILE_DOCUMENTS = {
     "bytes": st.binary(max_size=200),
     "empty": st.just(""),
 }
+HOSTILE_KINDS = sorted([*HOSTILE_DOCUMENTS, "identical"])
 
 
 def fuzz_corpus(topic, hostile, min_size=1):
     words = st.lists(st.sampled_from(TOPIC_WORDS[topic] + ["the", "xfill"]), min_size=1,
                      max_size=40).map(" ".join)
     one_term = st.sampled_from(TOPIC_WORDS[topic])
-    documents = st.one_of(words, words, one_term, *map(HOSTILE_DOCUMENTS.get, sorted(hostile)))
+    documents = st.one_of(words, words, one_term,
+                          *map(HOSTILE_DOCUMENTS.get, sorted(hostile & HOSTILE_DOCUMENTS.keys())))
     names = st.sampled_from(["d0.txt", "d1.html", "d2", "a\nerror: b", "\u00e9.txt", " sp"])
     return st.dictionaries(names, documents, min_size=min_size, max_size=min_size + 3)
 
@@ -1192,12 +1214,14 @@ def test_pipeline_on_generated_corpora(data):
     file present parses; a result's memberships are column-stochastic, and
     the report table has a row per report entry. Each stage runs once the
     stage before it has succeeded."""
-    hostile = data.draw(st.sets(st.sampled_from(sorted(HOSTILE_DOCUMENTS))), label="hostile")
+    hostile = data.draw(st.sets(st.sampled_from(HOSTILE_KINDS)), label="hostile")
     sports, politics = (data.draw(fuzz_corpus(topic, hostile), label=name)
                         for topic, name in enumerate(["sports", "politics"]))
     corpus = {**data.draw(fuzz_corpus(0, hostile, 2), label="corpus"),
               **{f"p{name}": text for name, text in
                  data.draw(fuzz_corpus(1, hostile, 1), label="corpus, topic 1").items()}}
+    if "identical" in hostile:
+        corpus = dict.fromkeys(corpus, next(iter(corpus.values())))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, docs in (("sports", sports), ("politics", politics), ("corpus", corpus)):
@@ -1228,6 +1252,8 @@ def test_pipeline_on_generated_corpora(data):
             errors = [line for line in stderr.splitlines()
                       if line.startswith(("error: ", f"fuzzydocs {command}: error: "))]
             assert errors == (stderr.splitlines()[-1:] if code else [])
+            if "error: empty cluster" in stderr:  # the cause is named
+                assert "distinct vector(s), and --clusters is" in errors[0]
             assert not list(root.rglob(".*.tmp"))
             written = {path.name: json.loads(path.read_text(encoding="utf-8"))
                        for path in out.glob("*.json")} if out.exists() else {}

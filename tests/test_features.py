@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -256,6 +257,14 @@ class TestVectorize:
     def test_disjoint_features_all_zero(self):
         assert vectorize(("ball",) * 3, ["win", "cup"]) == (0.0, 0.0)
 
+    def test_absent_features_keep_the_whole_total(self):
+        # only "ball" is counted, but every term is in the total
+        row = vectorize(("ball", "bat", "ball", "pitch"), ["cup", "ball", "win"])
+        assert row == (0.0, word_frequency(2, 4), 0.0)
+
+    def test_no_features_at_all(self):
+        assert vectorize(("ball", "bat"), []) == ()
+
     def test_single_feature_full_mass(self):
         assert vectorize(("ball",), ["ball"]) == (10000.0,)
 
@@ -363,6 +372,13 @@ class TestProperties:
     def test_wf_sums_to_scale(self, seq):
         total_wf = sum(vectorize(seq, sorted(set(seq))))
         assert math.isclose(total_wf, 10000.0, rel_tol=1e-6)
+
+    @given(st.lists(st.sampled_from(["ball", "win", "team", "cup", "goal"]), min_size=1, max_size=60),
+           st.lists(st.sampled_from(["ball", "win", "bat", "cup"]), unique=True, max_size=4))
+    def test_row_equals_counting_every_term(self, seq, features):
+        counts = Counter(seq)
+        assert vectorize(seq, features) == tuple(word_frequency(counts[t], len(seq))
+                                                 for t in features)
 
     @given(st.lists(st.sampled_from(["ball", "win", "team", "cup", "goal"]),
                     min_size=1, max_size=60))

@@ -4,7 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzydocs.porter import _STEM_CACHE_SIZE, _consonants, stem
+from fuzzydocs.porter import _consonants, stem
+from fuzzydocs.preprocess import _MEMO_SIZE, PreprocessConfig, preprocess_document
+
+# every token a term: stemming through the term memo, nothing dropped
+NO_STOPWORDS = PreprocessConfig(stopwords=frozenset())
 
 # Each pair was traced by hand against the algorithm's rule tables
 # before the implementation existed. Where a rule table's illustration
@@ -103,9 +107,9 @@ KNOWN_PAIRS = [
 
 @pytest.mark.parametrize("word,expected", KNOWN_PAIRS)
 def test_known_pairs(word, expected):
-    assert stem.__wrapped__(word) == expected  # the rules alone, without the memo
     assert stem(word) == expected
-    assert stem(word) == expected  # now certainly a memo hit
+    assert preprocess_document(word, NO_STOPWORDS) == (expected,)
+    assert preprocess_document(word, NO_STOPWORDS) == (expected,)  # now certainly a memo hit
 
 
 def test_short_words_untouched():
@@ -155,8 +159,9 @@ def test_long_y_run_does_not_recurse():
 
 
 def _check_against_uncached(word):
+    # the term memo against the rules alone
     out = stem(word)
-    assert out == stem.__wrapped__(word)
+    assert preprocess_document(word, NO_STOPWORDS) == (out,)
     assert len(out) <= len(word)
 
 
@@ -178,17 +183,16 @@ def test_y_heavy_tokens_match_uncached(word):
 
 
 def test_memo_stays_within_its_bound():
-    stem.cache_clear()
-    forms = [f"form{i}s" for i in range(_STEM_CACHE_SIZE + 500)]
-    for form in forms:
-        stem(form)
-    info = stem.cache_info()
-    assert info.maxsize == _STEM_CACHE_SIZE
-    assert info.currsize <= info.maxsize
-    assert (info.hits, info.misses) == (0, len(forms))
-    assert stem(forms[-1]) == "form" + str(len(forms) - 1)  # kept: a hit
-    assert stem(forms[0]) == "form0"  # evicted as least recently used: a miss
-    assert stem.cache_info()[:2] == (1, len(forms) + 1)
+    config = PreprocessConfig(stopwords=frozenset({"form1s"}))
+    memo = config._terms
+    memo.clear()
+    forms = [f"form{i}s" for i in range(_MEMO_SIZE + 500)]
+    expected = tuple(stem(form) for form in forms if form != "form1s")
+    assert preprocess_document(" ".join(forms), config) == expected
+    assert len(memo) == len(forms) - _MEMO_SIZE  # emptied once, when full
+    # the emptied forms, the stopword among them, are resolved again
+    assert preprocess_document(" ".join(forms), config) == expected
+    assert len(memo) <= _MEMO_SIZE
 
 
 # every suffix a step tests, the 1b restoration endings and the letters
@@ -213,5 +217,5 @@ def test_stems_of_generated_vocabulary_are_pinned():
     while len(words) < 60_000:
         body = "".join(rng.choice(_DIGEST_PIECES) for _ in range(rng.choice(range(1, 7))))
         words.add(body + "".join(rng.choice(_DIGEST_SUFFIXES) for _ in range(rng.choice(range(4)))))
-    stems = "\n".join(stem.__wrapped__(word) for word in sorted(words))
+    stems = "\n".join(stem(word) for word in sorted(words))
     assert hashlib.sha256(stems.encode()).hexdigest() == _STEMS_DIGEST

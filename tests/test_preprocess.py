@@ -1,4 +1,5 @@
 import importlib.resources
+import itertools
 import re
 from collections import Counter
 
@@ -15,6 +16,7 @@ from fuzzydocs.preprocess import (
     strip_markup,
     tokenize,
 )
+from fuzzydocs.porter import stem
 
 # A short cricket commentary snippet; with hyphen splitting, "ball"
 # occurs exactly five times.
@@ -148,6 +150,63 @@ class TestPreprocessDocument:
         assert preprocess_document(COMMENTARY) == expected
         assert preprocess_document(COMMENTARY) == expected
         assert len(reads) <= 1
+
+
+def reference_terms(text, config):
+    """The pipeline as the composition of its public stages, without the
+    term memo."""
+    if config.strip_markup:
+        text = strip_markup(text)
+    terms = remove_stopwords(tokenize(text), config.stopwords)
+    if config.stemming:
+        terms = [stem(term) for term in terms]
+    if config.bigrams:
+        terms += [f"{a}_{b}" for a, b in zip(terms, terms[1:])]
+    return tuple(terms)
+
+
+# "the" is a default stopword and "ball" is not; the custom set swaps them
+CUSTOM_STOPWORDS = frozenset({"ball", "balls", "running"})
+MEMO_WORDS = ["the", "The", "ball", "balls", "running", "runs", "teams", "of", "<b>", "</b>",
+              "&amp;", "&lt;b&gt;", "no-ball", "2024", "\u00e9t\u00e9", " ", "\n"]
+
+
+class TestTermMemo:
+    @pytest.mark.parametrize("strip, stemming, bigrams", [
+        pytest.param(*switches, id="-".join(f"{name}{int(on)}" for name, on in
+                                            zip(("strip", "stem", "bigrams"), switches)))
+        for switches in itertools.product((False, True), repeat=3)
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.lists(st.sampled_from(MEMO_WORDS) | st.text(max_size=8), max_size=30).map(" ".join))
+    def test_matches_reference_composition(self, strip, stemming, bigrams, text):
+        # both stopword sets on the same text, each config built anew, so
+        # each reads a memo that earlier examples have filled
+        for stopwords in (default_stopwords(), CUSTOM_STOPWORDS):
+            config = PreprocessConfig(strip_markup=strip, stopwords=stopwords,
+                                      stemming=stemming, bigrams=bigrams)
+            assert preprocess_document(text, config) == reference_terms(text, config)
+
+    def test_equal_configs_stem_each_form_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting_stem(word):
+            calls[word] += 1
+            return stem(word)
+
+        monkeypatch.setattr(preprocess, "stem", counting_stem)
+        # a stopword set no other test uses, so its memo starts empty
+        stopwords = frozenset({"the", "memoprobe"})
+        text = "The balls, the ball; running runs ran balls memoprobe ball"
+        first = preprocess_document(text, PreprocessConfig(stopwords=stopwords))
+        second = preprocess_document(text, PreprocessConfig(stopwords=stopwords))
+        assert first == second == ("ball", "ball", "run", "run", "ran", "ball", "ball")
+        assert calls == Counter(dict.fromkeys(["balls", "ball", "running", "runs", "ran"], 1))
+
+    def test_stopwords_follow_the_config(self):
+        text = "the ball"
+        assert preprocess_document(text, PreprocessConfig()) == ("ball",)
+        assert preprocess_document(text, PreprocessConfig(stopwords=CUSTOM_STOPWORDS)) == ("the",)
 
 
 class TestStopwordFiles:
