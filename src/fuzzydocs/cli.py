@@ -303,17 +303,7 @@ def cmd_cluster(s: dict) -> int:
     zero_rows = int(np.count_nonzero(~matrix.data.any(axis=1)))
     if zero_rows:  # clustering cannot tell these documents apart
         _note(f"warning: {zero_rows} document(s) contain none of the selected features")
-    try:
-        result = run_fcm(matrix, params)
-    except ValueError as exc:
-        # coincident documents share one nearest center, which then takes
-        # them all; counted only here, so a run that succeeds pays nothing
-        if str(exc) != "empty cluster":
-            raise
-        distinct = len(np.unique(matrix.data, axis=0))
-        zeros = f"; {zero_rows} of them contain none of the selected features" if zero_rows > 1 else ""
-        raise ValueError(f"empty cluster: the {len(rows)} documents hold {distinct} distinct "
-                         f"vector(s), and --clusters is {params.c}{zeros}") from exc
+    result = run_fcm(matrix, params)
 
     save_result(result, matrix.doc_ids, selected, out)
     _note(f"wrote {out}")

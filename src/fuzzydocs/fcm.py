@@ -175,10 +175,18 @@ def init_partition(
 
 def update_centers(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Fuzzily weighted document means, one row per cluster, from the
-    c x n weights w = u^m of a partition u."""
+    c x n weights w = u^m of a partition u. A cluster whose weights are all
+    0 raises ValueError ``empty cluster: cluster J has no membership
+    weight`` for the lowest such J, adding ``; the N documents hold K
+    distinct vector(s) for C clusters`` when x has fewer distinct rows than
+    clusters, the one case in which coincident documents can be the cause."""
     weight_sums = np.einsum("cn->c", w)
-    if np.any(weight_sums == 0.0):
-        raise ValueError("empty cluster")
+    empty = np.flatnonzero(weight_sums == 0.0)
+    if empty.size:
+        distinct = len(np.unique(x, axis=0))  # counted on this failure path only
+        hint = f"; the {len(x)} documents hold {distinct} distinct vector(s) for {len(w)} clusters"
+        raise ValueError(f"empty cluster: cluster {empty[0]} has no membership weight"
+                         f"{hint if distinct < len(w) else ''}")
     return np.einsum("cn,nm->cm", w, x) / weight_sums[:, None]
 
 
@@ -311,7 +319,8 @@ def load_result(path: str | Path) -> dict:
     ``validate_partition`` over the doc ids, and its centers
     ``checked_numbers`` in a clusters x features matrix; a file that fails
     one of these, or lacks a key ``save_result`` writes, raises ValueError
-    naming the file."""
+    naming the file. The one exception is max_change_history, which is
+    optional: files written before it was saved still load."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"invalid result file {path}: not a JSON object")

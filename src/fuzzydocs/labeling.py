@@ -84,7 +84,7 @@ def label_clusters(
                          f"a column per feature), got shape {centers.shape}")
     c = centers.shape[0]
     if len(profiles) < c:
-        raise ValueError("insufficient profiles")
+        raise ValueError(f"insufficient profiles: {c} clusters, {len(profiles)} profiles")
     checked_names([p.label for p in profiles], "profile labels")
     profiles = sorted(profiles, key=lambda p: p.label)
     labels = [p.label for p in profiles]

@@ -401,13 +401,12 @@ class TestClusterCommand:
         assert "blank.txt" not in result["doc_ids"]
         assert len(result["doc_ids"]) == 8
 
-    @pytest.mark.parametrize("texts,cause", [
-        (["ball team", "ball team"], "the 2 documents hold 1 distinct vector(s), and --clusters is 2"),
+    @pytest.mark.parametrize("texts,warning", [
+        (["ball team", "ball team"], None),
         (["cup final", "league cup", "final whistle"],
-         "the 3 documents hold 1 distinct vector(s), and --clusters is 2;"
-         " 3 of them contain none of the selected features"),
+         "warning: 3 document(s) contain none of the selected features"),
     ], ids=["identical-documents", "no-selected-features"])
-    def test_coincident_documents_name_the_cause(self, tmp_path, capsys, texts, cause):
+    def test_coincident_documents_name_the_cause(self, tmp_path, capsys, texts, warning):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         for i, text in enumerate(texts):
@@ -417,7 +416,20 @@ class TestClusterCommand:
                      "--features", str(write_features_file(tmp_path)),
                      "--clusters", "2", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.splitlines()[-1] == f"error: empty cluster: {cause}"
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("error: empty cluster: cluster 1 has no membership weight;"
+                           f" the {len(texts)} documents hold 1 distinct vector(s) for 2 clusters")
+        assert warning is None or warning in err
+        assert not out.exists()
+
+    def test_zero_row_init_names_the_empty_cluster(self, tmp_path, capsys):
+        # the eight documents are distinct, so coincidence is not the cause
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps([[0.0] * 8, [1.0] * 8]), encoding="utf-8")
+        code, out = self.run_cluster(tmp_path, "--init-file", str(path))
+        assert code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: empty cluster: cluster 0 has no membership weight"
         assert not out.exists()
 
     def test_dot_files_and_subdirectories_skipped(self, tmp_path):
@@ -670,7 +682,8 @@ class TestReportCommand:
         profiles = write_profiles(tmp_path)
         code = main(["report", "--result", str(result), "--profiles", profiles[0]])
         assert code == 1
-        assert "insufficient profiles" in capsys.readouterr().err
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: insufficient profiles: 2 clusters, 1 profiles"
 
     def test_report_file_deterministic(self, tmp_path):
         result = write_result(tmp_path)
@@ -1252,8 +1265,8 @@ def test_pipeline_on_generated_corpora(data):
             errors = [line for line in stderr.splitlines()
                       if line.startswith(("error: ", f"fuzzydocs {command}: error: "))]
             assert errors == (stderr.splitlines()[-1:] if code else [])
-            if "error: empty cluster" in stderr:  # the cause is named
-                assert "distinct vector(s), and --clusters is" in errors[0]
+            if "error: empty cluster" in stderr:  # the empty cluster is named
+                assert errors[0].startswith("error: empty cluster: cluster ")
             assert not list(root.rglob(".*.tmp"))
             written = {path.name: json.loads(path.read_text(encoding="utf-8"))
                        for path in out.glob("*.json")} if out.exists() else {}

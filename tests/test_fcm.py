@@ -467,8 +467,20 @@ class TestRunFcm:
         data = np.tile([[100.0, 200.0]], (4, 1))
         x = FeatureMatrix(("a", "b", "c", "d"), data)
         init = np.full((2, 4), 0.5)
-        with pytest.raises(ValueError, match="empty cluster"):
+        with pytest.raises(ValueError) as excinfo:
             run_fcm(x, FcmParams(c=2, init=init))
+        assert str(excinfo.value) == ("empty cluster: cluster 1 has no membership weight;"
+                                      " the 4 documents hold 1 distinct vector(s) for 2 clusters")
+
+    def test_underflow_empties_a_cluster_without_coincidence(self):
+        # at a fuzzifier this close to 1, every membership in the third
+        # cluster underflows to 0; the six rows are distinct, so the
+        # message adds no distinct-vector clause
+        x = FeatureMatrix(tuple("abcdef"), np.array([10.0, 11.0, 12.0, 90.0, 91.0, 92.0])[:, None])
+        init = np.array([[0.9] * 3 + [0.0] * 3, [0.0] * 3 + [0.9] * 3, [0.1] * 6])
+        with pytest.raises(ValueError) as excinfo:
+            run_fcm(x, FcmParams(c=3, fuzzifier=1.001, init=init))
+        assert str(excinfo.value) == "empty cluster: cluster 2 has no membership weight"
 
     def test_identical_rows_one_iteration_goes_one_hot(self):
         data = np.tile([[100.0, 200.0]], (4, 1))
