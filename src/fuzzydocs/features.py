@@ -156,7 +156,8 @@ def vectorize(terms: Sequence[str], features: Sequence[str]) -> tuple[float, ...
     if total <= 0:
         raise ValueError("empty document")
     counts = Counter(filter(frozenset(features).__contains__, terms))
-    return tuple(word_frequency(counts[t], total) for t in features)
+    # word_frequency's expression, inline: no call per feature
+    return tuple([count / total * WF_SCALE for count in map(counts.get, features, repeat(0))])
 
 
 def save_feature_set(features: Sequence[str], path: str | Path) -> None:

@@ -12,55 +12,71 @@ decides: the suffix is replaced if the condition holds, and the word is
 kept otherwise. Step 1b's restoration, which follows only the removal of
 -ed or -ing, is the one rule written as code.
 
-Most words end with no suffix of most steps, so each step is guarded by
-one ``str.endswith`` test against the tuple of all its suffixes, and its
-rows are read only when that test matches. Porter's reference
-implementation picks a step's rules by the word's last letters for the
-same reason.
+As in Porter's reference implementation, a step picks its rules by the
+word's last letter: ``_DISPATCH`` holds each step's rows grouped by the
+last letter of their suffix, in row order, so one dict lookup skips a
+step that no row can match and leaves only a few rows to test.
+
+The conditions read the word's C/V mask, a string of ``c`` and ``v``
+built by one ``str.translate`` and, where the word holds a y, one
+regular-expression pass over its runs of y; m is the count of ``vc`` in
+the mask. Every step is linear in the word's length.
 
 ``stem`` runs the rules on every call and keeps no memo: the caller
 decides what to remember. ``preprocess_document`` stems each distinct
 surface form once per process through its term memo.
 """
 
+import re
+
 __all__ = ["stem"]
 
-_VOWELS = frozenset("aeiou")
+
+class _Letters(dict):
+    """``str.translate`` table to the C/V mask: a, e, i, o and u map to
+    ``v``, y to ``y`` until its run is resolved, and every other character,
+    non-ASCII ones too, to ``c``."""
+
+    __slots__ = ()
+
+    def __missing__(self, code: int) -> str:
+        return "c"
 
 
-def _consonants(word: str) -> list[bool]:
-    """C/V mask of a word in one pass: a, e, i, o and u are vowels, y is a
-    vowel exactly when preceded by a consonant, anything else is a
-    consonant. A leading y is a consonant."""
-    mask = []
-    cons = False
-    for ch in word:
-        cons = ch not in _VOWELS and (ch != "y" or not cons)
-        mask.append(cons)
-    return mask
+_LETTERS = _Letters({code: "v" if chr(code) in "aeiou" else "y" if chr(code) == "y" else "c"
+                     for code in range(128)})
+# a run of y with the consonant before it, if there is one
+_Y_RUN = re.compile("(c?)(y+)")
+
+
+def _resolve_y_run(run: re.Match) -> str:
+    # a y is a vowel exactly when preceded by a consonant, so a run
+    # alternates: vowel first after a consonant, consonant first otherwise
+    before, ys = run.groups()
+    pair = "vc" if before else "cv"
+    return before + pair * (len(ys) // 2) + pair[: len(ys) % 2]
+
+
+def _mask(word: str) -> str:
+    """C/V mask of a word, one ``c`` or ``v`` per character: a, e, i, o
+    and u are vowels, y is a vowel exactly when preceded by a consonant,
+    anything else is a consonant. A leading y is a consonant."""
+    mask = word.translate(_LETTERS)
+    return _Y_RUN.sub(_resolve_y_run, mask) if "y" in mask else mask
 
 
 def _measure(stem_part: str) -> int:
     """Count VC sequences: the m in the [C](VC)^m[V] decomposition."""
-    m = 0
-    prev_cons = True
-    for cons in _consonants(stem_part):
-        if cons and not prev_cons:
-            m += 1
-        prev_cons = cons
-    return m
+    return _mask(stem_part).count("vc")
 
 
 def _has_vowel(stem_part: str) -> bool:
-    return not all(_consonants(stem_part))
+    return "v" in _mask(stem_part)
 
 
 def _ends_cvc(word: str) -> bool:
     # consonant-vowel-consonant where the final consonant is not w, x or y
-    if len(word) < 3:
-        return False
-    mask = _consonants(word)
-    return mask[-3] and not mask[-2] and mask[-1] and word[-1] not in "wxy"
+    return _mask(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step1b_adjust(w: str) -> str:
@@ -68,7 +84,7 @@ def _step1b_adjust(w: str) -> str:
     if w.endswith(("at", "bl", "iz")):
         return w + "e"
     # a double consonant other than ll, ss or zz loses one letter
-    if len(w) >= 2 and w[-1] == w[-2] and w[-1] not in "lsz" and _consonants(w)[-1]:
+    if len(w) >= 2 and w[-1] == w[-2] and w[-1] not in "lsz" and _mask(w)[-1] == "c":
         return w[:-1]
     if _measure(w) == 1 and _ends_cvc(w):
         return w + "e"
@@ -159,9 +175,13 @@ _STEPS = (
     # 5b: m > 1 of the whole word, which a second trailing l leaves unchanged
     (("ll", "l", lambda base: _m_above_1(base + "l")),),
 )
-# each step with the suffixes of its rows, so one endswith test skips a step
-# that no row matches
-_GUARDED_STEPS = tuple((tuple(suffix for suffix, _, _ in rows), rows) for rows in _STEPS)
+# each step's rows grouped by the last letter of their suffix, in row order,
+# so a step reads only the rows that can match the word's last letter
+_DISPATCH = tuple(
+    {last: tuple(row for row in rows if row[0][-1] == last)
+     for last in dict.fromkeys(suffix[-1] for suffix, _, _ in rows)}
+    for rows in _STEPS
+)
 
 
 def stem(term: str) -> str:
@@ -173,8 +193,10 @@ def stem(term: str) -> str:
     if len(term) <= 2:
         return term
     w = term
-    for suffixes, rows in _GUARDED_STEPS:
-        if not w.endswith(suffixes):
+    # no rule empties a word, so w[-1] always exists
+    for table in _DISPATCH:
+        rows = table.get(w[-1])
+        if rows is None:
             continue
         for suffix, replacement, condition in rows:
             if w.endswith(suffix):

@@ -43,30 +43,43 @@ __all__ = [
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _ENTITY_RE = re.compile(r"&(amp|lt|gt|quot|#[0-9]+);", re.IGNORECASE)
-_NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"'}
 # every byte other than [a-z0-9] becomes a space
 _SEPARATORS = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for b in range(256))
 _MEMO_SIZE = 1 << 14
 _MEMO_COUNT = 8
 
 
-def _decode_entity(match: re.Match) -> str:
-    name = match.group(1)
-    if name.startswith("#"):
+class _Entities(dict):
+    """Entity name -> its text. Holds the four lowercase named entities;
+    ``__missing__`` decodes another case of them and ``#NN``, and stores
+    nothing, so no input grows the table."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> str:
+        if name[0] != "#":
+            return self[name.lower()]
         try:
             return chr(int(name[1:]))
-        except (ValueError, OverflowError):
-            return match.group(0)
-    return _NAMED_ENTITIES[name.lower()]
+        except (ValueError, OverflowError):  # past chr's range or int's digit limit
+            return f"&{name};"
+
+
+_ENTITIES = _Entities(amp="&", lt="<", gt=">", quot='"')
 
 
 def strip_markup(text: str) -> str:
     """Replace every ``<...>`` tag span with a single space and decode the
     entities &amp; &lt; &gt; &quot; &#NN;.
 
-    A ``<`` that is never closed is kept as a literal character.
+    A ``<`` that is never closed is kept as a literal character. Decoding
+    is one pass over the tag-stripped text, so decoded text is never read
+    again: ``&amp;lt;`` gives ``&lt;``.
     """
-    return _ENTITY_RE.sub(_decode_entity, _TAG_RE.sub(" ", text))
+    # split with the one group alternates text and entity names
+    parts = _ENTITY_RE.split(_TAG_RE.sub(" ", text))
+    parts[1::2] = map(_ENTITIES.__getitem__, parts[1::2])
+    return "".join(parts)
 
 
 @cache

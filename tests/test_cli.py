@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -35,6 +37,18 @@ def write_corpus(root):
         words += ["xfill"] * (10000 - len(words))
         (corpus / f"doc{idx}.txt").write_text(" ".join(words), encoding="utf-8")
     return corpus
+
+
+def _straddling_characters(kib):
+    """UTF-8 bytes with a 2-, 3- or 4-byte character across each 1 KiB
+    boundary up to ``kib`` KiB, starting 1 to 3 bytes before it: every
+    chunk size a reader might use, 8 KiB and 64 KiB among them, splits one."""
+    data = bytearray()
+    for k in range(1, kib + 1):
+        char = ("é", "ह", "𝄞")[k % 3].encode("utf-8")
+        shift = 1 + k // 3 % (len(char) - 1)
+        data += b"a" * (k * 1024 - shift - len(data)) + char
+    return bytes(data)
 
 
 def write_plain_config(root):
@@ -476,6 +490,38 @@ class TestClusterCommand:
             ("été.txt", "summer"),
         ]
 
+    @pytest.mark.parametrize("data", [
+        pytest.param(_straddling_characters(192), id="multibyte-across-boundaries"),
+        pytest.param(b"a\r\nb\rc\nd\r\r\ne\n\rf\r\n\r\ng\r", id="mixed-line-endings"),
+        pytest.param(b"a\rb\r\rc\r", id="lone-cr"),
+        pytest.param(b"x" * 8191 + b"\r\n" + b"y" * 8190 + b"\r\r\n", id="crlf-across-8k"),
+        pytest.param(b"\xef\xbb\xbfbom first\r\nline", id="utf8-bom"),
+        pytest.param(b"", id="empty"),
+    ])
+    def test_load_corpus_reads_as_text_mode(self, tmp_path, data):
+        """Each text is what text mode's UTF-8 read with universal newlines gives."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "doc.txt").write_bytes(data)
+        with open(corpus / "doc.txt", encoding="utf-8") as f:
+            expected = f.read()
+        assert cli.load_corpus(corpus) == {"doc.txt": expected}
+
+    def test_invalid_byte_late_in_file_names_it(self, tmp_path, capsys):
+        """The decode error's position counts from the start of the file."""
+        corpus = write_corpus(tmp_path)
+        bad = corpus / "late.txt"
+        bad.write_bytes(b"ball " * 20_480 + b"\xff tail")
+        out = tmp_path / "result.json"
+        code = main(["cluster", "--corpus", str(corpus),
+                     "--features", str(write_features_file(tmp_path)),
+                     "--clusters", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff in position 102400: "
+            "invalid start byte")
+        assert not out.exists()
+
     def test_skipped_document_id_is_escaped(self, tmp_path, capsys):
         """A line break in a skipped document's name cannot forge a line."""
         corpus = write_corpus(tmp_path)
@@ -893,6 +939,83 @@ def test_pipeline_identical_across_hash_seeds(tmp_path):
     assert sorted(runs[0][1]) == sorted(
         ["features.json", "result.json", "report.json"] + [f"{lab}.profile.json" for lab in labels])
     assert runs[0] == runs[1]
+
+
+# y-heavy and suffix-heavy forms that every Porter step reads, per label
+TEXT_PATH_TOPICS = {
+    "arts": ("painting", "galleries", "sculptural", "museums", "relational", "happy",
+             "sensitiviti", "formalize", "triplicate", "sky"),
+    "politics": ("democracy", "elections", "parliamentary", "yyyy", "syzygy", "decisiveness",
+                 "ballots", "agreed", "conditional", "adoption"),
+    "sports": ("stadiums", "footballer", "playing", "hopping", "dying", "goalkeepers",
+               "effective", "sized", "rationally", "allowance"),
+}
+TEXT_PATH_SHARED = ("report", "city", "people", "probate", "controll", "electrical",
+                    "hopefulness", "y", "yy", "says")
+# tags, named entities in mixed case, numeric ones in and out of range, one
+# entity that decodes to another's text, and every line ending
+TEXT_PATH_PIECES = ("<p>", "</p>", '<a href="x&amp;y.html">', "</a>", '<img alt="&lt;&#97;&gt;">',
+                    "<br\r\n/>", "&amp;", "&AMP;", "&lt;", "&Gt;", "&qUOt;", "&#97;", "&#66;",
+                    "&#1114112;", "&nbsp;", "&amp;lt;", "\r\n", "\r", "\n", "café",
+                    "straße", "x < y", "5 > 3")
+# SHA-256 of each file the pipeline below writes and of each command's
+# stdout, recorded before the text path was rewritten
+TEXT_PATH_DIGESTS = {
+    "arts.profile.json": "b68bd929eaea6f6df25fcaf176e3f21693992864dce257acfe4d80edf4a5ca7c",
+    "cluster stdout": "bb2e4e2cc21f24406a02402264cf4ad325892a89562a4fdee547000873110e7a",
+    "features stdout": "eda32448ced8599b98361618f867762a55ff0f0157916106fdd991663ae45084",
+    "features.json": "5aae6f1017bffe23a7485195c6f76fd14f2dfb68156e7c3ba60d042775f75904",
+    "politics.profile.json": "330637d9b8b34564843cf53127f3bccad11c6893cd871371da2f035f4f9acb8c",
+    "report stdout": "04f5bd679fcb146b015698305a51c7242a40b3a2f6b227c3b109d8249d457f7c",
+    "report.json": "63bd9d5bd97cfa22030f7f5fa976b4fdfad5a3cc23c15cca73dfe8f74af89906",
+    "result.json": "1300afd46cfb4388d6a3861d53e5817aa0c200c5821c88e9dd24ad1ef6c5bf80",
+    "sports.profile.json": "314853284de53d4546ddc0e9652cd783458de5283b185a53d61313ac91a0a99c",
+}
+
+
+def _text_path_document(rng, words):
+    parts = [rng.choice(words) if rng.random() < 0.75 else rng.choice(TEXT_PATH_PIECES)
+             for _ in range(rng.randrange(60, 140))]
+    text = " ".join(parts)
+    if rng.random() < 0.3:
+        text = text.replace("\n", "\r\n")
+    return ("\ufeff" if rng.random() < 0.1 else "") + text
+
+
+def test_text_path_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    """features -> cluster -> report over a seeded HTML corpus of 40 files
+    (tags, entities, CRLF and lone CR, BOMs, y-heavy and suffix-heavy
+    words) write the same bytes and print the same lines as recorded."""
+    rng = random.Random(23)
+    labels = sorted(TEXT_PATH_TOPICS)
+    for label in labels:
+        for k in range(8):
+            path = tmp_path / "samples" / label / f"{label}{k}.html"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(_text_path_document(rng, TEXT_PATH_TOPICS[label] + TEXT_PATH_SHARED)
+                             .encode("utf-8"))
+    (tmp_path / "corpus").mkdir()
+    for k in range(16):
+        words = TEXT_PATH_TOPICS[rng.choice(labels)] + TEXT_PATH_TOPICS[rng.choice(labels)]
+        (tmp_path / "corpus" / f"d{k:02}.html").write_bytes(
+            _text_path_document(rng, words + TEXT_PATH_SHARED).encode("utf-8"))
+    monkeypatch.chdir(tmp_path)
+    commands = {
+        "features": ["features", *[a for lab in labels for a in ("--samples", f"{lab}=samples/{lab}")],
+                     "--top-k", "12", "--out", "out/features.json"],
+        "cluster": ["cluster", "--corpus", "corpus", "--features", "out/features.json",
+                    "--clusters", "3", "--fuzzifier", "1.5", "--seed", "5", "--out", "out/result.json"],
+        "report": ["report", "--result", "out/result.json",
+                   *[a for lab in labels for a in ("--profiles", f"out/{lab}.profile.json")],
+                   "--out", "out/report.json"],
+    }
+    digests = {}
+    for name, argv in commands.items():
+        assert main(argv) == 0
+        digests[f"{name} stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for path in sorted((tmp_path / "out").iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == TEXT_PATH_DIGESTS
 
 
 @pytest.mark.parametrize("command", ["features", "cluster", "report"])

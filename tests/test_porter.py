@@ -1,10 +1,11 @@
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzydocs.porter import _consonants, stem
+from fuzzydocs.porter import _mask, stem
 from fuzzydocs.preprocess import _MEMO_SIZE, PreprocessConfig, preprocess_document
 
 # every token a term: stemming through the term memo, nothing dropped
@@ -148,14 +149,28 @@ def _is_consonant_recursive(word: str, i: int) -> bool:
     return True
 
 
-@given(st.text(alphabet="aeiouybcdy", max_size=40))
+# vowels and y weighted up, beside consonants, digits and non-ASCII letters
+# and digits, which are all consonants
+@given(st.text(st.one_of(st.sampled_from("aeiouyybcd09"),
+                         st.characters(categories=("Lu", "Ll", "Lo", "Nd"))),
+               max_size=40))
 def test_consonant_mask_matches_recursive_definition(word):
-    assert _consonants(word) == [_is_consonant_recursive(word, i) for i in range(len(word))]
+    assert _mask(word) == "".join("c" if _is_consonant_recursive(word, i) else "v"
+                                  for i in range(len(word)))
 
 
 def test_long_y_run_does_not_recurse():
     # one frame per preceding y used to exceed the recursion limit
     assert stem("y" * 5000)
+
+
+@pytest.mark.parametrize("word", ["y" * 10**6, "a" + "y" * 10**6, "b" + "y" * 10**6 + "ing"],
+                         ids=["y-run", "vowel-then-y-run", "consonant-then-y-run-ing"])
+def test_long_y_run_stems_in_linear_time(word):
+    # a loop that re-read the run for each y would take hours here
+    start = time.process_time()
+    assert len(stem(word)) >= 10**6 - 1
+    assert time.process_time() - start < 2.0
 
 
 def _check_against_uncached(word):

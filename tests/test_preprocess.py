@@ -30,6 +30,31 @@ COMMENTARY = (
 RAW = PreprocessConfig(stopwords=frozenset(), stemming=False)
 
 
+def _strip_markup_by_callback(text):
+    # the two-regex composition with one callback per entity that
+    # strip_markup replaced, kept as its oracle
+    def decode(match):
+        name = match.group(1)
+        if name.startswith("#"):
+            try:
+                return chr(int(name[1:]))
+            except (ValueError, OverflowError):
+                return match.group(0)
+        return {"amp": "&", "lt": "<", "gt": ">", "quot": '"'}[name.lower()]
+
+    tags = re.sub(r"<[^>]*>", " ", text)
+    return re.sub(r"&(amp|lt|gt|quot|#[0-9]+);", decode, tags, flags=re.IGNORECASE)
+
+
+# entity names in mixed case, unknown ones among them, and numbers
+_ENTITY_NAMES = st.one_of(
+    st.sampled_from(["amp", "lt", "gt", "quot", "nbsp"]).flatmap(
+        lambda name: st.sets(st.integers(0, len(name) - 1)).map(
+            lambda upper: "".join(c.upper() if k in upper else c for k, c in enumerate(name)))),
+    st.text("0123456789", min_size=1, max_size=8).map("#".__add__),
+)
+
+
 class TestStripMarkup:
     def test_tag_becomes_space(self):
         assert strip_markup("<p>ball</p>") == " ball "
@@ -58,6 +83,28 @@ class TestStripMarkup:
 
     def test_tag_with_attributes(self):
         assert strip_markup('<a href="x.html">win</a>') == " win "
+
+    @pytest.mark.parametrize("text", [
+        "&#1114111; &#1114112; &#0; &#00097;",
+        "&#" + "9" * 5_000 + "; &#" + "1" * 4_300 + ";",
+        "&amp;lt; &AMP;amp; &amp;#97;",
+        "a < b &amp; <c",
+        '<a title="&lt;&#97;&gt;">x &Quot;y&QUOT;</a> &lt;p&gt;',
+        "&amp &lt ;&gt;; &;&#;&#x41;&nbsp;",
+    ], ids=["numeric-range", "numeric-digits", "one-pass", "unclosed-tag", "inside-tags", "near-misses"])
+    def test_matches_callback_composition(self, text):
+        assert strip_markup(text) == _strip_markup_by_callback(text)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["<", ">", "&", ";", "#", "&#", "<p>", "</a>", "1114112", "99"]),
+        _ENTITY_NAMES,
+        _ENTITY_NAMES.map("&{};".format),
+        st.text("0123456789", min_size=1, max_size=8),
+        st.text("abcXYZ é", min_size=1, max_size=4),
+    ), max_size=40).map("".join))
+    def test_matches_callback_composition_on_generated_markup(self, text):
+        assert strip_markup(text) == _strip_markup_by_callback(text)
 
 
 class TestTokenize:
