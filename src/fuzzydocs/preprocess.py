@@ -1,21 +1,20 @@
 """Text cleanup and term extraction: markup stripping, tokenization,
 stopword removal, and stemming.
 
-All functions are pure; a document's text flows through
-strip_markup -> tokenize -> remove_stopwords -> stem -> bigram emission,
-which is what :func:`preprocess_document` composes. A document's terms
-are a plain tuple of strings; the caller keeps the document id.
+All functions are pure. :func:`preprocess_document` strips markup,
+tokenizes, and resolves each token through a term memo: a dict from a
+surface form to its final term (the stem, the form itself when stemming
+is off, or ``None`` for a stopword), filled on first sight. One lookup
+per token thus does the work of ``remove_stopwords`` and ``stem``, and
+each distinct form is tested against the stopwords and stemmed once;
+bigrams come last. A document's terms are a plain tuple of strings; the
+caller keeps the document id.
 
-Text repeats its word forms, so :func:`preprocess_document` resolves
-each token through a term memo: a dict from a surface form to its final
-term (the stem, the form itself when stemming is off, or ``None`` for a
-stopword), filled on first sight. A repeated form then costs one dict
-lookup, and each distinct form is tested against the stopwords and
-stemmed once. Configs with equal ``stopwords`` and ``stemming`` share
-one memo, so every command in a process reuses it. A memo holds at most
-16,384 forms (``_MEMO_SIZE``) and is emptied when full; at most
-``_MEMO_COUNT`` memos are kept for configs that are gone. The output is
-the same as without the memo.
+The memo is found by ``(stopwords, stemming)``, so configs with equal
+values share one memo and every command in a process reuses it. A memo
+holds at most 16,384 forms (``_MEMO_SIZE``) and is emptied when full; at
+most ``_MEMO_COUNT`` memos are kept for configs that are gone. The
+output is the same as without the memo.
 """
 
 from __future__ import annotations
@@ -72,12 +71,15 @@ def strip_markup(text: str) -> str:
     """Replace every ``<...>`` tag span with a single space and decode the
     entities &amp; &lt; &gt; &quot; &#NN;.
 
-    A ``<`` that is never closed is kept as a literal character. Decoding
-    is one pass over the tag-stripped text, so decoded text is never read
-    again: ``&amp;lt;`` gives ``&lt;``.
+    A ``<`` that is never closed is kept as a literal character: tags are
+    matched only before the last ``>``, where every match attempt consumes
+    what it scans, so stripping is linear. Decoding is one pass over the
+    tag-stripped text, so decoded text is never read again: ``&amp;lt;``
+    gives ``&lt;``.
     """
+    end = text.rfind(">") + 1
     # split with the one group alternates text and entity names
-    parts = _ENTITY_RE.split(_TAG_RE.sub(" ", text))
+    parts = _ENTITY_RE.split(_TAG_RE.sub(" ", text[:end]) + text[end:])
     parts[1::2] = map(_ENTITIES.__getitem__, parts[1::2])
     return "".join(parts)
 
@@ -147,9 +149,6 @@ class PreprocessConfig:
         for w in self.stopwords:
             if w != w.lower() or not w or any(ch.isspace() for ch in w):
                 raise ValueError(f"invalid stopword: {w!r}")
-        # the term memo, resolved once here so that no document hashes the
-        # stopword set; not a field, so equality, repr and hash ignore it
-        object.__setattr__(self, "_terms", _term_memo(self.stopwords, self.stemming))
 
 
 @cache
@@ -158,21 +157,21 @@ def _default_config() -> PreprocessConfig:
     return PreprocessConfig()
 
 
-def _split_terms(text: str) -> list[str]:
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split into terms: the tokenize stage of
+    :func:`preprocess_document`."""
     # maximal [a-z0-9] runs after Unicode-aware lowercasing; anything
     # else (hyphens included) is a separator. Each non-ASCII character,
     # a lone surrogate too, encodes as "?", so it separates as well.
     return text.lower().encode("ascii", "replace").translate(_SEPARATORS).decode("ascii").split()
 
 
+# the name preprocess_document calls and perfbench/worker.py wraps
+_split_terms = tokenize
+
+
 def _bigram_tokens(terms: Sequence[str]) -> tuple[str, ...]:
     return tuple(f"{a}_{b}" for a, b in zip(terms, terms[1:]))
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split into terms: the tokenize stage of
-    :func:`preprocess_document`."""
-    return _split_terms(text)
 
 
 def remove_stopwords(terms: Sequence[str], stopwords: frozenset[str]) -> list[str]:
@@ -188,14 +187,15 @@ def preprocess_document(text: str, config: PreprocessConfig | None = None) -> tu
     forms are filtered by their surface form, and bigrams pair the final
     content roots. Without a config, the default ``PreprocessConfig()``
     applies, built once per process. The stopword and stem stages read
-    the config's term memo, one dict lookup per token; a term is never
-    empty, so ``filter`` drops exactly the stopwords.
+    the memo of the config's stopwords and stemming, one dict lookup per
+    token; a term is never empty, so ``filter`` drops exactly the stopwords.
     """
     if config is None:
         config = _default_config()
     if config.strip_markup:
         text = strip_markup(text)
-    terms = tuple(filter(None, map(config._terms.__getitem__, _split_terms(text))))
+    memo = _term_memo(config.stopwords, config.stemming)
+    terms = tuple(filter(None, map(memo.__getitem__, _split_terms(text))))
     if config.bigrams:
         terms += _bigram_tokens(terms)
     return terms

@@ -463,7 +463,7 @@ class TestClusterCommand:
         """Documents in code point order of their names; dot files,
         directories and symlinks to anything but a file are skipped, a
         symlink to a file is read under its own name, and line endings
-        are read as universal newlines."""
+        are kept as written."""
         corpus = tmp_path / "corpus"
         (corpus / "sub").mkdir(parents=True)
         (corpus / "sub" / "inner.txt").write_text("inner", encoding="utf-8")
@@ -485,7 +485,7 @@ class TestClusterCommand:
             ("a10.txt", "a ten"),
             ("a9.txt", "a nine"),
             ("b.txt", "lower b"),
-            ("crlf.txt", "one\ntwo\n"),
+            ("crlf.txt", "one\r\ntwo\r"),
             ("link.txt", "linked"),
             ("été.txt", "summer"),
         ]
@@ -499,11 +499,12 @@ class TestClusterCommand:
         pytest.param(b"", id="empty"),
     ])
     def test_load_corpus_reads_as_text_mode(self, tmp_path, data):
-        """Each text is what text mode's UTF-8 read with universal newlines gives."""
+        """Each text is what text mode's UTF-8 read without newline
+        translation gives: the bytes decoded as written."""
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "doc.txt").write_bytes(data)
-        with open(corpus / "doc.txt", encoding="utf-8") as f:
+        with open(corpus / "doc.txt", encoding="utf-8", newline="") as f:
             expected = f.read()
         assert cli.load_corpus(corpus) == {"doc.txt": expected}
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import goldens
 from fuzzydocs import fcm
@@ -236,8 +236,9 @@ class TestSquaredDistances:
         assert squared_distances(example_matrix.data, v).shape == (2, 8)
 
     @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 40), st.integers(0, 10_000))
+    @example(c=5, n=40, m=40, seed=7220)  # the einsum form off by 4.6 eps
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_broadcast_form(self, c, n, m, seed):
+    def test_bit_identical_to_sequential_form(self, c, n, m, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.0, 10000.0, size=(n, m))
         v = rng.uniform(0.0, 10000.0, size=(c, m))
@@ -245,7 +246,10 @@ class TestSquaredDistances:
         sq = squared_distances(x, v)
         np.testing.assert_array_equal(sq, sequential_squared_distances(x, v))
         np.testing.assert_array_equal(squared_distances(np.asfortranarray(x), v), sq)
-        np.testing.assert_allclose(sq, broadcast_squared_distances(x, v), rtol=1e-15)
+        # einsum sums the m non-negative products in an order numpy picks;
+        # two orders of such a sum differ by at most about (m - 1) * eps
+        # relative, so the cross-check allows m * eps
+        np.testing.assert_allclose(sq, broadcast_squared_distances(x, v), rtol=m * np.finfo(float).eps)
 
     def test_working_memory_is_one_difference(self):
         n, m, c = 5000, 20, 16

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from fuzzydocs import preprocess
 from fuzzydocs.porter import _mask, stem
 from fuzzydocs.preprocess import _MEMO_SIZE, PreprocessConfig, preprocess_document
 
@@ -199,7 +200,7 @@ def test_y_heavy_tokens_match_uncached(word):
 
 def test_memo_stays_within_its_bound():
     config = PreprocessConfig(stopwords=frozenset({"form1s"}))
-    memo = config._terms
+    memo = preprocess._term_memo(config.stopwords, config.stemming)
     memo.clear()
     forms = [f"form{i}s" for i in range(_MEMO_SIZE + 500)]
     expected = tuple(stem(form) for form in forms if form != "form1s")

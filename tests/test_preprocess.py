@@ -1,6 +1,7 @@
 import importlib.resources
 import itertools
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -105,6 +106,27 @@ class TestStripMarkup:
     ), max_size=40).map("".join))
     def test_matches_callback_composition_on_generated_markup(self, text):
         assert strip_markup(text) == _strip_markup_by_callback(text)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["<", "<", "<", ">", "&", ";", "#", "&#", "<p", "b>", "&lt", "&#6", "5;", " "]),
+        _ENTITY_NAMES,
+        _ENTITY_NAMES.map("&{};".format),
+    ), max_size=60).map("".join))
+    def test_matches_callback_composition_around_the_last_close(self, text):
+        # dense in "<", so most texts hold unclosed tags after their last
+        # ">", and entities there are decoded all the same
+        assert strip_markup(text) == _strip_markup_by_callback(text)
+
+    @pytest.mark.parametrize("text", [
+        "<" * 100_000,
+        "".join(c if k % 27 else "<" for k, c in enumerate("the ball over the bowler ran " * 7_000, 1)),
+    ], ids=["only-open", "prose"])
+    def test_unclosed_tags_strip_in_linear_time(self, text):
+        # a "<" with no ">" after it must not rescan the rest of the text
+        start = time.process_time()
+        assert strip_markup(text) == text
+        assert time.process_time() - start < 1.0
 
 
 class TestTokenize:
@@ -268,6 +290,11 @@ class TestStopwordFiles:
         assert load_stopwords(p) == {"the", "a", "an"}
 
 
+# line breaks, also inside a tag, an entity and a token, with stopwords
+LINE_END_PIECES = ["\r\n", "\r", "\n", "\r\r\n", "<br\r\n/>", "<p\r>", "&am\r\np;", "&#13;", "&amp;",
+                   "the", "of", "ball", "s", "ing", "a", "z", "7", "42", " "]
+
+
 class TestInvariants:
     def test_config_rejects_bad_stopwords(self):
         with pytest.raises(ValueError):
@@ -296,3 +323,15 @@ class TestInvariants:
     @given(st.text(max_size=120))
     def test_strip_markup_leaves_no_complete_tags(self, text):
         assert not re.search(r"<[^>]*>", strip_markup(text))
+
+    @pytest.mark.parametrize("strip, stemming, bigrams", [
+        pytest.param(*switches, id="-".join(f"{name}{int(on)}" for name, on in
+                                            zip(("strip", "stem", "bigrams"), switches)))
+        for switches in itertools.product((False, True), repeat=3)
+    ])
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.lists(st.sampled_from(LINE_END_PIECES), max_size=40).map("".join))
+    def test_terms_ignore_line_endings(self, strip, stemming, bigrams, text):
+        config = PreprocessConfig(strip_markup=strip, stemming=stemming, bigrams=bigrams)
+        unix = text.replace("\r\n", "\n").replace("\r", "\n")
+        assert preprocess_document(text, config) == preprocess_document(unix, config)
