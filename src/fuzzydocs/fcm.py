@@ -296,14 +296,18 @@ def save_result(
     path: str | Path,
 ) -> None:
     """Write a result file whole; floats keep their shortest round-trip form.
-    The doc ids and features must pass
-    :func:`fuzzydocs.jsonfile.checked_names`, as ``load_result`` requires;
-    refused ones write nothing."""
+    The result must pass the rules ``load_result`` applies: doc ids and
+    features that pass :func:`fuzzydocs.jsonfile.checked_names`, a
+    partition that passes ``validate_partition`` with a column per doc
+    id, and centers that pass ``checked_numbers`` with a row per cluster
+    and a column per feature. A refused result raises ValueError and
+    writes nothing."""
+    u, v = _checked_result(doc_ids, features, result.partition, result.centers)
     payload = {
-        "doc_ids": checked_names(doc_ids, "doc_ids"),
-        "features": checked_names(features, "features"),
-        "memberships": result.partition.tolist(),
-        "centers": result.centers.tolist(),
+        "doc_ids": list(doc_ids),
+        "features": list(features),
+        "memberships": u.tolist(),
+        "centers": v.tolist(),
         "iterations": result.iterations,
         "converged": result.converged,
         "objective_history": list(result.objective_history),
@@ -330,14 +334,24 @@ def load_result(path: str | Path) -> dict:
     if missing:
         raise ValueError(f"invalid result file {path}: missing {sorted(missing)}")
     try:
-        n = len(checked_names(raw["doc_ids"], "doc_ids"))
-        m = len(checked_names(raw["features"], "features"))
-        u = validate_partition(raw["memberships"], n=n)
-        v = _checked_matrix(raw["centers"], "centers", WF_SCALE)  # weighted means of WF rows
+        u, v = _checked_result(raw["doc_ids"], raw["features"], raw["memberships"], raw["centers"])
     except ValueError as exc:
         raise ValueError(f"invalid result file {path}: {exc}") from exc
-    if v.shape != (u.shape[0], m):
-        raise ValueError(f"invalid result file {path}: centers must be {u.shape[0]} x {m}")
     raw["memberships"] = u
     raw["centers"] = v
     return raw
+
+
+def _checked_result(doc_ids, features, memberships, centers) -> tuple[np.ndarray, np.ndarray]:
+    """The partition and centers of a result, as ``validate_partition``
+    and ``checked_numbers`` return them, if the doc ids and features pass
+    :func:`fuzzydocs.jsonfile.checked_names`, the partition has a column
+    per doc id and the centers are a clusters x features matrix;
+    otherwise ValueError."""
+    n = len(checked_names(doc_ids, "doc_ids"))
+    m = len(checked_names(features, "features"))
+    u = validate_partition(memberships, n=n)
+    v = _checked_matrix(centers, "centers", WF_SCALE)  # weighted means of WF rows
+    if v.shape != (u.shape[0], m):
+        raise ValueError(f"centers must be {u.shape[0]} x {m}")
+    return u, v

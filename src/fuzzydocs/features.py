@@ -12,6 +12,7 @@ each file is replaced whole or left as it was.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -174,15 +175,30 @@ def load_feature_set(path: str | Path) -> FeatureSet:
 
 
 def save_profile(profile: LabeledProfile, path: str | Path) -> None:
-    write_json({"label": profile.label, "wf": profile.wf}, path)
+    """Write a profile, which must pass the rule ``load_profile`` applies:
+    a non-empty string label and a dict of WFs that pass
+    :func:`fuzzydocs.jsonfile.checked_numbers` in [0, WF_SCALE]
+    (``ValueError`` naming the label for a bad WF). A refused profile
+    writes nothing."""
+    label, wf = profile.label, profile.wf
+    if not (isinstance(label, str) and label and isinstance(wf, dict)):
+        raise ValueError("invalid profile: the label must be a non-empty string, the WFs a dict")
+    checked_numbers(list(wf.values()), f"WFs of profile {label!r}", WF_SCALE, 1)
+    write_json({"label": label, "wf": wf}, path)
 
 
 def load_profile(path: str | Path) -> LabeledProfile:
+    """The profile a file holds: a non-empty string label, and WFs that
+    pass :func:`fuzzydocs.jsonfile.checked_numbers` in [0, WF_SCALE],
+    each read as a float; otherwise ``ValueError`` naming the file.
+
+    Each term is passed through ``sys.intern``, so the profiles a process
+    loads share one string per distinct term instead of holding a copy
+    each. On Python 3.12 interned strings are immortal, so the process
+    keeps each distinct term for its lifetime."""
     raw = read_json(path)
     label, wf = (raw.get("label"), raw.get("wf")) if isinstance(raw, dict) else (None, None)
     if not (isinstance(label, str) and label and isinstance(wf, dict)):
         raise ValueError(f"invalid profile file: {path}")
     values = checked_numbers(list(wf.values()), f"invalid profile file: {path}: WFs", WF_SCALE, 1)
-    if not set(map(type, wf.values())) <= {float}:  # an int WF is read as its float
-        wf = dict(zip(wf, values.tolist()))
-    return LabeledProfile(label, wf)
+    return LabeledProfile(label, dict(zip(map(sys.intern, wf), values.tolist())))

@@ -32,7 +32,7 @@ whose ``x * 1e4`` lies within 1e-9 of a half-integer go through
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
 
@@ -57,6 +57,7 @@ AMBIGUITY_MARGIN_DEFAULT = 0.1
 # labelling totals this close to the optimum, relative to max(optimum, 1),
 # are ties: rounding can split equal sums of distances by an ulp or two
 TIE_TOLERANCE = 1e-9
+STRENGTHS = ("strong", "ambiguous", "moderate")
 
 
 def label_clusters(
@@ -182,13 +183,16 @@ def classify_strength(
     u = validate_partition(u, n=len(doc_ids), c=len(labels))
     validate_thresholds(strong_threshold, ambiguity_margin, len(labels))
     high = u.max(axis=0)
-    strength = np.where(high >= strong_threshold, "strong",
-                        np.where(high - u.min(axis=0) < ambiguity_margin, "ambiguous", "moderate"))
+    kind = np.where(high >= strong_threshold, 0,
+                    np.where(high - u.min(axis=0) < ambiguity_margin, 1, 2))
+    # a column converted as its entry is built, and one of three shared
+    # strength strings: no list of n degree rows or n strings beside the
+    # entries
     return [
-        {"doc_id": doc_id, "labels": dict(zip(labels, degrees)), "top_label": labels[j],
-         "strength": s}
-        for doc_id, degrees, j, s in zip(
-            doc_ids, u.T.tolist(), u.argmax(axis=0).tolist(), strength.tolist())
+        {"doc_id": doc_id, "labels": dict(zip(labels, column.tolist())), "top_label": labels[j],
+         "strength": STRENGTHS[k]}
+        for doc_id, column, j, k in zip(
+            doc_ids, u.T, u.argmax(axis=0).tolist(), kind.tolist())
     ]
 
 
@@ -255,11 +259,16 @@ def render_report_table(reports: Sequence[dict]) -> str:
     # the block carries the separator after each degree column, so no
     # labels (c = 0) leave one separator between doc id and top label
     row = f"{{:<{widths[0]}}}  {{}}{{:<{widths[-2]}}}  {{:<{widths[-1]}}}"
-    # names escaped again, not kept from above: two more lists of n names
-    # would be alive while the lines are built
-    lines = [row.format(printable(r["doc_id"]), block, printable(r["top_label"]),
+    text, stride = _degree_blocks(degrees, widths[1:-2])
+    # names escaped again, not kept from above, and each row's cells
+    # sliced as it is formatted: no list of n names or n cell strings,
+    # and no n x c array, is alive while the lines are built, nor the
+    # block text while they are joined
+    del degrees
+    lines = [row.format(printable(r["doc_id"]), text[at:at + stride], printable(r["top_label"]),
                         r["strength"]).rstrip()
-             for r, block in zip(reports, _degree_blocks(degrees, widths[1:-2]))]
+             for r, at in zip(reports, count(0, stride))]
+    del text
     return "\n".join([header, *lines])
 
 
@@ -274,9 +283,11 @@ def _degree_table(reports: Sequence[dict], labels: Sequence[str]) -> np.ndarray:
     return np.fromiter(values, float, n * c).reshape(n, c)
 
 
-def _degree_blocks(degrees: np.ndarray, widths: Sequence[int]) -> list[str]:
-    """Each row's degree cells, each padded to its column's width and
-    followed by two spaces, as one string per row.
+def _degree_blocks(degrees: np.ndarray, widths: Sequence[int]) -> tuple[str, int]:
+    """Every row's degree cells, each padded to its column's width and
+    followed by two spaces, as one ASCII text and the stride of a row in
+    it: row i is ``text[i * stride:(i + 1) * stride]`` (empty, with stride
+    0, when there are no columns).
 
     A degree x in [0, 1], not -0.0, whose y = x * 1e4 lies more than 1e-9
     from a half-integer is written from k = rint(y) as ``k // 10000``,
@@ -305,8 +316,7 @@ def _degree_blocks(degrees: np.ndarray, widths: Sequence[int]) -> list[str]:
         for i, d in zip(slow.tolist(), x[slow].tolist()):
             block[i, at:at + w] = np.frombuffer(format(d, f"<{w}.4f").encode(), np.uint8)
         at += w + 2
-    text = block.tobytes().decode("ascii")
-    return [text[i:i + stride] for i in range(0, n * stride, stride)] if stride else [""] * n
+    return block.tobytes().decode("ascii"), stride
 
 
 def _width(name: str, cells: Sequence[str]) -> int:

@@ -1,7 +1,8 @@
+import dataclasses
 import json
 import math
+import re
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import goldens
+from peak_memory import traced_peak_bytes
 from fuzzydocs import fcm
 from fuzzydocs.fcm import (
     FcmParams,
@@ -73,17 +75,6 @@ def two_path_memberships(d, fuzzifier):
     if (~singular).any():
         u[:, ~singular] = regular(d[:, ~singular], d_min[~singular])
     return u
-
-
-def traced_peak_bytes(f, *args):
-    """Peak bytes allocated while f runs; numpy reports its buffers to
-    tracemalloc."""
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def random_instance(seed: int, n: int = 6, m: int = 2, c: int = 2):
@@ -547,16 +538,29 @@ class TestResultFiles:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert "max_change_history" not in load_result(path)
 
-    @pytest.mark.parametrize("doc_ids,features,what", [
-        pytest.param(goldens.DOC_IDS, ["f", "f", "g", "h"], "features", id="repeated-feature"),
-        pytest.param(goldens.DOC_IDS, ["f", "", "g", "h"], "features", id="empty-feature"),
-        pytest.param(range(8), ["f", "g", "h", "i"], "doc_ids", id="doc_ids-not-a-list"),
-        pytest.param(list(range(8)), ["f", "g", "h", "i"], "doc_ids", id="doc_ids-numbers"),
+    @pytest.mark.parametrize("doc_ids,features,change,message", [
+        pytest.param(goldens.DOC_IDS, ["f", "f", "g", "h"], {},
+                     "features must be unique non-empty strings", id="repeated-feature"),
+        pytest.param(goldens.DOC_IDS, ["f", "", "g", "h"], {},
+                     "features must be unique non-empty strings", id="empty-feature"),
+        pytest.param(range(8), ["f", "g", "h", "i"], {},
+                     "doc_ids must be unique non-empty strings", id="doc_ids-not-a-list"),
+        pytest.param(list(range(8)), ["f", "g", "h", "i"], {},
+                     "doc_ids must be unique non-empty strings", id="doc_ids-numbers"),
+        pytest.param(goldens.DOC_IDS[:7], ["f", "g", "h", "i"], {},
+                     "invalid partition: expected 7 columns, got 8", id="fewer-doc-ids"),
+        pytest.param(goldens.DOC_IDS, ["f", "g", "h"], {}, "centers must be 2 x 3",
+                     id="fewer-features"),
+        pytest.param(goldens.DOC_IDS, ["f", "g", "h", "i"], {"partition": np.full((2, 8), 0.4)},
+                     "invalid partition: columns must sum to 1", id="not-a-partition"),
+        pytest.param(goldens.DOC_IDS, ["f", "g", "h", "i"], {"centers": np.full((2, 4), np.nan)},
+                     "centers must lie in [0, 10000]", id="nan-centers"),
     ])
     def test_writer_refuses_what_its_reader_refuses(self, tmp_path, example_matrix, crisp_init,
-                                                      doc_ids, features, what):
-        res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init, max_iters=1))
-        with pytest.raises(ValueError, match=f"^{what} must be unique non-empty strings$"):
+                                                      doc_ids, features, change, message):
+        res = dataclasses.replace(
+            run_fcm(example_matrix, FcmParams(c=2, init=crisp_init, max_iters=1)), **change)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             save_result(res, doc_ids, features, tmp_path / "result.json")
         assert list(tmp_path.iterdir()) == []
 

@@ -316,6 +316,42 @@ class TestRoundTrips:
         assert loaded.label == "sports"
         assert loaded.wf == sports_profile.wf
 
+    @pytest.mark.parametrize("label,wf,message", [
+        pytest.param("", {"ball": 2.5},
+                     "invalid profile: the label must be a non-empty string, the WFs a dict",
+                     id="empty-label"),
+        pytest.param(None, {"ball": 2.5},
+                     "invalid profile: the label must be a non-empty string, the WFs a dict",
+                     id="label-not-a-string"),
+        pytest.param("x", [2.5],
+                     "invalid profile: the label must be a non-empty string, the WFs a dict",
+                     id="wfs-not-a-dict"),
+        pytest.param("x", {"ball": 2.5, "team": math.nan},
+                     "WFs of profile 'x' must lie in [0, 10000]", id="nan-wf"),
+        pytest.param("x", {"ball": 10000.5}, "WFs of profile 'x' must lie in [0, 10000]",
+                     id="wf-above-scale"),
+        pytest.param("x", {"ball": True}, "WFs of profile 'x' must be numbers", id="bool-wf"),
+    ])
+    def test_profile_writer_refuses_what_its_reader_refuses(self, tmp_path, label, wf, message):
+        path = tmp_path / "x.profile.json"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_profile(LabeledProfile(label, wf), path)
+        assert list(tmp_path.iterdir()) == []
+        # the reader refuses the same profile written as JSON
+        path.write_text(json.dumps({"label": label, "wf": wf}), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"invalid profile file: {path}")):
+            load_profile(path)
+
+    def test_loaded_profiles_share_term_strings(self, tmp_path):
+        # terms built at run time, so no two are the same object to begin with
+        terms = [f"term{i}" for i in range(200)]
+        for label in ("a", "b"):
+            wf = {term: float(i) for i, term in enumerate(terms)}
+            save_profile(LabeledProfile(label, wf), tmp_path / f"{label}.profile.json")
+        a, b = (load_profile(tmp_path / f"{label}.profile.json") for label in ("a", "b"))
+        assert list(a.wf) == list(b.wf) == terms
+        assert all(x is y for x, y in zip(a.wf, b.wf))
+
     def test_profile_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('["nope"]', encoding="utf-8")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import sys
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
+from peak_memory import traced_peak_bytes
 from fuzzydocs.features import LabeledProfile
 from fuzzydocs.labeling import (
     TIE_TOLERANCE,
@@ -38,6 +40,12 @@ SPORTS_FIRST = ("sports", "politics")
 
 def report(doc_id, labels, top_label, strength):
     return {"doc_id": doc_id, "labels": labels, "top_label": top_label, "strength": strength}
+
+
+def many_documents():
+    """A seeded 8 x 20,000 partition, with its doc ids and labels."""
+    u = np.random.default_rng(0).dirichlet(np.full(8, 0.3), size=20_000).T.copy()
+    return u, [f"doc{i:05d}" for i in range(20_000)], [f"label{j}" for j in range(8)]
 
 
 def reference_report_table(reports):
@@ -313,6 +321,22 @@ class TestClassifyStrength:
         assert reports[0] == {"doc_id": "a", "labels": {"sports": 1.0}, "top_label": "sports",
                               "strength": "strong"}
 
+    def test_entries_share_the_three_strength_strings(self):
+        u = np.array([[0.9, 0.5, 0.7, 0.95, 0.52, 0.6], [0.1, 0.5, 0.3, 0.05, 0.48, 0.4]])
+        reports = classify_strength(u, [f"d{i}" for i in range(6)], SPORTS_FIRST)
+        assert [r["strength"] for r in reports] == ["strong", "ambiguous", "moderate"] * 2
+        assert len({id(r["strength"]) for r in reports}) == 3
+
+    def test_peak_is_the_entries_and_two_partitions(self):
+        # each degree row is converted as its entry is built: no list of n
+        # degree lists, and no string per strength, beside the entries
+        u, doc_ids, labels = many_documents()
+        reports = classify_strength(u, doc_ids, labels)
+        entries = sys.getsizeof(reports) + sum(
+            sys.getsizeof(r) + sys.getsizeof(r["labels"])
+            + sum(map(sys.getsizeof, r["labels"].values())) for r in reports)
+        assert traced_peak_bytes(classify_strength, u, doc_ids, labels) <= entries + 2 * u.nbytes
+
     def test_threshold_validation(self):
         u = np.array([[0.9], [0.1]])
         with pytest.raises(ValueError):
@@ -427,6 +451,16 @@ class TestReportFiles:
     ])
     def test_render_matches_cell_by_cell_table(self, reports):
         assert render_report_table(reports) == reference_report_table(reports)
+
+    def test_render_peak_is_the_lines_and_one_partition(self):
+        # each row's cells are sliced as it is formatted: no list of n cell
+        # strings beside the lines, and no n x c array once they are built
+        u, doc_ids, labels = many_documents()
+        reports = classify_strength(u, doc_ids, labels)
+        table = render_report_table(reports)
+        lines = table.split("\n")
+        kept = sys.getsizeof(table) + sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+        assert traced_peak_bytes(render_report_table, reports) <= kept + u.nbytes
 
     def test_render_every_four_decimal_value_and_near_tie(self):
         # every k / 10000, and every tie (2k + 1) / 20000 nudged by up to
