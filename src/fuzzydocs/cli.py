@@ -10,10 +10,11 @@ flag's dest (``top_k`` for ``--top-k``) and in the shape the flag takes; a
 flag beats the config file, which beats the default. ``main`` resolves
 these settings once and passes the dict to the subcommand's handler.
 
-Exit codes: 0 success, 1 data error (``ValueError``, ``OSError``), 2 usage
-error; a failed run's last stderr line is its one ``error: `` line. Every
-stderr line (``wrote PATH``, a warning, the error) and every name in a
-table pass :func:`fuzzydocs.labeling.printable`, which writes each
+Exit codes: 0 success, 1 data error (``ValueError``, ``OSError``) or
+``MemoryError``, 2 usage error; a failed run's last stderr line is its one
+``error: `` line. Every stderr line (``wrote PATH``, a warning, the
+error) and every name in a table pass
+:func:`fuzzydocs.labeling.printable`, which writes each
 character that is not printable as its escape, so a path or a name cannot
 forge a line. Warnings go to stderr; tables to stdout;
 JSON files go through :mod:`fuzzydocs.jsonfile`, which creates a missing
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from operator import attrgetter
 from pathlib import Path
 
@@ -71,9 +73,17 @@ def _note(line: str) -> None:
     print(printable(line), file=sys.stderr)
 
 
-def load_corpus(dirpath: str | Path) -> dict[str, str]:
-    """The texts of a directory's documents by file name, in lexicographic
-    name order; the file name is the document id, so it must be valid UTF-8.
+def load_corpus(dirpath: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield ``(file name, text)`` for each of a directory's documents, in
+    lexicographic name order; the file name is the document id, so it must
+    be valid UTF-8.
+
+    The documents are read one at a time as the caller asks for them, so a
+    caller that keeps only what it derives from each text holds one text
+    at a time. Nothing is checked or read before the first ``next``; a
+    missing directory, an unreadable file, or a directory with no documents
+    (raised once the listing is exhausted) raises there or at the document
+    that fails, after the documents before it have been yielded.
 
     Each file is read whole in one binary read and its bytes are decoded as
     UTF-8 exactly as written: a BOM is kept as U+FEFF and line endings are
@@ -85,7 +95,7 @@ def load_corpus(dirpath: str | Path) -> dict[str, str]:
         entries = sorted(listing, key=attrgetter("name"))
     # prefix + name is str(dirpath / name), without a Path per document
     prefix = "" if dirpath == Path(".") else os.path.join(dirpath, "")
-    docs = {}
+    found = False
     for entry in entries:
         name = entry.name
         if name.startswith("."):
@@ -103,12 +113,13 @@ def load_corpus(dirpath: str | Path) -> dict[str, str]:
             raise ValueError(f"file name is not valid UTF-8: {path!r}") from None
         try:
             with open(path, "rb", buffering=0) as f:
-                docs[name] = f.read().decode("utf-8")
+                text = f.read().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read {path}: {exc}") from exc
-    if not docs:
+        found = True
+        yield name, text
+    if not found:
         raise ValueError(f"no documents in {dirpath}")
-    return docs
 
 
 def _load_config(path: str | None) -> dict:
@@ -242,8 +253,8 @@ def cmd_features(s: dict) -> int:
     pre = _preprocess_config(s["preprocess"])
 
     profiles = [
-        build_profile(label, [preprocess_document(text, pre)
-                              for text in load_corpus(samples[label]).values()])
+        build_profile(label, (preprocess_document(text, pre)
+                              for _, text in load_corpus(samples[label])))
         for label in sorted(samples)
     ]
     selected = select_features(profiles, s["top_k"], s["min_ratio"], s["min_wf"])
@@ -289,7 +300,7 @@ def cmd_cluster(s: dict) -> int:
     selected = load_feature_set(features_path)
 
     doc_ids, rows = [], []
-    for doc_id, text in load_corpus(s["corpus"]).items():
+    for doc_id, text in load_corpus(s["corpus"]):
         terms = preprocess_document(text, pre)
         if not terms:
             _note(f"warning: skipping empty document: {doc_id}")
@@ -398,6 +409,9 @@ def main(argv=None) -> int:
         # one line, though the message quotes a path or a key holding a line break
         _note(f"error: {exc}")
         return 2 if isinstance(exc, UsageError) else 1
+    except MemoryError as exc:  # run_fcm's c x n arrays, among others: see the README
+        _note(f"error: out of memory ({exc})" if str(exc) else "error: out of memory")
+        return 1
 
 
 if __name__ == "__main__":

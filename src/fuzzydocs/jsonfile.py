@@ -10,7 +10,8 @@ dot file next to the target and renames it over the target only once
 the last line has been written.
 A missing directory on the way to the target is created. A target whose
 temporary name passes the 255-byte file name limit is refused before
-anything is written.
+anything is written. A numpy integer or float scalar is written as the
+Python number its ``.item()`` gives.
 
 A value read from outside that should hold numbers -- a profile's WFs, a
 partition's memberships, cluster centers -- passes one rule,
@@ -73,7 +74,7 @@ def write_json(payload, path: str | Path) -> None:
 def _dump(payload, f) -> None:
     """Write ``payload`` to ``f`` one top-level element or member per line.
     Without indent the stdlib encodes in C; with it, in pure Python."""
-    encode = json.JSONEncoder(ensure_ascii=False).encode
+    encode = json.JSONEncoder(ensure_ascii=False, default=_numpy_scalar).encode
     if isinstance(payload, dict) and payload:
         brackets = "{}"
         # a one-member object encodes its key exactly as the whole object would
@@ -90,6 +91,15 @@ def _dump(payload, f) -> None:
         f.write(member)
         separator = ",\n  "
     f.write("\n" + brackets[1] + "\n")
+
+
+def _numpy_scalar(value):
+    """A numpy integer or float as ``.item()`` gives it. The encoder calls
+    this only for a value it cannot write itself, so a numpy float64, which
+    is a ``float``, never reaches it."""
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def read_json(path: str | Path):

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -154,7 +157,63 @@ class TestInitPartition:
         np.testing.assert_allclose(a.sum(axis=0), 1.0, atol=1e-9)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(init_partition(8, 2, seed=1), init_partition(8, 2, seed=2))
+        draws = {init_partition(6, 3, seed=seed).tobytes() for seed in range(50)}
+        assert len(draws) == 50
+
+    def test_seeded_bits_are_pinned(self):
+        """Each entry is an integer gap times 2**-53; these are the gaps of
+        seed 7 at n = 4, c = 3. A change in the stdlib generator, the
+        byte order or the cut layout moves them."""
+        gaps = [
+            [3556253888730049, 434925468963956, 847848055842290, 1933829318130921],
+            [4981358279887125, 6962455694376177, 4401439694294471, 6260056449457719],
+            [469587086123818, 1609818091400859, 3757911504604231, 813313487152352],
+        ]
+        u = init_partition(4, 3, seed=7)
+        assert u.flags.c_contiguous and u.dtype == np.float64
+        assert u.tolist() == [[g * 2.0**-53 for g in row] for row in gaps]
+
+    @pytest.mark.parametrize("n,c", [(1, 1), (7, 2), (50, 3), (200, 17), (64, 64)])
+    def test_columns_sum_to_exactly_one(self, n, c):
+        u = init_partition(n, c, seed=n * c)
+        assert np.all(u.sum(axis=0) == 1.0)
+        assert all(math.fsum(col) == 1.0 and sum(col[::-1]) == 1.0 for col in u.T.tolist())
+        assert np.all((u >= 0.0) & (u <= 1.0))
+
+    def test_large_and_numpy_integer_seeds(self):
+        np.testing.assert_array_equal(init_partition(9, 4, seed=np.int64(3)),
+                                      init_partition(9, 4, seed=3))
+        big = init_partition(9, 4, seed=2**100)
+        validate_partition(big, n=9, c=4)
+        assert not np.array_equal(big, init_partition(9, 4, seed=2**100 + 1))
+        x = FeatureMatrix(tuple(f"d{i}" for i in range(9)), np.arange(18.0).reshape(9, 2))
+        for seed in (np.int64(3), np.uint32(3), 2**100):
+            assert run_fcm(x, FcmParams(c=2, seed=seed)).iterations >= 1
+
+    @pytest.mark.parametrize("n,c", [(1000, 1), (1000, 2), (1000, 8), (300, 300), (5000, 64)])
+    def test_working_memory(self, n, c):
+        """The draw's bytes, its 53-bit integers and the c x n result: at
+        most 32 bytes per entry, plus the generator's fixed state."""
+        assert traced_peak_bytes(init_partition, n, c) <= 32 * c * n + 8 * n + 4096
+
+    def test_does_not_import_numpy_random(self):
+        """numpy 2 loads numpy.random (and with it OpenSSL) on first use;
+        a run from the random start partition leaves it unloaded, or
+        loaded only where ``import numpy`` already loaded it."""
+        code = (
+            "import sys, numpy as np\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "from fuzzydocs.fcm import FcmParams, FeatureMatrix, run_fcm\n"
+            "x = FeatureMatrix(('a', 'b', 'c'), np.array([[1.0, 2.0], [3.0, 1.0], [9.0, 9.0]]))\n"
+            "run_fcm(x, FcmParams(c=2, seed=4))\n"
+            "print(before, 'numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(fcm.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
 
     def test_rejects_invalid_explicit(self):
         bad = np.array([[0.6, 0.6], [0.6, 0.6]])

@@ -316,6 +316,16 @@ class TestRoundTrips:
         assert loaded.label == "sports"
         assert loaded.wf == sports_profile.wf
 
+    def test_profile_with_numpy_scalar_wfs(self, tmp_path):
+        """numpy scalars, which the number rule accepts, are written as
+        ``.item()`` gives them; a float64 is written as the float it is."""
+        path = tmp_path / "x.profile.json"
+        wf = {"a": np.float32(1.5), "b": np.int64(3), "c": np.float64(0.1), "d": np.uint8(7)}
+        save_profile(LabeledProfile("x", wf), path)
+        assert path.read_text(encoding="utf-8").splitlines()[2] == (
+            '  "wf": {"a": 1.5, "b": 3, "c": 0.1, "d": 7}')
+        assert load_profile(path).wf == {"a": 1.5, "b": 3.0, "c": 0.1, "d": 7.0}
+
     @pytest.mark.parametrize("label,wf,message", [
         pytest.param("", {"ball": 2.5},
                      "invalid profile: the label must be a non-empty string, the WFs a dict",
