@@ -64,6 +64,7 @@ __all__ = [
 
 PARTITION_COLUMN_TOL = 1e-9
 _CUT_SCALE = 2.0**53  # the random start partition's cut points are integers below this
+_DRAW_WORDS = 1 << 16  # 64-bit words per getrandbits call of the random start partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,27 +173,38 @@ def init_partition(
     """Explicit starting partition (validated) or a seeded random one with
     each column uniform on the simplex.
 
-    The random partition takes (c-1) * n 53-bit integers from one
-    ``getrandbits`` call of the stdlib's ``random.Random(seed)`` (any
-    non-negative integer seed, numpy's included), so numpy.random is never
-    imported. Column i takes the c-1 integers that follow the first
+    The random partition takes (c-1) * n 53-bit integers, the top bits of
+    the little-endian 64-bit words of the stdlib's ``random.Random(seed)``
+    (any non-negative integer seed, numpy's included; a negative one is a
+    ValueError), so numpy.random is never imported. The words come from
+    ``getrandbits`` calls of at most ``_DRAW_WORDS`` words each, which give
+    the same stream as one call would, since each call's bit count is a
+    multiple of 32. Column i takes the c-1 integers that follow the first
     i * (c-1); sorted, they cut [0, 2**53] into c gaps, and the column is
     those gaps times 2**-53. The gaps of sorted uniforms are uniform on
     the simplex, Dirichlet(1, ..., 1) (Devroye 1986, ch. V), as the
     normalised exponentials of earlier versions were. Each gap is an
     integer times 2**-53, so every column sums to exactly 1.0 in any
     order, and no transcendental function is involved whose last bits
-    could vary with the CPU. Working memory peaks near 16 * c * n bytes. The draw and the sort take
-    O(c n log c) time; on a 2-vCPU host, 5-8 ms at n = 20000, c = 8, and
-    0.6-0.8 of one FCM iteration's time at n = 2000, c = 1000 (m = 20)."""
+    could vary with the CPU. Working memory peaks near 16 * c * n bytes.
+    The draw and the sort take O(c n log c) time; on a 2-vCPU host, 5-8 ms
+    at n = 20000, c = 8, and 0.6-0.8 of one FCM iteration's time at
+    n = 2000, c = 1000 (m = 20)."""
     if not 1 <= c <= n:
         raise ValueError(f"cluster count must lie in [1, {n}]")
     if init is not None:
         return validate_partition(init, n=n, c=c)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    rng = random.Random(seed)
     k = (c - 1) * n
-    words = random.Random(operator.index(seed)).getrandbits(64 * k).to_bytes(8 * k, "little")
-    cuts = np.frombuffer(words, dtype="<u8") >> np.uint64(11)  # 53-bit integers
-    del words
+    cuts = np.empty(k, dtype="<u8")
+    for start in range(0, k, _DRAW_WORDS):  # one call's bit count must fit a C int
+        size = min(_DRAW_WORDS, k - start)
+        words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
+        cuts[start:start + size] = np.frombuffer(words, dtype="<u8")
+    cuts >>= np.uint64(11)  # 53-bit integers
     cuts = cuts.reshape(n, c - 1)
     cuts.sort(axis=1)
     u = np.empty((c, n))

@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,35 @@ class TestInitPartition:
         x = FeatureMatrix(tuple(f"d{i}" for i in range(9)), np.arange(18.0).reshape(9, 2))
         for seed in (np.int64(3), np.uint32(3), 2**100):
             assert run_fcm(x, FcmParams(c=2, seed=seed)).iterations >= 1
+
+    def test_negative_seed_is_rejected(self):
+        for seed in (-5, np.int64(-1)):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                init_partition(6, 2, seed=seed)
+
+    def test_draw_is_chunked(self, monkeypatch):
+        """One ``getrandbits`` call of 64 * (c-1) * n bits overflows a C int
+        on CPython 3.10-3.12 once (c-1) * n >= 2**25, so the words are drawn
+        in calls of at most ``_DRAW_WORDS`` words, which give the same
+        stream as a single call."""
+        calls = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                calls.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(fcm, "random", types.SimpleNamespace(Random=Recording))
+        init_partition(20_000, 5, seed=1)  # (c-1) * n = 80,000 words
+        assert calls == [64 * fcm._DRAW_WORDS, 64 * (80_000 - fcm._DRAW_WORDS)]
+        assert 64 * fcm._DRAW_WORDS < 2**25
+        calls.clear()
+        whole = init_partition(40, 5, seed=11)
+        assert calls == [64 * 160]
+        calls.clear()
+        monkeypatch.setattr(fcm, "_DRAW_WORDS", 7)
+        np.testing.assert_array_equal(init_partition(40, 5, seed=11), whole)
+        assert calls == [64 * 7] * 22 + [64 * 6]
 
     @pytest.mark.parametrize("n,c", [(1000, 1), (1000, 2), (1000, 8), (300, 300), (5000, 64)])
     def test_working_memory(self, n, c):
