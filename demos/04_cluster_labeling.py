@@ -12,6 +12,7 @@ import numpy as np
 from fuzzydocs import (
     FcmParams,
     FeatureMatrix,
+    STRENGTHS,
     LabeledProfile,
     classify_strength,
     label_clusters,
@@ -51,10 +52,11 @@ labels = label_clusters(result.centers, profiles, features)
 print("cluster labels:", labels)
 print()
 
-# one dict per document, the entry report.json holds: doc_id, labels
-# (label -> degree), top_label and strength
-reports = classify_strength(result.partition, docs, labels)
-print(render_report_table(reports))
+# the report keeps the partition and, per document, two indexes: its top
+# cluster (labels[report.top[i]] is its top label) and its strength class
+# (STRENGTHS[report.strength[i]])
+report = classify_strength(result.partition, docs, labels)
+print(render_report_table(report))
 print()
 
 # rank_documents answers "which pieces are most clearly about sports?"
@@ -65,5 +67,6 @@ print("most sports-like first:",
 # Strength classes make the soft part legible: a document over the
 # strong threshold in one cluster is a safe exemplar, while a small gap
 # between its top two memberships flags it for human review.
-ambiguous = [r["doc_id"] for r in reports if r["strength"] == "ambiguous"]
+ambiguous = [doc_id for doc_id, k in zip(report.doc_ids, report.strength.tolist())
+             if STRENGTHS[k] == "ambiguous"]
 print("flagged as ambiguous:", ambiguous or "none")

@@ -18,7 +18,14 @@ The pipeline runs in four stages, one module each:
 
 from .fcm import FcmParams, FeatureMatrix, harden, run_fcm
 from .features import LabeledProfile, build_profile, score_terms, select_features
-from .labeling import classify_strength, label_clusters, rank_documents, render_report_table
+from .labeling import (
+    STRENGTHS,
+    StrengthReport,
+    classify_strength,
+    label_clusters,
+    rank_documents,
+    render_report_table,
+)
 from .preprocess import (
     PreprocessConfig,
     default_stopwords,
@@ -32,10 +39,12 @@ __version__ = "0.1.0"
 # The names the README and the demos import; everything else is imported
 # from its own module.
 __all__ = [
+    "STRENGTHS",
     "FcmParams",
     "FeatureMatrix",
     "LabeledProfile",
     "PreprocessConfig",
+    "StrengthReport",
     "build_profile",
     "classify_strength",
     "default_stopwords",

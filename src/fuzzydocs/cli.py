@@ -336,15 +336,15 @@ def cmd_report(s: dict) -> int:
     profiles = [load_profile(_existing_file(p, "profile file")) for p in s["profiles"]]
     labeling = label_clusters(result["centers"], profiles, result["features"])
     try:
-        reports = classify_strength(result["memberships"], result["doc_ids"], labeling,
-                                    s["strong_threshold"], s["ambiguity_margin"])
+        report = classify_strength(result["memberships"], result["doc_ids"], labeling,
+                                   s["strong_threshold"], s["ambiguity_margin"])
     except ValueError as exc:  # bad thresholds: load_result has checked the rest
         raise UsageError(str(exc)) from exc
 
-    reports.sort(key=lambda e: (e["top_label"], -e["labels"][e["top_label"]], e["doc_id"]))
-    save_report(reports, out)
+    report = report.by_top_label()
+    save_report(report, out)
     _note(f"wrote {out}")
-    print(render_report_table(reports))
+    print(render_report_table(report))
     return 0
 
 

@@ -5,9 +5,10 @@ ends in a newline. A top-level array or object holds one element or
 member per line, indented by two spaces, each written on its line as
 ``json.dumps`` writes it without indent (so a ``report.json`` has one
 document per line); an empty container or a scalar is one line. A file
-is written whole or not at all: ``write_json`` streams into a temporary
-dot file next to the target and renames it over the target only once
-the last line has been written.
+is written whole or not at all: ``write_json``, and ``write_json_array``
+for an array whose elements the caller has encoded, stream into a
+temporary dot file next to the target and rename it over the target
+only once the last line has been written.
 A missing directory on the way to the target is created. A target whose
 temporary name passes the 255-byte file name limit is refused before
 anything is written. A numpy integer or float scalar is written as the
@@ -29,13 +30,14 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 __all__ = ["checked_names", "checked_numbers", "is_number", "read_json", "temporary_path",
-           "write_json"]
+           "write_json", "write_json_array"]
 
 NAME_MAX = 255  # bytes in one file name on Linux and macOS file systems
 
@@ -56,13 +58,27 @@ def write_json(payload, path: str | Path) -> None:
     the previous file, or none, and no temporary file; a string that cannot
     be encoded as UTF-8, or a name too long, raises ValueError naming
     ``path``."""
+    _write(_chunks(payload), path)
+
+
+def write_json_array(members: Iterable[str], path: str | Path) -> None:
+    """Replace ``path`` with a JSON array of ``members``, each the text of
+    one element as ``json.dumps`` writes it without indent, written one
+    per line as :func:`write_json` writes a list. A write that fails does
+    as :func:`write_json`'s does."""
+    _write(_container(members, "[]"), path)
+
+
+def _write(chunks: Iterable[str], path: str | Path) -> None:
+    """Stream ``chunks`` into the temporary file and rename it over
+    ``path``: the one write path of every file."""
     path = Path(path)
     tmp = temporary_path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # open() rather than mkstemp, so the umask sets its mode as for any other output
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-            _dump(payload, f)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
@@ -71,26 +87,29 @@ def write_json(payload, path: str | Path) -> None:
         raise
 
 
-def _dump(payload, f) -> None:
-    """Write ``payload`` to ``f`` one top-level element or member per line.
+def _chunks(payload) -> Iterator[str]:
+    """The text of ``payload``, one top-level element or member per line.
     Without indent the stdlib encodes in C; with it, in pure Python."""
     encode = json.JSONEncoder(ensure_ascii=False, default=_numpy_scalar).encode
-    if isinstance(payload, dict) and payload:
-        brackets = "{}"
+    if isinstance(payload, dict):
         # a one-member object encodes its key exactly as the whole object would
-        members = (encode({key: value})[1:-1] for key, value in payload.items())
-    elif isinstance(payload, (list, tuple)) and payload:
-        brackets = "[]"
-        members = map(encode, payload)
+        yield from _container((encode({key: value})[1:-1] for key, value in payload.items()),
+                              "{}")
+    elif isinstance(payload, (list, tuple)):
+        yield from _container(map(encode, payload), "[]")
     else:
-        f.write(encode(payload) + "\n")
-        return
-    separator = brackets[0] + "\n  "
+        yield encode(payload) + "\n"
+
+
+def _container(members: Iterable[str], brackets: str) -> Iterator[str]:
+    """An array or object of encoded members, each on its own line
+    indented by two spaces; an empty one is one line."""
+    separator = opening = brackets[0] + "\n  "
     for member in members:
-        f.write(separator)
-        f.write(member)
+        yield separator
+        yield member
         separator = ",\n  "
-    f.write("\n" + brackets[1] + "\n")
+    yield brackets + "\n" if separator is opening else "\n" + brackets[1] + "\n"
 
 
 def _numpy_scalar(value):

@@ -15,10 +15,16 @@ sequences of a search. Membership
 strength is read off the partition column: a dominant degree is "strong",
 a flat column is "ambiguous", everything else "moderate".
 
-A report is the list ``report.json`` holds, one plain dict per document:
-``{"doc_id", "labels": {label: degree}, "top_label", "strength"}``. It is
-saved as is with :mod:`fuzzydocs.jsonfile`, so the file is replaced whole
-or left as it was.
+A report is a :class:`StrengthReport`: the doc ids, the labels, the
+validated c x n partition and, per document, the index of its top
+cluster and of its strength class, as arrays. ``report.json`` holds one
+entry per document, ``{"doc_id", "labels": {label: degree}, "top_label",
+"strength"}``; ``save_report`` writes each entry's line from a template,
+byte for byte as ``json.dumps`` writes the entry, and streams the lines
+through :mod:`fuzzydocs.jsonfile`, so the file is replaced whole or left
+as it was. The report command's order (top label, then descending top
+degree, then doc id) and :func:`rank_documents`' order are one
+``np.lexsort`` over the degrees and the ranks of the names.
 
 The report table prints each degree to four decimals, and each degree
 cell equals ``format(x, ".4f")`` of the degree read as a float. The cells
@@ -31,18 +37,20 @@ whose ``x * 1e4`` lies within 1e-9 of a half-integer go through
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import chain, count
-from operator import itemgetter
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import count
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
 from .fcm import validate_partition
 from .features import WF_SCALE, LabeledProfile, _wf_table
-from .jsonfile import checked_names, checked_numbers, write_json
+from .jsonfile import checked_names, checked_numbers, write_json_array
 
 __all__ = [
+    "StrengthReport",
     "label_clusters",
     "classify_strength",
     "printable",
@@ -162,38 +170,59 @@ def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return col_of, u, v
 
 
+@dataclass(frozen=True)
+class StrengthReport:
+    """Each document's degrees, top cluster and strength class, in arrays.
+
+    ``labels[j]`` names row j of the c x n partition ``memberships`` and
+    ``doc_ids[i]`` names column i. ``top[i]`` is the row of column i's
+    largest degree (the first, on a tie), so its top label is
+    ``labels[top[i]]``, and ``strength[i]`` indexes ``STRENGTHS``. The
+    ``report.json`` entry of document i is ``{"doc_id", "labels": {label:
+    degree}, "top_label", "strength"}``, with the degrees in row order.
+    """
+
+    doc_ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    memberships: np.ndarray
+    top: np.ndarray
+    strength: np.ndarray
+
+    def by_top_label(self) -> StrengthReport:
+        """The report with its documents ordered by top label, then by
+        descending degree in the top label, then by doc id: the order the
+        ``report`` command writes and prints."""
+        n = len(self.doc_ids)
+        order = _descending(self.memberships[self.top, np.arange(n)], self.doc_ids,
+                            _ranks(self.labels)[self.top])
+        return StrengthReport(tuple(map(self.doc_ids.__getitem__, order.tolist())), self.labels,
+                              self.memberships[:, order], self.top[order], self.strength[order])
+
+
 def classify_strength(
     u: np.ndarray,
     doc_ids: Sequence[str],
     labels: Sequence[str],
     strong_threshold: float = STRONG_THRESHOLD_DEFAULT,
     ambiguity_margin: float = AMBIGUITY_MARGIN_DEFAULT,
-) -> list[dict]:
-    """One report entry per document, its labeled degrees and a strength
-    class; ``labels[j]`` names row j of the c x n partition u.
+) -> StrengthReport:
+    """The strength report of the c x n partition u, whose row j
+    ``labels[j]`` names, in the order of ``doc_ids``.
 
     strong: top degree >= strong_threshold; ambiguous: degree spread
     (max - min) < ambiguity_margin; moderate otherwise. Strong wins when
     both conditions hold (only possible with a single cluster). doc_ids
     and labels must pass :func:`fuzzydocs.jsonfile.checked_names`, and u
     :func:`fuzzydocs.fcm.validate_partition` with a column per doc id and
-    a row per label.
+    a row per label; the report holds the validated copy of u.
     """
     doc_ids, labels = checked_names(doc_ids, "doc_ids"), checked_names(labels, "labels")
     u = validate_partition(u, n=len(doc_ids), c=len(labels))
     validate_thresholds(strong_threshold, ambiguity_margin, len(labels))
     high = u.max(axis=0)
-    kind = np.where(high >= strong_threshold, 0,
-                    np.where(high - u.min(axis=0) < ambiguity_margin, 1, 2))
-    # a column converted as its entry is built, and one of three shared
-    # strength strings: no list of n degree rows or n strings beside the
-    # entries
-    return [
-        {"doc_id": doc_id, "labels": dict(zip(labels, column.tolist())), "top_label": labels[j],
-         "strength": STRENGTHS[k]}
-        for doc_id, column, j, k in zip(
-            doc_ids, u.T, u.argmax(axis=0).tolist(), kind.tolist())
-    ]
+    strength = np.where(high >= strong_threshold, 0,
+                        np.where(high - u.min(axis=0) < ambiguity_margin, 1, 2))
+    return StrengthReport(doc_ids, labels, u, u.argmax(axis=0), strength)
 
 
 def validate_thresholds(strong_threshold: float, ambiguity_margin: float, c: int) -> None:
@@ -219,14 +248,54 @@ def rank_documents(
     u = validate_partition(u, n=len(doc_ids), c=len(labels))
     if label not in labels:
         raise ValueError(f"unknown label: {label}")
-    j = labels.index(label)
-    pairs = [(doc_id, float(u[j, i])) for i, doc_id in enumerate(doc_ids)]
-    pairs.sort(key=lambda p: (-p[1], p[0]))
-    return pairs
+    degrees = u[labels.index(label)]
+    order = _descending(degrees, doc_ids)
+    return list(zip(map(doc_ids.__getitem__, order.tolist()), degrees[order].tolist()))
 
 
-def save_report(reports: Sequence[dict], path: str | Path) -> None:
-    write_json(reports, path)
+def _descending(degrees: np.ndarray, doc_ids: Sequence[str], *major: np.ndarray) -> np.ndarray:
+    """The indices of the documents ordered by the ``major`` keys, the last
+    one first, then by descending degree, then by doc id. Degrees compare
+    as floats (-0.0 ties 0.0), and doc ids as Python strings do."""
+    return np.lexsort((_ranks(doc_ids), -degrees, *major))
+
+
+def _ranks(names: Sequence[str]) -> np.ndarray:
+    """The place of each name among the names sorted."""
+    ranks = np.empty(len(names), dtype=np.intp)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
+
+
+# the documents whose degrees are converted to Python floats at a time
+_SAVE_BLOCK = 1024
+
+
+def save_report(report: StrengthReport, path: str | Path) -> None:
+    """Write ``report.json``: the entry of each document, in the report's
+    order, one per line. Each line is ``json.dumps(entry,
+    ensure_ascii=False)`` of the entry :class:`StrengthReport` names, byte
+    for byte: its names go through the encoder's string function and its
+    degrees through ``float.__repr__``, the two the encoder calls. Written
+    through :func:`fuzzydocs.jsonfile.write_json_array`."""
+    write_json_array(_entries(report), path)
+
+
+def _entries(report: StrengthReport) -> Iterator[str]:
+    """The JSON text of each document's entry. Degrees are converted to
+    Python floats ``_SAVE_BLOCK`` documents at a time, as ``%r`` of a numpy
+    float is not the float's repr under numpy 2."""
+    name = encode_basestring
+    degrees = ", ".join(name(label).replace("%", "%%") + ": %r" for label in report.labels)
+    entry = '{"doc_id": %s, "labels": {' + degrees + "%s"
+    tails = [f'}}, "top_label": {name(label)}, "strength": {name(strength)}}}'
+             for label in report.labels for strength in STRENGTHS]
+    tail = (report.top * len(STRENGTHS) + report.strength).tolist()
+    u = report.memberships
+    for at in range(0, len(report.doc_ids), _SAVE_BLOCK):
+        block = slice(at, at + _SAVE_BLOCK)
+        for doc_id, row, k in zip(report.doc_ids[block], u[:, block].T.tolist(), tail[block]):
+            yield entry % (name(doc_id), *row, tails[k])
 
 
 def printable(text: str) -> str:
@@ -238,56 +307,43 @@ def printable(text: str) -> str:
     return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in text)
 
 
-def render_report_table(reports: Sequence[dict]) -> str:
-    """Aligned plain-text table, one row per document, in the given order;
-    degrees to four decimals, in the first entry's label order. Doc ids
-    and labels are written through :func:`printable`, and each column is
-    as wide as its widest escaped cell. Each degree is read as a float
-    and each cell equals ``format(x, ".4f")`` padded to its column;
-    :func:`_degree_blocks` writes them all as one ASCII block."""
-    if not reports:
+def render_report_table(report: StrengthReport) -> str:
+    """Aligned plain-text table, one row per document, in the report's
+    order; degrees to four decimals, in row order. Doc ids and labels are
+    written through :func:`printable`, and each column is as wide as its
+    widest escaped cell. Each cell of a degree x equals ``format(x,
+    ".4f")`` padded to its column; :func:`_degree_blocks` writes them all
+    as one ASCII block. A report of no documents is the empty text."""
+    if not report.doc_ids:
         return ""
-    labels = list(reports[0]["labels"])
-    names = list(map(printable, labels))
-    degrees = _degree_table(reports, labels)
-    widths = [_width("doc_id", [printable(r["doc_id"]) for r in reports]),
-              *map(_degree_width, names, degrees.T),
-              _width("top_label", [printable(r["top_label"]) for r in reports]),
-              _width("strength", [r["strength"] for r in reports])]
+    names = list(map(printable, report.labels))
+    u = report.memberships
+    widths = [_width("doc_id", map(printable, report.doc_ids)),
+              *map(_degree_width, names, u),
+              # sets, not np.unique, which imports numpy.ma on first use in numpy 2
+              _width("top_label", (names[j] for j in set(report.top.tolist()))),
+              _width("strength", (STRENGTHS[k] for k in set(report.strength.tolist())))]
     header = "  ".join(f"{{:<{w}}}" for w in widths).format(
         "doc_id", *names, "top_label", "strength").rstrip()
-    # the block carries the separator after each degree column, so no
-    # labels (c = 0) leave one separator between doc id and top label
-    row = f"{{:<{widths[0]}}}  {{}}{{:<{widths[-2]}}}  {{:<{widths[-1]}}}"
-    text, stride = _degree_blocks(degrees, widths[1:-2])
-    # names escaped again, not kept from above, and each row's cells
-    # sliced as it is formatted: no list of n names or n cell strings,
-    # and no n x c array, is alive while the lines are built, nor the
-    # block text while they are joined
-    del degrees
-    lines = [row.format(printable(r["doc_id"]), text[at:at + stride], printable(r["top_label"]),
-                        r["strength"]).rstrip()
-             for r, at in zip(reports, count(0, stride))]
+    # the top label and strength cells of each pair, as tail indexes them
+    tails = [f"{name:<{widths[-2]}}  {strength}" for name in names for strength in STRENGTHS]
+    tail = (report.top * len(STRENGTHS) + report.strength).tolist()
+    row = f"{{:<{widths[0]}}}  {{}}{{}}"
+    text, stride = _degree_blocks(u, widths[1:-2])
+    # doc ids escaped again, not kept from above, and each row's cells
+    # sliced as it is formatted: no list of n names or n cell strings is
+    # alive while the lines are built, nor the block text while they are
+    # joined
+    lines = [row.format(printable(doc_id), text[at:at + stride], tails[k])
+             for doc_id, at, k in zip(report.doc_ids, count(0, stride), tail)]
     del text
     return "\n".join([header, *lines])
 
 
-def _degree_table(reports: Sequence[dict], labels: Sequence[str]) -> np.ndarray:
-    """The degrees as an n x c float array, a row per report, a column per
-    label in the order of ``labels``."""
-    n, c = len(reports), len(labels)
-    if c < 2:  # itemgetter needs a key, and of one key returns the value, not a 1-tuple
-        values = (r["labels"][label] for r in reports for label in labels)
-    else:
-        values = chain.from_iterable(map(itemgetter(*labels), map(itemgetter("labels"), reports)))
-    return np.fromiter(values, float, n * c).reshape(n, c)
-
-
-def _degree_blocks(degrees: np.ndarray, widths: Sequence[int]) -> tuple[str, int]:
-    """Every row's degree cells, each padded to its column's width and
-    followed by two spaces, as one ASCII text and the stride of a row in
-    it: row i is ``text[i * stride:(i + 1) * stride]`` (empty, with stride
-    0, when there are no columns).
+def _degree_blocks(u: np.ndarray, widths: Sequence[int]) -> tuple[str, int]:
+    """Every column's degree cells, each padded to its row's width and
+    followed by two spaces, as one ASCII text and the stride of a document
+    in it: column i of u is ``text[i * stride:(i + 1) * stride]``.
 
     A degree x in [0, 1], not -0.0, whose y = x * 1e4 lies more than 1e-9
     from a half-integer is written from k = rint(y) as ``k // 10000``,
@@ -295,13 +351,12 @@ def _degree_blocks(degrees: np.ndarray, widths: Sequence[int]) -> tuple[str, int
     ``format(x, ".4f")`` prints: 1e4 is exact, so y is within 2**-40 of
     the true product, which is then no tie and rounds to the same
     integer. Every other degree -- NaN, an infinity, one outside [0, 1],
-    -0.0 or a near-tie -- is padded through ``format``. The columns are
+    -0.0 or a near-tie -- is padded through ``format``. The rows of u are
     written one at a time, so each temporary is n long."""
-    n = len(degrees)
     stride = sum(widths) + 2 * len(widths)
-    block = np.full((n, stride), ord(" "), dtype=np.uint8)
+    block = np.full((u.shape[1], stride), ord(" "), dtype=np.uint8)
     at = 0
-    for x, w in zip(degrees.T, widths):
+    for x, w in zip(u, widths):
         unit = (x >= 0) & (x <= 1) & ~np.signbit(x)
         y = np.where(unit, x, 0.0) * 1e4  # no NaN or infinity goes on
         k = np.rint(y)
@@ -319,7 +374,7 @@ def _degree_blocks(degrees: np.ndarray, widths: Sequence[int]) -> tuple[str, int
     return block.tobytes().decode("ascii"), stride
 
 
-def _width(name: str, cells: Sequence[str]) -> int:
+def _width(name: str, cells: Iterable[str]) -> int:
     return max(len(name), *map(len, cells))
 
 

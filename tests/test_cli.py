@@ -762,6 +762,29 @@ class TestReportCommand:
         assert politics_degrees == sorted(politics_degrees, reverse=True)
         assert sports_degrees == sorted(sports_degrees, reverse=True)
 
+    def test_report_order_is_the_key_sort(self, tmp_path, capsys):
+        # cluster 0 is sports, so the labels sort in the other order; the
+        # degrees are in quarters, so top degrees tie and doc ids decide
+        degrees = [1.0, 0.75, 0.5, 0.25, 0.0, 0.75, 0.5, 0.25, 0.75, 0.0, 1.0, 0.5]
+        doc_ids = ["m", "B", "a", "Z", "k", "b", "A", "z", "c", "D", "é", "d"]
+        u = np.array([degrees, [1.0 - x for x in degrees]])
+        centers = np.array([[195.0, 398.0, 199.0, 2.4], [6.7, 18.0, 32.6, 38.3]])
+        save_result(FcmResult(u, centers, 1, (1.0,), (0.0,), True), doc_ids,
+                    list(goldens.MATRIX_FEATURES), tmp_path / "result.json")
+        profiles = write_profiles(tmp_path)
+        out = tmp_path / "report.json"
+        code = main(["report", "--result", str(tmp_path / "result.json"),
+                     "--profiles", profiles[0], "--profiles", profiles[1], "--out", str(out)])
+        assert code == 0
+        entries = json.loads(out.read_text(encoding="utf-8"))
+        assert [list(e["labels"]) for e in entries] == [["sports", "politics"]] * len(doc_ids)
+        expected = sorted(entries, key=lambda e: (e["top_label"], -e["labels"][e["top_label"]],
+                                                  e["doc_id"]))
+        assert [e["doc_id"] for e in entries] == [e["doc_id"] for e in expected]
+        assert entries[0]["top_label"] == "politics"
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [e["doc_id"] for e in expected]
+
     def test_missing_result_is_usage_error(self, tmp_path):
         profiles = write_profiles(tmp_path)
         code = main([

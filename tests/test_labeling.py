@@ -2,7 +2,9 @@ import itertools
 import json
 import re
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ import goldens
 from peak_memory import traced_peak_bytes
 from fuzzydocs.features import LabeledProfile
 from fuzzydocs.labeling import (
+    STRENGTHS,
     TIE_TOLERANCE,
+    StrengthReport,
     classify_strength,
     label_clusters,
     rank_documents,
@@ -38,8 +42,30 @@ def final_partition() -> np.ndarray:
 SPORTS_FIRST = ("sports", "politics")
 
 
-def report(doc_id, labels, top_label, strength):
-    return {"doc_id": doc_id, "labels": labels, "top_label": top_label, "strength": strength}
+def make_report(doc_ids, labels, rows, top, strength):
+    """A report built directly: rows holds each document's degrees, a
+    row per doc id and a column per label, read as float64."""
+    memberships = np.array(rows, dtype=float).reshape(len(doc_ids), len(labels)).T
+    return StrengthReport(tuple(doc_ids), tuple(labels), memberships, np.array(top, dtype=int),
+                          np.array(strength, dtype=int))
+
+
+def entries(report):
+    """The report.json entry of each document, as a plain dict: the oracle
+    that save_report and the report table are checked against."""
+    return [{"doc_id": doc_id, "labels": dict(zip(report.labels, column)),
+             "top_label": report.labels[j], "strength": STRENGTHS[k]}
+            for doc_id, column, j, k in zip(report.doc_ids, report.memberships.T.tolist(),
+                                            report.top.tolist(), report.strength.tolist())]
+
+
+def json_lines(rows):
+    """A JSON array file of rows, each line as json.dumps writes it."""
+    return "[\n  " + ",\n  ".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\n]\n"
+
+
+def strengths(report):
+    return [STRENGTHS[k] for k in report.strength.tolist()]
 
 
 def many_documents():
@@ -48,28 +74,59 @@ def many_documents():
     return u, [f"doc{i:05d}" for i in range(20_000)], [f"label{j}" for j in range(8)]
 
 
-def reference_report_table(reports):
+def reference_report_table(report):
     """The table padded one cell at a time with ljust, each character of a
     name that is not printable written as its escape: the reference that
     render_report_table must match byte for byte."""
-    if not reports:
+    if not report.doc_ids:
         return ""
 
     def escaped(name):
         return "".join(ch if ch.isprintable() else repr(ch)[1:-1] for ch in name)
 
-    labels = list(reports[0]["labels"])
-    header = ["doc_id"] + [escaped(lab) for lab in labels] + ["top_label", "strength"]
+    header = ["doc_id"] + [escaped(lab) for lab in report.labels] + ["top_label", "strength"]
     rows = [header]
-    for r in reports:
+    for r in entries(report):
         rows.append(
             [escaped(r["doc_id"])]
-            + [f"{r['labels'][lab]:.4f}" for lab in labels]
+            + [f"{r['labels'][lab]:.4f}" for lab in report.labels]
             + [escaped(r["top_label"]), r["strength"]]
         )
     widths = [max(len(row[k]) for row in rows) for k in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines)
+
+
+def old_rank_documents(u, doc_ids, labels, label):
+    """rank_documents as a key sort of (doc id, degree) pairs."""
+    j = list(labels).index(label)
+    pairs = [(doc_id, float(u[j, i])) for i, doc_id in enumerate(doc_ids)]
+    pairs.sort(key=lambda p: (-p[1], p[0]))
+    return pairs
+
+
+def old_report_order(rows):
+    """The report command's order as a key sort of entries."""
+    return sorted(rows, key=lambda e: (e["top_label"], -e["labels"][e["top_label"]], e["doc_id"]))
+
+
+@st.composite
+def tied_partitions(draw):
+    """A c x n partition of quarters, so degrees often tie, with some zeros
+    written as -0.0, and unique doc ids and labels in any order."""
+    c = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.integers(0, 4), min_size=c - 1, max_size=c - 1)))
+        columns.append([(b - a) / 4 for a, b in zip([0, *cuts], [*cuts, 4])])
+    u = np.array(columns).T.copy()
+    negative = draw(st.lists(st.booleans(), min_size=u.size, max_size=u.size))
+    u[(u == 0) & np.array(negative, dtype=bool).reshape(u.shape)] = -0.0
+    names = st.text("abAB", min_size=1, max_size=3)
+    doc_ids = draw(st.lists(names, min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(names, min_size=c, max_size=c, unique=True))
+    return u, doc_ids, labels
 
 
 def brute_force_labels(centers, profiles, features):
@@ -264,29 +321,29 @@ class TestClassifyStrength:
 
     def test_strong_document(self):
         u = np.array([[0.890], [0.110]])
-        reports = classify_strength(u, ["doc1"], SPORTS_FIRST)
-        assert reports[0]["strength"] == "strong"
-        assert reports[0]["top_label"] == "sports"
-        assert reports[0]["labels"] == {"sports": 0.890, "politics": 0.110}
+        report = classify_strength(u, ["doc1"], SPORTS_FIRST)
+        assert strengths(report) == ["strong"]
+        assert report.labels[report.top[0]] == "sports"
+        assert entries(report)[0]["labels"] == {"sports": 0.890, "politics": 0.110}
 
     def test_small_spread_is_ambiguous(self):
         u = np.array([[0.35], [0.35], [0.30]])
-        reports = classify_strength(u, ["d"], ("a", "b", "c"), ambiguity_margin=0.1)
-        assert reports[0]["strength"] == "ambiguous"
+        report = classify_strength(u, ["d"], ("a", "b", "c"), ambiguity_margin=0.1)
+        assert strengths(report) == ["ambiguous"]
 
     def test_even_split_is_ambiguous(self):
         u = np.array([[0.5], [0.5]])
-        reports = classify_strength(u, ["d"], SPORTS_FIRST)
-        assert reports[0]["strength"] == "ambiguous"
+        report = classify_strength(u, ["d"], SPORTS_FIRST)
+        assert strengths(report) == ["ambiguous"]
 
     def test_middling_document_is_moderate(self):
         u = np.array([[0.7], [0.3]])
-        reports = classify_strength(u, ["d"], SPORTS_FIRST)
-        assert reports[0]["strength"] == "moderate"
+        report = classify_strength(u, ["d"], SPORTS_FIRST)
+        assert strengths(report) == ["moderate"]
 
     def test_final_state_classes(self):
-        reports = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
-        by_id = {r["doc_id"]: r for r in reports}
+        report = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
+        by_id = {r["doc_id"]: r for r in entries(report)}
         assert by_id["doc1"]["strength"] == "strong"
         assert by_id["doc5"]["strength"] == "strong"
         assert by_id["doc3"]["strength"] == "strong"
@@ -298,44 +355,42 @@ class TestClassifyStrength:
             assert by_id[doc_id]["top_label"] == "politics"
 
     def test_every_document_gets_exactly_one_class(self):
-        reports = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
-        assert len(reports) == 8
-        assert all(r["strength"] in {"strong", "moderate", "ambiguous"} for r in reports)
+        report = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
+        assert report.doc_ids == tuple(goldens.DOC_IDS)
+        assert report.top.shape == report.strength.shape == (8,)
+        assert set(strengths(report)) <= {"strong", "moderate", "ambiguous"}
 
     def test_degrees_sum_to_one(self):
-        reports = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
-        for r in reports:
+        report = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
+        for r in entries(report):
             assert sum(r["labels"].values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_relabeling_invariance(self):
         u = final_partition()
         direct = classify_strength(u, goldens.DOC_IDS, SPORTS_FIRST)
         flipped = classify_strength(u[::-1], goldens.DOC_IDS, SPORTS_FIRST[::-1])
-        assert direct == flipped
+        assert entries(direct) == entries(flipped)
 
     def test_single_cluster_is_strong(self):
         # every degree is 1, and any threshold in (0, 1) is accepted
-        reports = classify_strength(np.ones((1, 3)), ["a", "b", "c"], ("sports",),
-                                    strong_threshold=0.3)
-        assert [r["strength"] for r in reports] == ["strong"] * 3
-        assert reports[0] == {"doc_id": "a", "labels": {"sports": 1.0}, "top_label": "sports",
-                              "strength": "strong"}
+        report = classify_strength(np.ones((1, 3)), ["a", "b", "c"], ("sports",),
+                                   strong_threshold=0.3)
+        assert strengths(report) == ["strong"] * 3
+        assert entries(report)[0] == {"doc_id": "a", "labels": {"sports": 1.0},
+                                      "top_label": "sports", "strength": "strong"}
 
-    def test_entries_share_the_three_strength_strings(self):
-        u = np.array([[0.9, 0.5, 0.7, 0.95, 0.52, 0.6], [0.1, 0.5, 0.3, 0.05, 0.48, 0.4]])
-        reports = classify_strength(u, [f"d{i}" for i in range(6)], SPORTS_FIRST)
-        assert [r["strength"] for r in reports] == ["strong", "ambiguous", "moderate"] * 2
-        assert len({id(r["strength"]) for r in reports}) == 3
+    def test_holds_its_own_copy_of_the_partition(self):
+        u = final_partition()
+        report = classify_strength(u, goldens.DOC_IDS, SPORTS_FIRST)
+        u[:] = 0.5
+        assert report.memberships.tolist() == final_partition().tolist()
 
-    def test_peak_is_the_entries_and_two_partitions(self):
-        # each degree row is converted as its entry is built: no list of n
-        # degree lists, and no string per strength, beside the entries
+    def test_peak_is_two_partitions_and_a_few_rows(self):
+        # the validated copy and the checks' temporaries, and a few n-long
+        # arrays of 8-byte numbers: no Python object per document or degree
         u, doc_ids, labels = many_documents()
-        reports = classify_strength(u, doc_ids, labels)
-        entries = sys.getsizeof(reports) + sum(
-            sys.getsizeof(r) + sys.getsizeof(r["labels"])
-            + sum(map(sys.getsizeof, r["labels"].values())) for r in reports)
-        assert traced_peak_bytes(classify_strength, u, doc_ids, labels) <= entries + 2 * u.nbytes
+        n = len(doc_ids)
+        assert traced_peak_bytes(classify_strength, u, doc_ids, labels) <= 2 * u.nbytes + 64 * n
 
     def test_threshold_validation(self):
         u = np.array([[0.9], [0.1]])
@@ -356,6 +411,17 @@ class TestClassifyStrength:
 
 
 class TestRankDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_partitions(), st.data())
+    def test_matches_the_key_sort(self, partition, data):
+        # ties, -0.0 beside 0.0 among them, break by doc id, and each
+        # degree keeps its sign
+        u, doc_ids, labels = partition
+        label = data.draw(st.sampled_from(labels))
+        ranked = rank_documents(u, doc_ids, labels, label)
+        expected = old_rank_documents(u, doc_ids, labels, label)
+        assert [(d, repr(x)) for d, x in ranked] == [(d, repr(x)) for d, x in expected]
+
     def test_final_state_sports_order(self):
         ranked = rank_documents(final_partition(), goldens.DOC_IDS,
                                 SPORTS_FIRST, "sports")
@@ -391,21 +457,87 @@ class TestRankDocuments:
                            ("sports", "politics", "weather"), "weather")
 
 
+class TestReportOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_partitions())
+    def test_by_top_label_matches_the_key_sort(self, partition):
+        u, doc_ids, labels = partition
+        report = classify_strength(u, doc_ids, labels)
+        assert entries(report.by_top_label()) == old_report_order(entries(report))
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_many_documents_match_the_key_sort(self, ties):
+        u, doc_ids, labels = many_documents()
+        rng = np.random.default_rng(3)
+        if ties:  # degrees in hundredths, so top degrees tie across documents
+            n = len(doc_ids)
+            cuts = np.sort(rng.integers(0, 101, (7, n)), axis=0)
+            u = np.diff(np.vstack([np.zeros(n), cuts, np.full(n, 100)]), axis=0) / 100
+        doc_ids = [doc_ids[i] for i in rng.permutation(len(doc_ids))]
+        report = classify_strength(u, doc_ids, labels[::-1])
+        assert entries(report.by_top_label()) == old_report_order(entries(report))
+
+
+WORKED_EXAMPLE = classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST)
+
+# the names and degrees the encoder treats specially: quotes, backslashes,
+# control characters, U+2028, non-ASCII and % (the line template's own
+# marker); the shortest repr of each degree, the subnormal and -0.0 among them
+JSON_NAMES = st.text(st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é☃\U0001f600%r ')
+                     | st.characters(exclude_categories=("Cs",)),
+                     min_size=1, max_size=6)
+JSON_DEGREES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-05, 0.1]) | st.floats(0.0, 1.0)
+
+
 class TestReportFiles:
     def test_round_trip(self, tmp_path):
-        reports = classify_strength(final_partition(), goldens.DOC_IDS,
-                                    SPORTS_FIRST)
         path = tmp_path / "report.json"
-        save_report(reports, path)
+        save_report(WORKED_EXAMPLE, path)
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-        assert raw == reports
+        assert raw == entries(WORKED_EXAMPLE)
         assert all(list(r) == ["doc_id", "labels", "top_label", "strength"] for r in raw)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda c: st.tuples(
+        st.lists(JSON_NAMES, min_size=1, max_size=5, unique=True),
+        st.lists(JSON_NAMES, min_size=c, max_size=c, unique=True),
+        st.lists(st.tuples(st.lists(JSON_DEGREES, min_size=c, max_size=c), st.integers(0, c - 1),
+                           st.integers(0, 2)), min_size=5, max_size=5))))
+    def test_every_line_is_what_json_dumps_writes(self, drawn):
+        doc_ids, labels, documents = drawn
+        documents = documents[:len(doc_ids)]
+        report = make_report(doc_ids, labels, [row for row, _, _ in documents],
+                             [j for _, j, _ in documents], [k for _, _, k in documents])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            save_report(report, path)
+            assert path.read_bytes() == json_lines(entries(report)).encode("utf-8")
+
+    def test_many_documents_are_what_json_dumps_writes(self, tmp_path):
+        # more documents than one block of converted degrees
+        u, doc_ids, labels = many_documents()
+        report = classify_strength(u[:, :3000], doc_ids[:3000], labels)
+        save_report(report, tmp_path / "report.json")
+        assert (tmp_path / "report.json").read_text("utf-8") == json_lines(entries(report))
+
+    def test_save_peak_is_under_one_partition(self, tmp_path):
+        # degrees are converted to Python floats a block of documents at a
+        # time, not all n x c at once (32 bytes each, 5 MB here)
+        u, doc_ids, labels = many_documents()
+        report = classify_strength(u, doc_ids, labels)
+        assert traced_peak_bytes(save_report, report, tmp_path / "report.json") <= u.nbytes
+
+    def test_lone_surrogate_names_the_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        report = classify_strength(final_partition(), ["ok", *goldens.DOC_IDS[1:-1], "\udcff"],
+                                   SPORTS_FIRST)
+        with pytest.raises(ValueError, match=re.escape(f"cannot write {path}")):
+            save_report(report, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_render_table(self):
-        reports = classify_strength(final_partition(), goldens.DOC_IDS,
-                                    SPORTS_FIRST)
-        table = render_report_table(reports)
+        table = render_report_table(WORKED_EXAMPLE)
         lines = table.splitlines()
         assert lines[0].split() == ["doc_id", "sports", "politics", "top_label", "strength"]
         assert len(lines) == 9
@@ -413,54 +545,50 @@ class TestReportFiles:
         assert "0.8900" in doc1_line and "strong" in doc1_line
 
     def test_render_empty(self):
-        assert render_report_table([]) == ""
+        assert render_report_table(make_report([], ["a", "b"], [], [], [])) == ""
 
     def test_render_escapes_names(self):
         # one line per document however its name reads; widths count the escapes
-        reports = [report("a\nerror: b", {"s\tt": 1.0}, "s\tt", "strong")]
-        assert render_report_table(reports) == (
+        report = make_report(["a\nerror: b"], ["s\tt"], [[1.0]], [0], [0])
+        assert render_report_table(report) == (
             "doc_id       s\\tt    top_label  strength\n"
             "a\\nerror: b  1.0000  s\\tt       strong")
 
-    @pytest.mark.parametrize("reports", [
-        pytest.param(classify_strength(final_partition(), goldens.DOC_IDS, SPORTS_FIRST),
-                     id="worked-example"),
-        pytest.param([report("d", {"a-much-longer-label": 0.25, "b": 0.75}, "b", "moderate")],
+    @pytest.mark.parametrize("report", [
+        pytest.param(WORKED_EXAMPLE, id="worked-example"),
+        pytest.param(make_report(["d"], ["a-much-longer-label", "b"], [[0.25, 0.75]], [1], [2]),
                      id="long-label"),
-        pytest.param([report("doc-" + "x" * 40, {"a": 0.5, "b": 0.5}, "a", "ambiguous"),
-                      report("d2", {"a": 1.0, "b": 0.0}, "a", "strong")], id="long-doc-id"),
-        pytest.param([report("d1", {"a": 0.0, "b": 1.0}, "b", "strong"),
-                      report("d2", {"a": 1.0, "b": 0.0}, "a", "strong")], id="zero-and-one"),
-        pytest.param([report("d1", {"only": 1.0}, "only", "strong"),
-                      report("d2", {"only": 1.0}, "only", "strong")], id="one-cluster"),
-        pytest.param([report("d1", {"a": -0.0, "b": 12.5}, "b", "x"),
-                      report("d2", {"a": float("nan"), "b": -3.25}, "a", "y"),
-                      report("d3", {"a": float("inf"), "b": 0.99999}, "a", "z")],
-                     id="outside-unit-interval"),
-        pytest.param([report("d1", {"a": float("nan"), "b": float("-inf")}, "a", "x")],
+        pytest.param(make_report(["doc-" + "x" * 40, "d2"], ["a", "b"], [[0.5, 0.5], [1.0, 0.0]],
+                                 [0, 0], [1, 0]), id="long-doc-id"),
+        pytest.param(make_report(["d1", "d2"], ["a", "b"], [[0.0, 1.0], [1.0, 0.0]], [1, 0],
+                                 [0, 0]), id="zero-and-one"),
+        pytest.param(make_report(["d1", "d2"], ["only"], [[1.0], [1.0]], [0, 0], [0, 0]),
+                     id="one-cluster"),
+        pytest.param(make_report(["d1", "d2", "d3"], ["a", "b"],
+                                 [[-0.0, 12.5], [float("nan"), -3.25], [float("inf"), 0.99999]],
+                                 [1, 0, 0], [0, 1, 2]), id="outside-unit-interval"),
+        pytest.param(make_report(["d1"], ["a", "b"], [[float("nan"), float("-inf")]], [0], [2]),
                      id="no-finite-degree"),
-        pytest.param([report("a\nerror: b", {"x\ty": 0.25, "é": 0.75}, "x\ty", "moderate"),
-                      report("d\x1b[2J", {"x\ty": 1.0, "é": 0.0}, "é", "strong")],
+        pytest.param(make_report(["a\nerror: b", "d\x1b[2J"], ["x\ty", "é"],
+                                 [[0.25, 0.75], [1.0, 0.0]], [0, 1], [2, 0]),
                      id="unprintable-names"),
-        pytest.param([report("d1", {}, "a", "x"), report("d-two", {}, "b", "y")],
-                     id="zero-labels"),
-        pytest.param([report("d1", {"a": 0.03125, "b": 0.00005, "c": 0.99995}, "c", "x"),
-                      report("d2", {"a": 0.12345, "b": 0.5, "c": 0.00015}, "b", "y")],
-                     id="near-tie"),
-        pytest.param([], id="empty"),
+        pytest.param(make_report(["d1", "d2"], ["a", "b", "c"],
+                                 [[0.03125, 0.00005, 0.99995], [0.12345, 0.5, 0.00015]], [2, 1],
+                                 [2, 1]), id="near-tie"),
+        pytest.param(make_report([], ["a", "b"], [], [], []), id="empty"),
     ])
-    def test_render_matches_cell_by_cell_table(self, reports):
-        assert render_report_table(reports) == reference_report_table(reports)
+    def test_render_matches_cell_by_cell_table(self, report):
+        assert render_report_table(report) == reference_report_table(report)
 
     def test_render_peak_is_the_lines_and_one_partition(self):
         # each row's cells are sliced as it is formatted: no list of n cell
         # strings beside the lines, and no n x c array once they are built
         u, doc_ids, labels = many_documents()
-        reports = classify_strength(u, doc_ids, labels)
-        table = render_report_table(reports)
+        report = classify_strength(u, doc_ids, labels)
+        table = render_report_table(report)
         lines = table.split("\n")
         kept = sys.getsizeof(table) + sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
-        assert traced_peak_bytes(render_report_table, reports) <= kept + u.nbytes
+        assert traced_peak_bytes(render_report_table, report) <= kept + u.nbytes
 
     def test_render_every_four_decimal_value_and_near_tie(self):
         # every k / 10000, and every tie (2k + 1) / 20000 nudged by up to
@@ -472,14 +600,14 @@ class TestReportFiles:
             for _ in range(4):
                 nudged = np.nextafter(nudged, direction)
                 columns.append(nudged)
-        names = [f"x{j}" for j in range(len(columns))]
-        reports = [report(f"d{i}", dict(zip(names, row)), "x0", "moderate")
-                   for i, row in enumerate(np.column_stack(columns).tolist())]
-        reports.append(report("one", dict.fromkeys(names, 1.0), "x0", "strong"))
-        assert render_report_table(reports) == reference_report_table(reports)
+        rows = [*np.column_stack(columns).tolist(), [1.0] * len(columns)]
+        report = make_report([f"d{i}" for i in range(len(rows))],
+                             [f"x{j}" for j in range(len(columns))], rows, [0] * len(rows),
+                             [2] * (len(rows) - 1) + [0])
+        assert render_report_table(report) == reference_report_table(report)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([0, 1, 8]).flatmap(lambda c: st.lists(
+    @given(st.sampled_from([1, 8]).flatmap(lambda c: st.lists(st.tuples(
         st.lists(st.one_of(
             st.floats(0.0, 1.0),
             st.floats(0.0, 1.0).map(np.float64),
@@ -492,10 +620,13 @@ class TestReportFiles:
             st.booleans(),
             st.booleans().map(np.bool_),
         ), min_size=c, max_size=c),
+        st.integers(0, c - 1), st.integers(0, 2)),
         min_size=1, max_size=12)))
-    def test_render_any_degrees_as_format_does(self, rows):
-        names = [f"label{j}" for j in range(len(rows[0]))]
-        reports = [report(f"d{i}", dict(zip(names, row)), "t", "s")
-                   for i, row in enumerate(rows)]
-        assert render_report_table(reports) == reference_report_table(reports)
-
+    def test_render_any_degrees_as_format_does(self, documents):
+        rows = [row for row, _, _ in documents]
+        # the report holds float64: every drawn number prints as its float does
+        assert all(format(x, ".4f") == format(float(x), ".4f") for row in rows for x in row)
+        report = make_report([f"d{i}" for i in range(len(rows))],
+                             [f"label{j}" for j in range(len(rows[0]))], rows,
+                             [j for _, j, _ in documents], [k for _, _, k in documents])
+        assert render_report_table(report) == reference_report_table(report)
