@@ -99,7 +99,7 @@ def _checked_matrix(value, what: str, high: float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FcmParams:
     """Clustering parameters.
 

@@ -50,10 +50,34 @@ FeatureSet = list[str]
 
 @dataclass(frozen=True)
 class LabeledProfile:
-    """Corpus-level WF per term for one known document category."""
+    """Corpus-level WF per term for one known document category.
+
+    A profile checks itself when it is made, whether by
+    :func:`build_profile`, :func:`load_profile` or a caller: the label
+    must be a non-empty string and the WFs a dict of string terms whose
+    values pass :func:`fuzzydocs.jsonfile.checked_numbers` in
+    [0, WF_SCALE]; otherwise ``ValueError`` (naming the label for a bad
+    term or WF). ``wf`` is then a new dict of Python floats over terms
+    passed through ``sys.intern``, so the profiles of one process share
+    one string per distinct term; on Python 3.12 interned strings are
+    immortal, so the process keeps each for its lifetime. Like
+    ``FeatureMatrix.data``, a ``wf`` dict mutated after construction is
+    not checked again."""
 
     label: str
     wf: dict[str, float]
+
+    def __post_init__(self):
+        label, wf = self.label, self.wf
+        if not (isinstance(label, str) and label and isinstance(wf, dict)):
+            raise ValueError("invalid profile: the label must be a non-empty string, the WFs a dict")
+        kinds = set(map(type, wf))
+        if not all(issubclass(kind, str) for kind in kinds):
+            raise ValueError(f"terms of profile {label!r} must be strings")
+        values = checked_numbers(list(wf.values()), f"WFs of profile {label!r}", WF_SCALE, 1)
+        # sys.intern takes a str, not a subclass such as numpy.str_
+        terms = wf if kinds <= {str} else map(str, wf)
+        object.__setattr__(self, "wf", dict(zip(map(sys.intern, terms), values.tolist())))
 
 
 def word_frequency(count: int, total: int) -> float:
@@ -91,8 +115,7 @@ def select_features(
     Walks :func:`score_terms`' ranking, descending score with ties
     broken lexicographically, and stops at the first score below
     min_ratio or once it has top_k terms. A term it visits is kept when
-    its best-label WF is >= min_wf. Every WF must be in [0, WF_SCALE]
-    (``ValueError`` naming the profile's label otherwise).
+    its best-label WF is >= min_wf.
     """
     if len(profiles) < 2:
         raise ValueError("need at least two labeled profiles")
@@ -115,9 +138,6 @@ def score_terms(profiles: Sequence[LabeledProfile]) -> list[tuple[str, float]]:
 
     The ratios come from one L x V table of WFs, a row per profile and a
     column per term, a term missing from a profile counting as WF 0.
-    Each WF must pass :func:`fuzzydocs.jsonfile.checked_numbers`, as in a
-    profile file: a bool, a string, NaN, a negative or a larger WF raises
-    ``ValueError`` naming its profile's label.
     """
     if not profiles:
         return []
@@ -133,11 +153,8 @@ def score_terms(profiles: Sequence[LabeledProfile]) -> list[tuple[str, float]]:
 
 def _wf_table(profiles: Sequence[LabeledProfile], terms: Sequence[str]) -> np.ndarray:
     """The WF of each term (a column) in each profile (a row), 0 where a
-    profile lacks the term; a row that fails ``checked_numbers`` raises
-    ``ValueError`` naming its profile's label."""
-    return np.array([checked_numbers(list(map(p.wf.get, terms, repeat(0.0))),
-                                     f"WFs of profile {p.label!r}", WF_SCALE, 1)
-                     for p in profiles])
+    profile lacks the term."""
+    return np.array([list(map(p.wf.get, terms, repeat(0.0))) for p in profiles], dtype=float)
 
 
 def discrimination_ratio(wfs) -> float | np.ndarray:
@@ -175,30 +192,17 @@ def load_feature_set(path: str | Path) -> FeatureSet:
 
 
 def save_profile(profile: LabeledProfile, path: str | Path) -> None:
-    """Write a profile, which must pass the rule ``load_profile`` applies:
-    a non-empty string label and a dict of WFs that pass
-    :func:`fuzzydocs.jsonfile.checked_numbers` in [0, WF_SCALE]
-    (``ValueError`` naming the label for a bad WF). A refused profile
-    writes nothing."""
-    label, wf = profile.label, profile.wf
-    if not (isinstance(label, str) and label and isinstance(wf, dict)):
-        raise ValueError("invalid profile: the label must be a non-empty string, the WFs a dict")
-    checked_numbers(list(wf.values()), f"WFs of profile {label!r}", WF_SCALE, 1)
-    write_json({"label": label, "wf": wf}, path)
+    """Write a profile as ``load_profile`` reads it back: every WF a
+    float, so a saved, loaded and saved again profile is the same bytes."""
+    write_json({"label": profile.label, "wf": profile.wf}, path)
 
 
 def load_profile(path: str | Path) -> LabeledProfile:
-    """The profile a file holds: a non-empty string label, and WFs that
-    pass :func:`fuzzydocs.jsonfile.checked_numbers` in [0, WF_SCALE],
-    each read as a float; otherwise ``ValueError`` naming the file.
-
-    Each term is passed through ``sys.intern``, so the profiles a process
-    loads share one string per distinct term instead of holding a copy
-    each. On Python 3.12 interned strings are immortal, so the process
-    keeps each distinct term for its lifetime."""
+    """The profile a file holds, as :class:`LabeledProfile` checks it;
+    otherwise ``ValueError`` naming the file."""
     raw = read_json(path)
     label, wf = (raw.get("label"), raw.get("wf")) if isinstance(raw, dict) else (None, None)
-    if not (isinstance(label, str) and label and isinstance(wf, dict)):
-        raise ValueError(f"invalid profile file: {path}")
-    values = checked_numbers(list(wf.values()), f"invalid profile file: {path}: WFs", WF_SCALE, 1)
-    return LabeledProfile(label, dict(zip(map(sys.intern, wf), values.tolist())))
+    try:
+        return LabeledProfile(label, wf)
+    except ValueError as exc:
+        raise ValueError(f"invalid profile file: {path}: {exc}") from exc

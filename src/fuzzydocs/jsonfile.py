@@ -11,8 +11,7 @@ temporary dot file next to the target and rename it over the target
 only once the last line has been written.
 A missing directory on the way to the target is created. A target whose
 temporary name passes the 255-byte file name limit is refused before
-anything is written. A numpy integer or float scalar is written as the
-Python number its ``.item()`` gives.
+anything is written.
 
 A value read from outside that should hold numbers -- a profile's WFs, a
 partition's memberships, cluster centers -- passes one rule,
@@ -90,7 +89,7 @@ def _write(chunks: Iterable[str], path: str | Path) -> None:
 def _chunks(payload) -> Iterator[str]:
     """The text of ``payload``, one top-level element or member per line.
     Without indent the stdlib encodes in C; with it, in pure Python."""
-    encode = json.JSONEncoder(ensure_ascii=False, default=_numpy_scalar).encode
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     if isinstance(payload, dict):
         # a one-member object encodes its key exactly as the whole object would
         yield from _container((encode({key: value})[1:-1] for key, value in payload.items()),
@@ -110,15 +109,6 @@ def _container(members: Iterable[str], brackets: str) -> Iterator[str]:
         yield member
         separator = ",\n  "
     yield brackets + "\n" if separator is opening else "\n" + brackets[1] + "\n"
-
-
-def _numpy_scalar(value):
-    """A numpy integer or float as ``.item()`` gives it. The encoder calls
-    this only for a value it cannot write itself, so a numpy float64, which
-    is a ``float``, never reaches it."""
-    if isinstance(value, (np.integer, np.floating)):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def read_json(path: str | Path):

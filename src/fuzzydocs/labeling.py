@@ -81,11 +81,10 @@ def label_clusters(
     to the lexicographically smallest label sequence. The optimum comes
     from an assignment solver in O(c^2 L) for L profiles, and the tie rule
     adds at most c L solves of the residual problem, skipping each label
-    whose reduced cost alone already exceeds the tolerance. The centers,
-    and each profile's WFs of ``features``, must pass
-    :func:`fuzzydocs.jsonfile.checked_numbers` (``ValueError`` naming the
-    profile's label for a bad WF), and the profile labels
-    :func:`fuzzydocs.jsonfile.checked_names`.
+    whose reduced cost alone already exceeds the tolerance. The centers
+    must pass :func:`fuzzydocs.jsonfile.checked_numbers`, and the profile
+    labels :func:`fuzzydocs.jsonfile.checked_names`; each profile checked
+    its WFs when it was made.
     """
     centers = checked_numbers(centers, "centers", WF_SCALE, 2)  # weighted means of WF rows
     if centers.ndim != 2 or centers.shape[1] != len(features):

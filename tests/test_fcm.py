@@ -141,6 +141,12 @@ class TestFcmParams:
         with pytest.raises(ValueError):
             FcmParams(**kwargs)
 
+    def test_equality_and_hash_are_identity(self):
+        # a field-wise comparison would ask numpy for the truth value of an array
+        a, b = FcmParams(c=2, init=np.eye(2)), FcmParams(c=2, init=np.eye(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestInitPartition:
     def test_explicit_accepted_verbatim(self, crisp_init):

@@ -202,14 +202,12 @@ class TestSelectFeatures:
     @pytest.mark.parametrize("wf", [math.nan, -1, -0.5, 10000.5, math.inf])
     @pytest.mark.parametrize("bad_first", [True, False])
     def test_wf_outside_range_names_its_profile(self, wf, bad_first):
-        good = LabeledProfile("good", {"x": 5.0, "y": 40.0})
-        bad = LabeledProfile("bad", {"x": wf, "y": 1.0})
-        profiles = [bad, good] if bad_first else [good, bad]
+        # the profile refuses itself, so no bad WF reaches score_terms or select_features
+        good = ("good", {"x": 5.0, "y": 40.0})
+        bad = ("bad", {"x": wf, "y": 1.0})
         message = re.escape("WFs of profile 'bad' must lie in [0, 10000]")
         with pytest.raises(ValueError, match=message):
-            score_terms(profiles)
-        with pytest.raises(ValueError, match=message):
-            select_features(profiles)
+            [LabeledProfile(*args) for args in ([bad, good] if bad_first else [good, bad])]
 
     @pytest.mark.parametrize("wf,rule", [
         pytest.param(True, "must be numbers", id="bool"),
@@ -219,14 +217,12 @@ class TestSelectFeatures:
     ])
     def test_wf_not_a_number_names_its_profile(self, wf, rule):
         # the rule load_profile applies to a file
-        good = LabeledProfile("good", {"x": 5.0, "y": 40.0})
-        bad = LabeledProfile("bad", {"x": 1.0, "y": wf})
+        good = ("good", {"x": 5.0, "y": 40.0})
+        bad = ("bad", {"x": 1.0, "y": wf})
         message = re.escape(f"WFs of profile 'bad' {rule}")
         for profiles in ([bad, good], [good, bad]):
             with pytest.raises(ValueError, match=message):
-                score_terms(profiles)
-            with pytest.raises(ValueError, match=message):
-                select_features(profiles)
+                [LabeledProfile(*args) for args in profiles]
 
     def test_numpy_scalar_wfs_are_numbers(self):
         # a library profile built from an array holds numpy scalars
@@ -317,13 +313,13 @@ class TestRoundTrips:
         assert loaded.wf == sports_profile.wf
 
     def test_profile_with_numpy_scalar_wfs(self, tmp_path):
-        """numpy scalars, which the number rule accepts, are written as
-        ``.item()`` gives them; a float64 is written as the float it is."""
+        """numpy scalars, which the number rule accepts, are held and
+        written as the floats they are."""
         path = tmp_path / "x.profile.json"
         wf = {"a": np.float32(1.5), "b": np.int64(3), "c": np.float64(0.1), "d": np.uint8(7)}
         save_profile(LabeledProfile("x", wf), path)
         assert path.read_text(encoding="utf-8").splitlines()[2] == (
-            '  "wf": {"a": 1.5, "b": 3, "c": 0.1, "d": 7}')
+            '  "wf": {"a": 1.5, "b": 3.0, "c": 0.1, "d": 7.0}')
         assert load_profile(path).wf == {"a": 1.5, "b": 3.0, "c": 0.1, "d": 7.0}
 
     @pytest.mark.parametrize("label,wf,message", [
@@ -361,6 +357,35 @@ class TestRoundTrips:
         a, b = (load_profile(tmp_path / f"{label}.profile.json") for label in ("a", "b"))
         assert list(a.wf) == list(b.wf) == terms
         assert all(x is y for x, y in zip(a.wf, b.wf))
+        # profiles built apart, each from its own parse of the JSON, share them too
+        c, d = (LabeledProfile(raw["label"], raw["wf"]) for raw in
+                (json.loads((tmp_path / f"{label}.profile.json").read_text("utf-8"))
+                 for label in ("a", "b")))
+        assert all(x is y is z is w for x, y, z, w in zip(a.wf, b.wf, c.wf, d.wf))
+
+    @pytest.mark.parametrize("kind", [int, float, np.float64, np.float32, np.int64, np.uint8])
+    def test_profile_holds_python_floats(self, kind):
+        profile = LabeledProfile("x", {"a": kind(3), "b": kind(0), "c": kind(200)})
+        assert profile.wf == {"a": 3.0, "b": 0.0, "c": 200.0}
+        assert all(type(v) is float for v in profile.wf.values())
+
+    @pytest.mark.parametrize("kind", [int, float, np.float64, np.float32, np.int64, np.uint8])
+    def test_profile_file_round_trips_byte_for_byte(self, tmp_path, kind):
+        first, second = tmp_path / "first.profile.json", tmp_path / "second.profile.json"
+        save_profile(LabeledProfile("x", {"a": kind(3), "b": kind(0), "c": kind(200)}), first)
+        save_profile(load_profile(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert all(type(v) is float for v in json.loads(first.read_text("utf-8"))["wf"].values())
+
+    @pytest.mark.parametrize("term", [1, None, ("a",)])
+    def test_profile_terms_must_be_strings(self, term):
+        with pytest.raises(ValueError, match="^terms of profile 'x' must be strings$"):
+            LabeledProfile("x", {"a": 1.0, term: 2.0})
+
+    def test_numpy_string_terms_are_held_as_str(self):
+        profile = LabeledProfile("x", dict(zip(np.array(["a", "b"]), [1.0, 2.0])))
+        assert profile.wf == {"a": 1.0, "b": 2.0}
+        assert all(type(t) is str for t in profile.wf)
 
     def test_profile_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -384,7 +409,8 @@ class TestRoundTrips:
     def test_profile_says_which_rule_a_wf_breaks(self, tmp_path, wf, rule):
         path = tmp_path / "bad.profile.json"
         path.write_text(f'{{"label": "x", "wf": {{"ball": 2.5, "team": {wf}}}}}', encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"invalid profile file: {path}: WFs {rule}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid profile file: {path}: WFs of profile 'x' {rule}")):
             load_profile(path)
 
     def test_profile_keeps_bounds_and_converts_ints(self, tmp_path):

@@ -197,10 +197,10 @@ class TestLabelClusters:
         centers[1, 2] = value
         with pytest.raises(ValueError, match=re.escape("centers must lie in [0, 10000]")):
             label_clusters(centers, profiles, FEATURES)
-        infinite = LabeledProfile("sports", {**profiles[0].wf, "ball": value})
+        # a profile refuses a non-finite WF when it is made, before any labelling
         with pytest.raises(ValueError,
                            match=re.escape("WFs of profile 'sports' must lie in [0, 10000]")):
-            label_clusters(CENTERS, [infinite, profiles[1]], FEATURES)
+            LabeledProfile("sports", {**profiles[0].wf, "ball": value})
 
     @pytest.mark.parametrize("wf,rule", [
         pytest.param("5", "must be numbers", id="str"),
@@ -209,9 +209,8 @@ class TestLabelClusters:
         pytest.param(10 ** 400, "must lie in [0, 10000]", id="int-past-float"),
     ])
     def test_bad_wf_names_its_profile(self, profiles, wf, rule):
-        bad = LabeledProfile("sports", {**profiles[0].wf, "ball": wf})
         with pytest.raises(ValueError, match=re.escape(f"WFs of profile 'sports' {rule}")):
-            label_clusters(CENTERS, [bad, profiles[1]], FEATURES)
+            LabeledProfile("sports", {**profiles[0].wf, "ball": wf})
 
     def test_insufficient_profiles(self, sports_profile):
         with pytest.raises(ValueError, match="insufficient profiles"):
