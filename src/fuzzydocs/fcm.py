@@ -19,12 +19,23 @@ Each iteration raises its new partition to m once: those weights
 w = u^m give J_m for that partition and the centers of the next
 iteration, so ``update_centers`` and ``objective`` take w, not u. It
 builds the c x n squared distances once, in ``squared_distances``, one
-feature at a time over a feature-major copy of the matrix, so an
-iteration works in O(n*m + c*n) memory; the memberships read their
-square roots and J_m reads them directly. One expression gives every
-membership column, a column with a zero distance included. The
-distances and the membership column sums are elementwise accumulations
-in a fixed order (feature by feature, cluster by cluster), not numpy
+center at a time, each row summed feature by feature over a
+feature-major copy of the matrix; the memberships read their square
+roots and J_m reads them directly. One expression gives every
+membership column, a column with a zero distance included.
+
+``run_fcm`` allocates four c x n float64 arrays once -- the partition,
+the next partition, the weights w and the squared distances -- and every
+iteration writes into them through the kernels' ``out=`` arguments: the
+memberships overwrite the square roots in place, and the max change is
+taken from the difference written over the old partition. Beside the
+n x m feature-major copy, a run's working memory is those 32 bytes per
+cluster and document, a one-byte zero mask and a few length-n vectors;
+no iteration allocates a c x n array.
+
+The distances and the membership column sums are elementwise
+accumulations in a fixed order (feature by feature, cluster by
+cluster), not numpy
 reductions, whose summation order numpy picks from the array's shape and
 memory layout. The centers and J_m stay einsum reductions over arrays
 whose layout ``run_fcm`` fixes: it works on one feature-major copy of
@@ -36,6 +47,7 @@ partition and centers of a run with max_iters=k.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -44,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import WF_SCALE
-from .jsonfile import checked_names, checked_numbers, read_json, write_json
+from .jsonfile import checked_names, checked_numbers, is_number, read_json, write_json
 
 __all__ = [
     "FeatureMatrix",
@@ -103,9 +115,13 @@ def _checked_matrix(value, what: str, high: float) -> np.ndarray:
 class FcmParams:
     """Clustering parameters.
 
-    fuzzifier is the membership exponent m and must be > 1 (at m = 1 the
-    membership update degenerates to the hard assignment rule, which this
-    engine does not implement). init, when given, is an explicit c x n
+    c, max_iters and seed are Python or numpy integers, and fuzzifier and
+    epsilon Python or numpy numbers, never bools.
+    fuzzifier is the membership exponent m and must be finite and > 1 (at
+    m = 1 the membership update degenerates to the hard assignment rule,
+    which this engine does not implement). A field that breaks one of
+    these rules, or the bounds below, raises ValueError when the params
+    are built. init, when given, is an explicit c x n
     starting partition; otherwise each column of the starting partition is
     drawn uniformly from the probability simplex from the seed, a
     non-negative Python or numpy integer, as :func:`init_partition` says.
@@ -122,16 +138,35 @@ class FcmParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("c", "max_iters", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("fuzzifier", "epsilon"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number")
         if self.c < 1:
             raise ValueError("cluster count must be >= 1")
         if not self.fuzzifier > 1.0:
             raise ValueError("fuzzifier must be > 1")
+        if not math.isfinite(self.fuzzifier):
+            raise ValueError("fuzzifier must be finite")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer, never a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +223,7 @@ def init_partition(
     order, and no transcendental function is involved whose last bits
     could vary with the CPU. Working memory peaks near 16 * c * n bytes.
     The draw and the sort take O(c n log c) time; on a 2-vCPU host, 5-8 ms
-    at n = 20000, c = 8, and 0.6-0.8 of one FCM iteration's time at
+    at n = 20000, c = 8, and 0.7-0.8 of one FCM iteration's time at
     n = 2000, c = 1000 (m = 20)."""
     if not 1 <= c <= n:
         raise ValueError(f"cluster count must lie in [1, {n}]")
@@ -233,28 +268,34 @@ def update_centers(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("cn,nm->cm", w, x) / weight_sums[:, None]
 
 
-def squared_distances(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of every document to every center, c x n.
+def squared_distances(x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distance of every document to every center, c x n,
+    written into ``out`` when given.
 
-    sq_ji adds (x_ik - v_jk) * (x_ik - v_jk) one feature k at a time, left
-    to right, over the feature-major (m x n) view of x, which is a copy
-    unless x is Fortran-ordered; the other temporary is one c x n
-    difference.
+    Row j is built one center at a time over the feature-major (m x n)
+    view of x, which is a copy unless x is Fortran-ordered: it is set to
+    (x_i0 - v_j0) * (x_i0 - v_j0), and then (x_ik - v_jk) * (x_ik - v_jk)
+    is added one feature k at a time, left to right. The one other
+    temporary is a length-n difference.
     """
     xt = np.ascontiguousarray(x.T)
-    sq = np.zeros((v.shape[0], x.shape[0]))
-    diff = np.empty_like(sq)
-    for k, feature in enumerate(xt):
-        np.subtract(feature, v[:, k, None], out=diff)
-        diff *= diff
-        sq += diff
+    sq = np.empty((v.shape[0], x.shape[0])) if out is None else out
+    diff = np.empty(x.shape[0])
+    for row, center in zip(sq, v):
+        np.subtract(xt[0], center[0], out=row)
+        row *= row
+        for feature, value in zip(xt[1:], center[1:]):
+            np.subtract(feature, value, out=diff)
+            diff *= diff
+            row += diff
     return sq
 
 
-def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
-    """Inverse-distance memberships from the c x n distances d; a
-    zero-distance document becomes a one-hot column on the first such
-    cluster.
+def update_memberships(d: np.ndarray, fuzzifier: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-distance memberships from the c x n distances d, written
+    into ``out`` when given, which may be d itself; a zero-distance
+    document becomes a one-hot column on the first such cluster.
 
     Each column is scaled by its smallest distance:
     w_j = (d_min / d_j)^(2/(m-1)) lies in [0, 1] and is exactly 1 at the
@@ -264,12 +305,16 @@ def update_memberships(d: np.ndarray, fuzzifier: float) -> np.ndarray:
     every w_j = 0 until its first zero is set to 1, in the same pass over
     the clusters that sums the column; nothing is divided by 0. That sum
     runs in cluster order, one elementwise add per cluster, so a column's
-    bits do not depend on the other columns. Working memory is one c x n
-    array and its c x n zero mask.
+    bits do not depend on the other columns. Working memory beyond
+    ``out`` is the c x n zero mask, one byte per entry, and a few
+    length-n vectors.
     """
     d_min = d.min(axis=0)
     zero = d == 0.0
-    w = np.where(zero, 1.0, d)
+    w = np.empty_like(d) if out is None else out
+    if w is not d:
+        np.copyto(w, d)
+    np.copyto(w, 1.0, where=zero)
     np.divide(d_min, w, out=w)
     w **= 2.0 / (fuzzifier - 1.0)
     total = np.zeros(d.shape[1])
@@ -294,6 +339,11 @@ def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
     """Iterate centers -> distances -> memberships from the starting
     partition until the max membership change drops below epsilon or
     max_iters is hit. Deterministic for a given matrix and params.
+
+    Besides the feature-major copy of the matrix, a run holds four c x n
+    arrays, allocated once and overwritten by every iteration: the
+    partition u, the next partition, the weights w = u^m and the squared
+    distances.
     """
     u = init_partition(x.n_docs, params.c, params.init, params.seed)
     data = np.asfortranarray(x.data)  # feature-major, as squared_distances reads it
@@ -303,17 +353,21 @@ def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
     converged = False
     iterations = 0
     v = None
-    w = u**m
+    w = np.power(u, m)
+    u_next = np.empty_like(u)
+    sq = np.empty_like(u)
     for iterations in range(1, params.max_iters + 1):
         v = update_centers(w, data)
-        sq = squared_distances(data, v)
-        u_next = update_memberships(np.sqrt(sq), m)
-        w = u_next**m
+        squared_distances(data, v, out=sq)
+        np.sqrt(sq, out=u_next)
+        update_memberships(u_next, m, out=u_next)
+        np.power(u_next, m, out=w)
         jm = objective(w, sq)
-        change = float(np.max(np.abs(u_next - u)))
+        diff = np.subtract(u_next, u, out=u)  # u is not read again
+        change = float(max(diff.max(), -diff.min()))
         objective_history.append(jm)
         max_change_history.append(change)
-        u = u_next
+        u, u_next = u_next, u
         if change < params.epsilon:
             converged = True
             break
@@ -349,7 +403,7 @@ def save_result(
     payload = {
         "doc_ids": list(doc_ids),
         "features": list(features),
-        "memberships": u.tolist(),
+        "memberships": (row.tolist() for row in u),  # streamed a row at a time
         "centers": v.tolist(),
         "iterations": result.iterations,
         "converged": result.converged,

@@ -4,7 +4,10 @@ Every file is UTF-8 with LF line endings, keeps non-ASCII text as is and
 ends in a newline. A top-level array or object holds one element or
 member per line, indented by two spaces, each written on its line as
 ``json.dumps`` writes it without indent (so a ``report.json`` has one
-document per line); an empty container or a scalar is one line. A file
+document per line); an empty container or a scalar is one line. A
+top-level member whose value is an iterator is written as an array, one
+element at a time, in the bytes ``json.dumps`` writes for the list of its
+elements, so a large array is never built as one list or string. A file
 is written whole or not at all: ``write_json``, and ``write_json_array``
 for an array whose elements the caller has encoded, stream into a
 temporary dot file next to the target and rename it over the target
@@ -53,7 +56,8 @@ def temporary_path(path: str | Path) -> Path:
 
 
 def write_json(payload, path: str | Path) -> None:
-    """Replace ``path`` with ``payload`` as JSON. A write that fails leaves
+    """Replace ``path`` with ``payload`` as JSON, an iterator member of a
+    top-level object as the array of its elements. A write that fails leaves
     the previous file, or none, and no temporary file; a string that cannot
     be encoded as UTF-8, or a name too long, raises ValueError naming
     ``path``."""
@@ -91,8 +95,7 @@ def _chunks(payload) -> Iterator[str]:
     Without indent the stdlib encodes in C; with it, in pure Python."""
     encode = json.JSONEncoder(ensure_ascii=False).encode
     if isinstance(payload, dict):
-        # a one-member object encodes its key exactly as the whole object would
-        yield from _container((encode({key: value})[1:-1] for key, value in payload.items()),
+        yield from _container((_member(encode, key, value) for key, value in payload.items()),
                               "{}")
     elif isinstance(payload, (list, tuple)):
         yield from _container(map(encode, payload), "[]")
@@ -100,13 +103,34 @@ def _chunks(payload) -> Iterator[str]:
         yield encode(payload) + "\n"
 
 
-def _container(members: Iterable[str], brackets: str) -> Iterator[str]:
-    """An array or object of encoded members, each on its own line
-    indented by two spaces; an empty one is one line."""
+def _member(encode, key, value) -> Iterator[str]:
+    """The text of one object member. An iterator value is written as an
+    array one element at a time, in the bytes ``json.dumps`` writes for
+    the list of its elements, so that list is never built."""
+    if not isinstance(value, Iterator):
+        # a one-member object encodes its key exactly as the whole object would
+        yield encode({key: value})[1:-1]
+        return
+    yield encode({key: []})[1:-2]  # '"key": ['
+    separator = ""
+    for element in value:
+        yield separator
+        yield encode(element)
+        separator = ", "
+    yield "]"
+
+
+def _container(members: Iterable[str | Iterator[str]], brackets: str) -> Iterator[str]:
+    """An array or object of members, each its text or an iterator over its
+    chunks of text, on its own line indented by two spaces; an empty one
+    is one line."""
     separator = opening = brackets[0] + "\n  "
     for member in members:
         yield separator
-        yield member
+        if isinstance(member, str):
+            yield member
+        else:
+            yield from member
         separator = ",\n  "
     yield brackets + "\n" if separator is opening else "\n" + brackets[1] + "\n"
 

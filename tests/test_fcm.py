@@ -33,6 +33,7 @@ from fuzzydocs.fcm import (
     validate_partition,
 )
 from fuzzydocs.features import load_feature_set, save_feature_set
+from fuzzydocs.jsonfile import write_json
 
 
 def broadcast_squared_distances(x, v):
@@ -140,6 +141,34 @@ class TestFcmParams:
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(ValueError):
             FcmParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"c": 2.0}, "c must be an integer"),
+        ({"c": True}, "c must be an integer"),
+        ({"c": "2"}, "c must be an integer"),
+        ({"c": np.float64(2.0)}, "c must be an integer"),
+        ({"c": 2, "max_iters": 2.5}, "max_iters must be an integer"),
+        ({"c": 2, "max_iters": np.True_}, "max_iters must be an integer"),
+        ({"c": 2, "seed": 1.5}, "seed must be an integer"),
+        ({"c": 2, "seed": False}, "seed must be an integer"),
+        ({"c": 2, "seed": None}, "seed must be an integer"),
+        ({"c": 2, "fuzzifier": math.inf}, "fuzzifier must be finite"),
+        ({"c": 2, "fuzzifier": np.float64(np.inf)}, "fuzzifier must be finite"),
+        ({"c": 2, "fuzzifier": math.nan}, "fuzzifier must be > 1"),
+        ({"c": 2, "fuzzifier": "2"}, "fuzzifier must be a number"),
+        ({"c": 2, "fuzzifier": True}, "fuzzifier must be a number"),
+        ({"c": 2, "epsilon": "0.1"}, "epsilon must be a number"),
+        ({"c": 2, "epsilon": None}, "epsilon must be a number"),
+    ])
+    def test_rejects_wrong_typed_params_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FcmParams(**kwargs)
+
+    def test_numpy_numbers_accepted(self, example_matrix):
+        params = FcmParams(c=np.int64(2), max_iters=np.uint8(3), seed=np.int32(4),
+                           fuzzifier=np.float64(2.0), epsilon=np.float64(1e-3))
+        expected = run_fcm(example_matrix, FcmParams(c=2, max_iters=3, seed=4))
+        assert run_fcm(example_matrix, params).partition.tobytes() == expected.partition.tobytes()
 
     def test_equality_and_hash_are_identity(self):
         # a field-wise comparison would ask numpy for the truth value of an array
@@ -524,17 +553,19 @@ class TestRunFcm:
         assert len(given) == 1
 
     def test_one_power_per_partition(self, example_matrix, monkeypatch):
-        """The weights J_m reads at iteration k are the very array the
-        centers of iteration k + 1 read."""
+        """The weights J_m reads at iteration k are the very array, with the
+        same bytes, that the centers of iteration k + 1 read. run_fcm
+        overwrites its arrays in place, so each call is recorded as the
+        array's id and its bytes at that moment."""
         centers_w, objective_w = [], []
         update, weigh = fcm.update_centers, fcm.objective
 
         def recording_update(w, x):
-            centers_w.append(w)
+            centers_w.append((id(w), w.tobytes()))
             return update(w, x)
 
         def recording_objective(w, sq):
-            objective_w.append(w)
+            objective_w.append((id(w), w.tobytes()))
             return weigh(w, sq)
 
         monkeypatch.setattr(fcm, "update_centers", recording_update)
@@ -542,9 +573,66 @@ class TestRunFcm:
         res = run_fcm(example_matrix, FcmParams(c=2, fuzzifier=1.7, epsilon=1e-12, max_iters=6,
                                                    seed=3))
         assert len(centers_w) == len(objective_w) == res.iterations == 6
-        assert all(a is b for a, b in zip(objective_w, centers_w[1:]))
-        assert centers_w[0].tobytes() == (init_partition(8, 2, seed=3) ** 1.7).tobytes()
-        assert objective_w[-1].tobytes() == (res.partition**1.7).tobytes()
+        assert objective_w[:-1] == centers_w[1:]
+        assert centers_w[0][1] == (init_partition(8, 2, seed=3) ** 1.7).tobytes()
+        assert objective_w[-1][1] == (res.partition**1.7).tobytes()
+
+    @pytest.mark.parametrize("fuzzifier", [1.3, 2.0])
+    def test_reused_arrays_give_the_bits_of_fresh_ones(self, fuzzifier):
+        """Each iteration of run_fcm, which overwrites its arrays in place,
+        gives the bits of the kernels called without out= on fresh arrays."""
+        n, m, c, iters = 300, 5, 4, 6
+        data = np.random.default_rng(3).uniform(0.0, 10000.0, size=(n, m))
+        data[7] = data[3]
+        x = FeatureMatrix(tuple(f"d{i}" for i in range(n)), data)
+        res = run_fcm(x, FcmParams(c=c, fuzzifier=fuzzifier, epsilon=1e-12, max_iters=iters,
+                                   seed=5))
+        data = np.asfortranarray(data)  # the layout run_fcm works on
+        u = init_partition(n, c, seed=5)
+        objectives, changes = [], []
+        for _ in range(iters):
+            # np.power as run_fcm calls it; `**` may take another path at 2.0
+            v = update_centers(np.power(u, fuzzifier), data)
+            sq = squared_distances(data, v)
+            u_next = update_memberships(np.sqrt(sq), fuzzifier)
+            objectives.append(objective(np.power(u_next, fuzzifier), sq))
+            changes.append(float(np.max(np.abs(u_next - u))))
+            u = u_next
+        assert res.partition.tobytes() == u.tobytes()
+        assert res.centers.tobytes() == v.tobytes()
+        assert res.objective_history == tuple(objectives)
+        assert res.max_change_history == tuple(changes)
+
+    @pytest.mark.parametrize("c", [2, 16])
+    def test_working_memory_is_four_partitions(self, c):
+        """Four c x n arrays, the zero mask and O(n) vectors beside the
+        feature-major copy of the matrix, the same at 1 and 5 iterations:
+        no iteration allocates a c x n array."""
+        n, m = 5000, 20
+        data = np.random.default_rng(0).uniform(0.0, 10000.0, size=(n, m))
+        x = FeatureMatrix(tuple(f"d{i}" for i in range(n)), data)
+        peaks = [traced_peak_bytes(run_fcm, x, FcmParams(c=c, fuzzifier=1.3, epsilon=1e-12,
+                                                         max_iters=iters, seed=1))
+                 for iters in (1, 5)]
+        assert max(peaks) <= 36 * c * n + 8 * n * m + 32 * n
+        assert abs(peaks[1] - peaks[0]) <= 4096
+
+    @pytest.mark.parametrize("name, data, init", [
+        ("goldens", goldens.EXAMPLE_ROWS, goldens.CRISP_INIT),
+        # a crisp cluster of one document puts its center on that document
+        ("zero distance", [[1.0, 2.0], [30.0, 40.0], [31.0, 41.0], [32.0, 39.0]],
+         [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]]),
+        ("duplicates", [[5.0, 5.0]] * 3 + [[90.0, 80.0]] * 3 + [[0.0, 0.0]] * 2, None),
+    ])
+    def test_no_floating_point_warnings(self, name, data, init):
+        """Warnings are data: no kernel divides by 0 or takes an invalid
+        value, so numpy has nothing to warn about."""
+        x = FeatureMatrix(tuple(f"d{i}" for i in range(len(data))), np.array(data))
+        params = FcmParams(c=2, fuzzifier=1.3, epsilon=1e-12, max_iters=20, seed=2,
+                           init=None if init is None else np.array(init))
+        with np.errstate(divide="raise", invalid="raise"):
+            res = run_fcm(x, params)
+        assert np.all(np.isfinite(res.partition)) and np.all(np.isfinite(res.centers))
 
     def test_max_iters_reached_not_converged(self, example_matrix, crisp_init):
         res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init, max_iters=2))
@@ -659,6 +747,17 @@ class TestResultFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             save_result(res, doc_ids, features, tmp_path / "result.json")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("c", [2, 16])
+    def test_writer_holds_one_row_of_text(self, tmp_path, c):
+        """The partition is streamed a row at a time: the writer's peak is
+        its checked copy of the partition plus O(n), whatever c is."""
+        n, m = 5000, 4
+        u = init_partition(n, c, seed=c)
+        result = FcmResult(u, np.ones((c, m)), 1, (1.0,), (0.5,), False)
+        doc_ids, features = tuple(f"d{i}" for i in range(n)), [f"t{k}" for k in range(m)]
+        peak = traced_peak_bytes(save_result, result, doc_ids, features, tmp_path / "r.json")
+        assert peak <= u.nbytes + 200 * n
 
     def test_load_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -835,3 +934,40 @@ def test_names_round_trip_or_nothing_is_written(round_trip, doc_ids, features):
             assert list(Path(tmp).iterdir()) == []
         else:
             assert read == written
+
+
+# memberships that stress the float text: 0 and -0, the least subnormal, a
+# number json writes in exponent form, and 1
+MEMBERSHIP = st.sampled_from([0.0, -0.0, 5e-324, 1e-05]) | st.floats(0.0, 0.25)
+
+
+@st.composite
+def partitions(draw):
+    """A c x n partition whose columns sum to 1 within rounding: c - 1 drawn
+    memberships and their complement, in a drawn row."""
+    c, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    u = np.empty((c, n))
+    for i in range(n):
+        column = draw(st.lists(MEMBERSHIP, min_size=c - 1, max_size=c - 1))
+        column.insert(draw(st.integers(0, c - 1)), 1.0 - math.fsum(column))
+        u[:, i] = column
+    return u
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions())
+def test_streamed_memberships_write_the_bytes_of_the_whole_list(u):
+    """save_result streams the partition a row at a time, and its file is
+    the one write_json gives for the same payload with u.tolist()."""
+    c, n = u.shape
+    doc_ids, features = tuple(f"d{i}" for i in range(n)), ["t"]
+    centers = np.full((c, 1), 0.5)
+    result = FcmResult(u, centers, 2, (3.5, 1e-05), (0.25, 0.0), True)
+    with tempfile.TemporaryDirectory() as tmp:
+        streamed, whole = Path(tmp) / "streamed.json", Path(tmp) / "whole.json"
+        save_result(result, doc_ids, features, streamed)
+        write_json({"doc_ids": list(doc_ids), "features": features, "memberships": u.tolist(),
+                    "centers": centers.tolist(), "iterations": 2, "converged": True,
+                    "objective_history": [3.5, 1e-05], "max_change_history": [0.25, 0.0]},
+                   whole)
+        assert streamed.read_bytes() == whole.read_bytes()

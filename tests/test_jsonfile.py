@@ -74,6 +74,37 @@ def test_round_trip_in_c_and_python(value):
         assert path.read_bytes() == written
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), st.lists(JSON_VALUES, max_size=4) | JSON_VALUES, max_size=4))
+def test_iterator_member_writes_the_bytes_of_its_list(payload):
+    """A top-level member whose value is an iterator is written as the
+    array of its elements, byte for byte as the list would be."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write_json(payload, path)
+        as_lists = path.read_bytes()
+        write_json({key: iter(value) if isinstance(value, list) else value
+                    for key, value in payload.items()}, path)
+        assert path.read_bytes() == as_lists
+
+
+def test_iterator_member_format(tmp_path):
+    path = tmp_path / "out.json"
+    write_json({"rows": (row for row in [[1.5, -0.0], [5e-324]]), "none": iter(()), "n": 1}, path)
+    assert path.read_text("utf-8") == ('{\n  "rows": [[1.5, -0.0], [5e-324]],\n'
+                                       '  "none": [],\n  "n": 1\n}\n')
+
+
+def test_unencodable_iterator_element_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"previous\n")
+    rows = ("x" * 100_000 if i < 3 else "\udcff" for i in range(4))
+    with pytest.raises(ValueError, match=re.escape(f"cannot write {path}")):
+        write_json({"rows": rows}, path)
+    assert path.read_bytes() == b"previous\n"
+    assert leftovers(tmp_path) == []
+
+
 def test_creates_missing_directory(tmp_path):
     path = tmp_path / "a" / "b" / "out.json"
     write_json([1], path)
