@@ -72,8 +72,9 @@ with tempfile.TemporaryDirectory() as tmp:
          "--clusters", "2", "--seed", "7",
          "--out", str(result)])
 
-    # step 3: name the clusters with the measured profiles and grade
-    # each document's membership.
+    # step 3: name the clusters with the measured profiles, which hold
+    # each label's WF of the selected features, and grade each
+    # document's membership.
     run(["report",
          "--result", str(result),
          "--profiles", str(features.with_name("sports.profile.json")),

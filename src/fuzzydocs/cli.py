@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Three subcommands cover the pipeline: ``features`` learns a feature set
-and per-label WF profiles from labeled sample corpora, ``cluster`` runs
-fuzzy c-means over a corpus, and ``report`` names the clusters and prints
-per-document membership strength.
+from labeled sample corpora and writes each label's WF of those features
+as its profile, ``cluster`` runs fuzzy c-means over a corpus, and
+``report`` names the clusters and prints per-document membership strength.
 
 Every option can also be set in a ``--config`` JSON file, under the
 flag's dest (``top_k`` for ``--top-k``) and in the shape the flag takes; a
@@ -38,6 +38,7 @@ from .features import (
     MIN_RATIO_DEFAULT,
     MIN_WF_DEFAULT,
     TOP_K_DEFAULT,
+    LabeledProfile,
     build_profile,
     discrimination_ratio,
     load_feature_set,
@@ -258,6 +259,10 @@ def cmd_features(s: dict) -> int:
         for label in sorted(samples)
     ]
     selected = select_features(profiles, s["top_k"], s["min_ratio"], s["min_wf"])
+    # a cluster is named by the WFs of its features alone (label_clusters),
+    # so each profile file holds those, 0.0 where the label never saw one
+    profiles = [LabeledProfile(p.label, {t: p.wf.get(t, 0.0) for t in selected})
+                for p in profiles]
 
     save_feature_set(selected, out)
     _note(f"wrote {out}")
@@ -273,7 +278,7 @@ def _print_ratio_table(profiles, selected, top_k, min_ratio, min_wf) -> None:
     header = ["term"] + [f"wf[{printable(p.label)}]" for p in profiles] + ["ratio"]
     rows = []
     for term in selected:
-        wfs = [p.wf.get(term, 0.0) for p in profiles]
+        wfs = [p.wf[term] for p in profiles]
         rows.append([term] + [f"{wf:.4f}" for wf in wfs] + [f"{discrimination_ratio(wfs):.4f}"])
     widths = [max(len(r[k]) for r in [header] + rows) for k in range(len(header))]
     for r in [header] + rows:
@@ -333,7 +338,8 @@ def cmd_report(s: dict) -> int:
     out = _output_path(s["out"])
 
     result = load_result(result_path)
-    profiles = [load_profile(_existing_file(p, "profile file")) for p in s["profiles"]]
+    profiles = [_covering_profile(_existing_file(p, "profile file"), result["features"], result_path)
+                for p in s["profiles"]]
     labeling = label_clusters(result["centers"], profiles, result["features"])
     try:
         report = classify_strength(result["memberships"], result["doc_ids"], labeling,
@@ -346,6 +352,18 @@ def cmd_report(s: dict) -> int:
     _note(f"wrote {out}")
     print(render_report_table(report))
     return 0
+
+
+def _covering_profile(path: Path, features: list[str], result_path: Path) -> LabeledProfile:
+    """The profile a file holds, if it has a WF for each of the result's
+    features: a file that ``features`` wrote for another feature set would
+    otherwise name the clusters from WF 0."""
+    profile = load_profile(path)
+    missing = next((t for t in features if t not in profile.wf), None)
+    if missing is not None:
+        raise ValueError(f"profile file {path} has no WF for feature {missing!r} of {result_path}: "
+                         "it was written for another feature set; run features again")
+    return profile
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,8 @@ import goldens
 from peak_memory import traced_peak_bytes
 from fuzzydocs import cli
 from fuzzydocs.fcm import FcmResult, save_result
-from fuzzydocs.features import LabeledProfile, save_feature_set, save_profile
+from fuzzydocs.features import LabeledProfile, build_profile, save_feature_set, save_profile
+from fuzzydocs.preprocess import PreprocessConfig, preprocess_document
 from fuzzydocs.cli import main
 
 FEATURES = list(goldens.MATRIX_FEATURES)
@@ -137,7 +138,8 @@ class TestFeaturesCommand:
         assert (out.parent / "politics.profile.json").is_file()
 
         # header, the selected rows in selection order, then the summary;
-        # the unselected terms (win, xfill) are only in the profiles
+        # the unselected terms (win, xfill) are in neither the table nor
+        # the profiles
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split()[0] == "term"
         assert [line.split()[0] for line in lines[1:-1]] == selected
@@ -162,7 +164,8 @@ class TestFeaturesCommand:
 
     def test_one_term_corpus_has_the_largest_wf(self, tmp_path, capsys):
         # a profile built from a corpus of one repeated term holds WF
-        # 10000, the top of the range select_features accepts
+        # 10000, the top of the range select_features accepts; its file
+        # holds the one selected term, which that corpus never saw
         sports, politics = tmp_path / "sports", tmp_path / "politics"
         sports.mkdir()
         politics.mkdir()
@@ -174,10 +177,59 @@ class TestFeaturesCommand:
         ])
         assert code == 0
         assert json.loads((tmp_path / "sports.profile.json").read_text(encoding="utf-8"))["wf"] == {
-            "ball": 10000.0}
+            "vote": 0.0}
         assert json.loads((tmp_path / "features.json").read_text(encoding="utf-8")) == ["vote"]
         assert capsys.readouterr().out.splitlines()[1].split() == [
             "vote", "5000.0000", "0.0000", "5000.0000"]
+
+    def test_profiles_hold_the_selected_features(self, tmp_path):
+        """Each profile file holds a float WF for each selected feature, in
+        the feature file's order, 0.0 where its label never saw the term."""
+        sports, politics = make_sample_dirs(tmp_path)
+        out = tmp_path / "features.json"
+        assert main(["features", "--samples", f"sports={sports}", "--samples", f"politics={politics}",
+                     "--config", str(write_plain_config(tmp_path)), "--out", str(out)]) == 0
+        selected = json.loads(out.read_text(encoding="utf-8"))
+        wfs = {label: json.loads((tmp_path / f"{label}.profile.json").read_text(encoding="utf-8"))["wf"]
+               for label in ("sports", "politics")}
+        for wf in wfs.values():
+            assert list(wf) == selected
+            assert all(type(value) is float for value in wf.values())
+        assert [t for t in selected if wfs["sports"][t] == 0.0] == ["democracy", "candidate"]
+        assert [t for t in selected if wfs["politics"][t] == 0.0] == ["stadium"]
+
+    def test_profile_size_follows_top_k_not_the_vocabulary(self, tmp_path, capsys):
+        """Over samples of 22,004 distinct terms, each profile file holds
+        the --top-k selected WFs, and the ratio table is the one that was
+        printed when the profile files held the whole vocabulary."""
+        letters = "abcdefghijklmnopqrstuvwxyz"
+
+        def term(i):  # distinct letters-only terms, which the tokenizer keeps whole
+            return "v" + "".join(letters[i // 26 ** k % 26] for k in range(4))
+
+        words = {"sports": [term(i) for i in range(12000)] + ["stadium"] * 300 + ["ball"] * 200,
+                 "politics": [term(i) for i in range(10000, 22000)] + ["democracy"] * 300
+                 + ["ballot"] * 100}
+        for label, sample in words.items():
+            (tmp_path / label).mkdir()
+            (tmp_path / label / "s1.txt").write_text(" ".join(sample), encoding="utf-8")
+        out = tmp_path / "features.json"
+        assert main(["features", *[a for label in words for a in ("--samples", f"{label}={tmp_path / label}")],
+                     "--top-k", "3", "--config", str(write_plain_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        selected = json.loads(out.read_text(encoding="utf-8"))
+        assert selected == ["democracy", "stadium", "ball"]
+        for label in words:
+            path = tmp_path / f"{label}.profile.json"
+            assert list(json.loads(path.read_text(encoding="utf-8"))["wf"]) == selected
+            assert path.stat().st_size < 150  # the vocabulary alone is 110 KB of text
+        assert capsys.readouterr().out == (
+            "term       wf[politics]  wf[sports]     ratio\n"
+            "democracy      241.9355      0.0000  241.9355\n"
+            "stadium          0.0000    240.0000  240.0000\n"
+            "ball             0.0000    160.0000  160.0000\n"
+            "---- selected 3 feature(s): top_k=3 min_ratio=2 min_wf=5 ----\n"
+        )
 
     def test_single_sample_is_usage_error(self, tmp_path):
         sports, _ = make_sample_dirs(tmp_path)
@@ -785,6 +837,68 @@ class TestReportCommand:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split()[0] for row in rows] == [e["doc_id"] for e in expected]
 
+    @staticmethod
+    def features_and_result(tmp_path, capsys):
+        """features, then cluster on its feature file from the crisp start;
+        returns the sample arguments, the config file and the result file."""
+        sports, politics = make_sample_dirs(tmp_path)
+        samples = ["--samples", f"sports={sports}", "--samples", f"politics={politics}"]
+        config = str(write_plain_config(tmp_path))
+        features, result = tmp_path / "features.json", tmp_path / "result.json"
+        assert main(["features", *samples, "--config", config, "--out", str(features)]) == 0
+        assert main(["cluster", "--corpus", str(write_corpus(tmp_path)), "--features", str(features),
+                     "--clusters", "2", "--init-file", str(write_init_file(tmp_path)),
+                     "--config", config, "--out", str(result)]) == 0
+        capsys.readouterr()
+        return samples, config, result
+
+    def test_profile_for_another_feature_set_is_refused(self, tmp_path, capsys):
+        """Two features runs in one directory write the same profile files:
+        a report on the first run's result, given the second run's
+        profiles, exits 1 naming the file and the first feature it lacks,
+        and writes nothing."""
+        samples, config, result = self.features_and_result(tmp_path, capsys)
+        assert main(["features", *samples, "--top-k", "2", "--config", config,
+                     "--out", str(tmp_path / "features2.json")]) == 0
+        capsys.readouterr()
+        politics = tmp_path / "politics.profile.json"
+        out = tmp_path / "out" / "report.json"
+        code = main(["report", "--result", str(result), "--profiles", str(politics),
+                     "--profiles", str(tmp_path / "sports.profile.json"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: profile file {politics} has no WF for feature 'candidate' of {result}: "
+            "it was written for another feature set; run features again")
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_whole_vocabulary_profiles_give_the_same_report(self, tmp_path, capsys):
+        """Profile files over each label's whole vocabulary, as features
+        wrote them before each held the selected features alone, give the
+        same report file and table as the files features writes now, once
+        they hold a WF for every feature."""
+        _, _, result = self.features_and_result(tmp_path, capsys)
+        selected = json.loads((tmp_path / "features.json").read_text(encoding="utf-8"))
+        pre = PreprocessConfig(stemming=False)
+        labels = ("politics", "sports")
+        whole = tmp_path / "whole"
+        for label in labels:
+            wf = build_profile(label, (preprocess_document(text, pre)
+                                       for _, text in cli.load_corpus(tmp_path / label))).wf
+            # a feature the label never saw, as the WF 0 it is read as
+            save_profile(LabeledProfile(label, {**dict.fromkeys(selected, 0.0), **wf}),
+                         whole / f"{label}.profile.json")
+        assert "win" in json.loads((whole / "sports.profile.json").read_text(encoding="utf-8"))["wf"]
+        outputs = []
+        for directory in (tmp_path, whole):
+            out = directory / "report.json"
+            assert main(["report", "--result", str(result),
+                         *[a for label in labels
+                           for a in ("--profiles", str(directory / f"{label}.profile.json"))],
+                         "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
     def test_missing_result_is_usage_error(self, tmp_path):
         profiles = write_profiles(tmp_path)
         code = main([
@@ -1036,17 +1150,20 @@ TEXT_PATH_PIECES = ("<p>", "</p>", '<a href="x&amp;y.html">', "</a>", '<img alt=
 # stdout, recorded before the text path was rewritten. The four cluster
 # and report entries were recorded again when the random start partition
 # left numpy.random, once the earlier code had written the same bytes
-# given that partition through --init-file.
+# given that partition through --init-file. The three profile entries were
+# recorded again when each profile file came to hold the selected features
+# alone: each holds the earlier file's WFs of those features, 0.0 where the
+# label never saw one.
 TEXT_PATH_DIGESTS = {
-    "arts.profile.json": "b68bd929eaea6f6df25fcaf176e3f21693992864dce257acfe4d80edf4a5ca7c",
+    "arts.profile.json": "1fb75b0513b36509e8cb91e163bc088cdc8e89676b4b54f39ab507b73e280316",
     "cluster stdout": "d97edf567d26043ba9536a3a5357d993d8dcc831c9f3353011affc14c2d5f3b7",
     "features stdout": "eda32448ced8599b98361618f867762a55ff0f0157916106fdd991663ae45084",
     "features.json": "5aae6f1017bffe23a7485195c6f76fd14f2dfb68156e7c3ba60d042775f75904",
-    "politics.profile.json": "330637d9b8b34564843cf53127f3bccad11c6893cd871371da2f035f4f9acb8c",
+    "politics.profile.json": "7c1904cf80b936e90a0a54e91210a520f4053bbef590d395e92507711d3b7e86",
     "report stdout": "dc92388f8ca5a879042a22aaef4daf89879166496a46f38a359a9f8b1f51f232",
     "report.json": "98081ffe1f5d2f92ccaa09e9815b547af032c77f250775e658c2a9bfd0debf04",
     "result.json": "241a30bc8ddc7fa50c924d7dff8960231a837dc779fb9b2eb603988d0c85af7b",
-    "sports.profile.json": "314853284de53d4546ddc0e9652cd783458de5283b185a53d61313ac91a0a99c",
+    "sports.profile.json": "99221ded32db9647f217cfcf63e241ac69796ce416af3e2ae103354ffd8a1e6e",
 }
 
 
@@ -1517,7 +1634,8 @@ def test_unencodable_output_keeps_previous_file(tmp_path, capsys, command):
     if command == "cluster":  # result.json lists the features
         bad, payload = tmp_path / "features.json", FEATURES + ["\ud800x"]
     else:  # report.json keys degrees by label
-        bad, payload = tmp_path / "politics.profile.json", {"label": "\udcff", "wf": {"team": 1.0}}
+        bad = tmp_path / "politics.profile.json"
+        payload = {"label": "\udcff", "wf": dict.fromkeys(FEATURES, 1.0)}
     bad.write_text(json.dumps(payload), encoding="utf-8")
     capsys.readouterr()
     assert main(argv) == 1
