@@ -65,7 +65,8 @@ with tempfile.TemporaryDirectory() as tmp:
          "--out", str(features)])
 
     # step 2: cluster the unlabeled corpus on those features. The seed
-    # fixes the random initial partition, so reruns are identical.
+    # fixes which documents the start draws as centers, so reruns are
+    # identical.
     run(["cluster",
          "--corpus", str(corpus_dir),
          "--features", str(features),

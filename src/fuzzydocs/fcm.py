@@ -33,6 +33,17 @@ n x m feature-major copy, a run's working memory is those 32 bytes per
 cluster and document, a one-byte zero mask and a few length-n vectors;
 no iteration allocates a c x n array.
 
+Without an explicit start, ``init_partition`` draws c documents by D²
+seeding, as k-means++ draws its centers (Arthur & Vassilvitskii 2007),
+and starts from the memberships of every document to them. A random
+partition would put every first center, a weighted mean of all n
+documents, near the data's grand mean, which is a stable fixed point of
+the iteration once m >= 1/(1 - 2 lambda), lambda being the largest
+eigenvalue of the data's covariance over its trace (Yu, Cheng & Huang
+2004): from there, well-separated topics end at memberships of 1/c. The
+draw builds its distance rows in the c x n array that becomes the
+partition, so beyond it the draw needs the one-byte zero mask and O(n).
+
 The distances and the membership column sums are elementwise
 accumulations in a fixed order (feature by feature, cluster by
 cluster), not numpy
@@ -75,8 +86,6 @@ __all__ = [
 ]
 
 PARTITION_COLUMN_TOL = 1e-9
-_CUT_SCALE = 2.0**53  # the random start partition's cut points are integers below this
-_DRAW_WORDS = 1 << 16  # 64-bit words per getrandbits call of the random start partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +131,12 @@ class FcmParams:
     which this engine does not implement). A field that breaks one of
     these rules, or the bounds below, raises ValueError when the params
     are built. init, when given, is an explicit c x n
-    starting partition; otherwise each column of the starting partition is
-    drawn uniformly from the probability simplex from the seed, a
-    non-negative Python or numpy integer, as :func:`init_partition` says.
-    That draw is the stdlib's Mersenne Twister, not numpy.random: a seeded
-    run gives other numbers than versions that drew from
-    ``numpy.random.default_rng``.
+    starting partition; otherwise the start is the memberships of c
+    documents drawn by D² seeding from the seed, a non-negative Python or
+    numpy integer, as :func:`init_partition` says. That draw is the
+    stdlib's Mersenne Twister, not numpy.random. A seeded run gives other
+    numbers than versions that drew a random start partition; a run given
+    init gives the numbers it gave before.
     """
 
     c: int
@@ -200,31 +209,41 @@ def validate_partition(u: np.ndarray, n: int | None = None, c: int | None = None
 
 
 def init_partition(
-    n: int,
+    data: np.ndarray,
     c: int,
+    fuzzifier: float,
     init: np.ndarray | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Explicit starting partition (validated) or a seeded random one with
-    each column uniform on the simplex.
+    """Explicit starting partition (validated) or the memberships of c
+    documents drawn by D² seeding, as k-means++ draws its centers
+    (Arthur & Vassilvitskii 2007), for the n x m matrix ``data``, which
+    ``squared_distances`` reads without a copy when it is feature-major
+    (Fortran-ordered), as ``run_fcm`` passes it.
 
-    The random partition takes (c-1) * n 53-bit integers, the top bits of
-    the little-endian 64-bit words of the stdlib's ``random.Random(seed)``
-    (any non-negative integer seed, numpy's included; a negative one is a
-    ValueError), so numpy.random is never imported. The words come from
-    ``getrandbits`` calls of at most ``_DRAW_WORDS`` words each, which give
-    the same stream as one call would, since each call's bit count is a
-    multiple of 32. Column i takes the c-1 integers that follow the first
-    i * (c-1); sorted, they cut [0, 2**53] into c gaps, and the column is
-    those gaps times 2**-53. The gaps of sorted uniforms are uniform on
-    the simplex, Dirichlet(1, ..., 1) (Devroye 1986, ch. V), as the
-    normalised exponentials of earlier versions were. Each gap is an
-    integer times 2**-53, so every column sums to exactly 1.0 in any
-    order, and no transcendental function is involved whose last bits
-    could vary with the CPU. Working memory peaks near 16 * c * n bytes.
-    The draw and the sort take O(c n log c) time; on a 2-vCPU host, 5-8 ms
-    at n = 20000, c = 8, and 0.7-0.8 of one FCM iteration's time at
-    n = 2000, c = 1000 (m = 20)."""
+    The draws come from the stdlib's ``random.Random(seed)`` (any
+    non-negative integer seed, numpy's included; a negative one is a
+    ValueError), so numpy.random is never imported. The first center is a
+    document drawn uniformly; each later one is drawn with probability
+    proportional to its squared distance to the nearest center chosen so
+    far, by ``searchsorted`` over the sequential ``cumsum`` of those
+    distances, so a document at distance 0 is never drawn, even when
+    ``random() * total`` rounds up to the total. When that total is 0 at
+    draw j, the documents hold exactly j distinct vectors, and the draw
+    raises ValueError ``empty cluster: cluster j has no membership weight;
+    the N documents hold j distinct vector(s) for C clusters``.
+
+    Row j of the result is first the ``squared_distances`` of every
+    document to center j, and then the whole array becomes
+    ``update_memberships`` of their square roots at ``fuzzifier``, as an
+    iteration of ``run_fcm`` would give from those centers: each drawn
+    document is one-hot in its own cluster, so no cluster starts empty.
+    That takes c distance rows, as one iteration does, and c cumulative
+    sums of n; on a 2-vCPU host, 4.8 ms at n = 20000, c = 8, and 90 ms at
+    n = 2000, c = 1000 (m = 20). Beside the c x n result, the working
+    memory is the zero mask of ``update_memberships`` (one byte per entry)
+    and a few length-n vectors."""
+    n = data.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"cluster count must lie in [1, {n}]")
     if init is not None:
@@ -233,22 +252,24 @@ def init_partition(
     if seed < 0:
         raise ValueError("seed must be >= 0")
     rng = random.Random(seed)
-    k = (c - 1) * n
-    cuts = np.empty(k, dtype="<u8")
-    for start in range(0, k, _DRAW_WORDS):  # one call's bit count must fit a C int
-        size = min(_DRAW_WORDS, k - start)
-        words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
-        cuts[start:start + size] = np.frombuffer(words, dtype="<u8")
-    cuts >>= np.uint64(11)  # 53-bit integers
-    cuts = cuts.reshape(n, c - 1)
-    cuts.sort(axis=1)
     u = np.empty((c, n))
-    u[:-1] = cuts.T  # exact: each cut is below 2**53
-    u[-1] = _CUT_SCALE
-    for j in range(c - 1, 0, -1):  # row by row, so no (c-1) x n temporary
-        u[j] -= u[j - 1]
-    u *= 1.0 / _CUT_SCALE
-    return u
+    chosen = rng.randrange(n)
+    squared_distances(data, data[chosen:chosen + 1], out=u[:1])
+    nearest = u[0].copy()  # squared distance to the nearest center drawn so far
+    cumulative = np.empty(n)
+    for j in range(1, c):
+        np.cumsum(nearest, out=cumulative)
+        total = cumulative[-1]
+        if total == 0.0:
+            raise ValueError(f"empty cluster: cluster {j} has no membership weight; the {n}"
+                             f" documents hold {j} distinct vector(s) for {c} clusters")
+        chosen = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+        if chosen == n:  # random() * total rounded up to total
+            chosen = int(np.searchsorted(cumulative, total))
+        squared_distances(data, data[chosen:chosen + 1], out=u[j:j + 1])
+        np.minimum(nearest, u[j], out=nearest)
+    np.sqrt(u, out=u)
+    return update_memberships(u, fuzzifier, out=u)
 
 
 def update_centers(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -257,7 +278,8 @@ def update_centers(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     0 raises ValueError ``empty cluster: cluster J has no membership
     weight`` for the lowest such J, adding ``; the N documents hold K
     distinct vector(s) for C clusters`` when x has fewer distinct rows than
-    clusters, the one case in which coincident documents can be the cause."""
+    clusters, the one case in which coincident documents can be the cause
+    (from an explicit start: a seeded one fails at the draw instead)."""
     weight_sums = np.einsum("cn->c", w)
     empty = np.flatnonzero(weight_sums == 0.0)
     if empty.size:
@@ -345,9 +367,9 @@ def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
     partition u, the next partition, the weights w = u^m and the squared
     distances.
     """
-    u = init_partition(x.n_docs, params.c, params.init, params.seed)
     data = np.asfortranarray(x.data)  # feature-major, as squared_distances reads it
     m = params.fuzzifier
+    u = init_partition(data, params.c, m, params.init, params.seed)
     objective_history: list[float] = []
     max_change_history: list[float] = []
     converged = False

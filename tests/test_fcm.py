@@ -1,4 +1,6 @@
+import bisect
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -87,8 +89,7 @@ def random_instance(seed: int, n: int = 6, m: int = 2, c: int = 2):
     rng = np.random.default_rng(seed)
     data = rng.uniform(0.0, 10000.0, size=(n, m))
     x = FeatureMatrix(tuple(f"d{i}" for i in range(n)), data)
-    u0 = init_partition(n, c, seed=seed)
-    return x, u0
+    return x, dirichlet_partition(c, n, seed)
 
 
 class TestFeatureMatrix:
@@ -177,94 +178,155 @@ class TestFcmParams:
         assert len({a, b, a}) == 2
 
 
+def d2_reference(rows, c, seed):
+    """Reference for the D² draw, in Python floats: the documents chosen
+    as centers, each squared distance summed feature by feature, the
+    running sums by ``itertools.accumulate`` and the pick by ``bisect``."""
+    rng = random.Random(seed)
+    chosen = [rng.randrange(len(rows))]
+    nearest = [math.inf] * len(rows)
+    for _ in range(1, c):
+        center = rows[chosen[-1]]
+        nearest = [min(d, sum((a - b) * (a - b) for a, b in zip(row, center)))
+                   for d, row in zip(nearest, rows)]
+        cumulative = list(itertools.accumulate(nearest))
+        i = bisect.bisect_right(cumulative, rng.random() * cumulative[-1])
+        chosen.append(i if i < len(rows) else bisect.bisect_left(cumulative, cumulative[-1]))
+    return chosen
+
+
+def dirichlet_partition(c, n, seed):
+    """A c x n partition whose columns are uniform on the simplex, drawn
+    apart from the engine's own start."""
+    return np.random.default_rng(seed).dirichlet(np.ones(c), size=n).T
+
+
 class TestInitPartition:
-    def test_explicit_accepted_verbatim(self, crisp_init):
-        u = init_partition(8, 2, init=crisp_init)
+    def test_explicit_accepted_verbatim(self, example_matrix, crisp_init):
+        u = init_partition(example_matrix.data, 2, 2.0, init=crisp_init)
         np.testing.assert_array_equal(u, crisp_init)
 
     def test_single_cluster_is_all_ones(self):
-        np.testing.assert_array_equal(init_partition(5, 1), np.ones((1, 5)))
+        x = np.array([[1.0], [4.0], [4.0], [0.0], [9.0]])
+        np.testing.assert_array_equal(init_partition(x, 1, 2.0), np.ones((1, 5)))
 
-    def test_random_mode_is_valid_and_deterministic(self):
-        a = init_partition(8, 2, seed=42)
-        b = init_partition(8, 2, seed=42)
+    def test_random_mode_is_valid_and_deterministic(self, example_matrix):
+        a = init_partition(example_matrix.data, 2, 2.0, seed=42)
+        b = init_partition(example_matrix.data, 2, 2.0, seed=42)
         np.testing.assert_array_equal(a, b)
         validate_partition(a, n=8, c=2)
         assert np.all(a >= 0.0) and np.all(a <= 1.0)
         np.testing.assert_allclose(a.sum(axis=0), 1.0, atol=1e-9)
 
     def test_different_seeds_differ(self):
-        draws = {init_partition(6, 3, seed=seed).tobytes() for seed in range(50)}
+        x = np.random.default_rng(0).uniform(0.0, 10000.0, size=(200, 3))
+        draws = {init_partition(x, 4, 2.0, seed=seed).tobytes() for seed in range(50)}
         assert len(draws) == 50
 
-    def test_seeded_bits_are_pinned(self):
-        """Each entry is an integer gap times 2**-53; these are the gaps of
-        seed 7 at n = 4, c = 3. A change in the stdlib generator, the
-        byte order or the cut layout moves them."""
-        gaps = [
-            [3556253888730049, 434925468963956, 847848055842290, 1933829318130921],
-            [4981358279887125, 6962455694376177, 4401439694294471, 6260056449457719],
-            [469587086123818, 1609818091400859, 3757911504604231, 813313487152352],
-        ]
-        u = init_partition(4, 3, seed=7)
+    def test_seeded_bits_are_pinned(self, example_matrix):
+        """Seed 7 on the worked example at c = 3 draws documents 5, 6 and
+        1, the first uniformly (the stdlib's ``randrange``); the partition
+        is the memberships of the eight documents to those three, bit for
+        bit. A change in the stdlib generator or in the draw moves them."""
+        x = example_matrix.data
+        u = init_partition(x, 3, 2.0, seed=7)
         assert u.flags.c_contiguous and u.dtype == np.float64
-        assert u.tolist() == [[g * 2.0**-53 for g in row] for row in gaps]
+        assert d2_reference(x.tolist(), 3, 7) == [5, 6, 1]
+        assert u.tobytes() == update_memberships(
+            np.sqrt(sequential_squared_distances(x, x[[5, 6, 1]])), 2.0).tobytes()
+        assert [u[j].tolist().index(1.0) for j in range(3)] == [5, 6, 1]
 
-    @pytest.mark.parametrize("n,c", [(1, 1), (7, 2), (50, 3), (200, 17), (64, 64)])
-    def test_columns_sum_to_exactly_one(self, n, c):
-        u = init_partition(n, c, seed=n * c)
-        assert np.all(u.sum(axis=0) == 1.0)
-        assert all(math.fsum(col) == 1.0 and sum(col[::-1]) == 1.0 for col in u.T.tolist())
-        assert np.all((u >= 0.0) & (u <= 1.0))
+    @given(st.integers(1, 6), st.integers(0, 20), st.integers(0, 6), st.integers(1, 4),
+           st.floats(1.05, 4.0), st.integers(0, 2**64))
+    @settings(max_examples=200, deadline=None)
+    def test_draws_follow_the_d2_rule(self, c, extra, duplicates, m, fuzzifier, seed):
+        """The drawn documents are the reference's, among duplicates too,
+        and the partition is their memberships at the fuzzifier."""
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 10000.0, size=(c + extra, m))
+        x = np.vstack([x, x[rng.integers(0, len(x), size=duplicates)]])
+        chosen = d2_reference(x.tolist(), c, seed)
+        assert len({tuple(x[i]) for i in chosen}) == c  # never a coincident document
+        u = init_partition(np.asfortranarray(x), c, fuzzifier, seed=seed)
+        assert u.tobytes() == update_memberships(
+            np.sqrt(sequential_squared_distances(x, x[chosen])), fuzzifier).tobytes()
 
-    def test_large_and_numpy_integer_seeds(self):
-        np.testing.assert_array_equal(init_partition(9, 4, seed=np.int64(3)),
-                                      init_partition(9, 4, seed=3))
-        big = init_partition(9, 4, seed=2**100)
-        validate_partition(big, n=9, c=4)
-        assert not np.array_equal(big, init_partition(9, 4, seed=2**100 + 1))
-        x = FeatureMatrix(tuple(f"d{i}" for i in range(9)), np.arange(18.0).reshape(9, 2))
-        for seed in (np.int64(3), np.uint32(3), 2**100):
-            assert run_fcm(x, FcmParams(c=2, seed=seed)).iterations >= 1
+    def test_draw_skips_zero_distances_when_the_pick_rounds_up(self, monkeypatch):
+        """With a subnormal total, random() * total rounds up to the total,
+        past every running sum; the pick is then the last document with
+        weight, not one beyond the end or a copy of a drawn center."""
 
-    def test_negative_seed_is_rejected(self):
-        for seed in (-5, np.int64(-1)):
-            with pytest.raises(ValueError, match="seed must be >= 0"):
-                init_partition(6, 2, seed=seed)
+        class Top(random.Random):
+            def random(self):
+                return 1.0 - 2.0**-53
 
-    def test_draw_is_chunked(self, monkeypatch):
-        """One ``getrandbits`` call of 64 * (c-1) * n bits overflows a C int
-        on CPython 3.10-3.12 once (c-1) * n >= 2**25, so the words are drawn
-        in calls of at most ``_DRAW_WORDS`` words, which give the same
-        stream as a single call."""
-        calls = []
-
-        class Recording(random.Random):
-            def getrandbits(self, k):
-                calls.append(k)
+            def getrandbits(self, k):  # so randrange keeps drawing from the bits
                 return super().getrandbits(k)
 
-        monkeypatch.setattr(fcm, "random", types.SimpleNamespace(Random=Recording))
-        init_partition(20_000, 5, seed=1)  # (c-1) * n = 80,000 words
-        assert calls == [64 * fcm._DRAW_WORDS, 64 * (80_000 - fcm._DRAW_WORDS)]
-        assert 64 * fcm._DRAW_WORDS < 2**25
-        calls.clear()
-        whole = init_partition(40, 5, seed=11)
-        assert calls == [64 * 160]
-        calls.clear()
-        monkeypatch.setattr(fcm, "_DRAW_WORDS", 7)
-        np.testing.assert_array_equal(init_partition(40, 5, seed=11), whole)
-        assert calls == [64 * 7] * 22 + [64 * 6]
+        x = np.array([[1e-160], [0.0], [0.0]])  # squared distance 1e-320
+        total = 1e-320
+        assert (1.0 - 2.0**-53) * total == total
+        monkeypatch.setattr(fcm, "random", types.SimpleNamespace(Random=Top))
+        first = Top(0).randrange(3)
+        assert first in (1, 2)
+        u = init_partition(x, 2, 2.0, seed=0)
+        np.testing.assert_array_equal(u, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("n,c", [(1, 1), (7, 2), (50, 3), (200, 17), (64, 64)])
+    def test_columns_are_stochastic(self, n, c):
+        """Every column sums to 1 within rounding, and each drawn document
+        is one-hot in its own cluster, so no cluster starts empty."""
+        x = np.random.default_rng(n * c).uniform(0.0, 10000.0, size=(n, 5))
+        u = init_partition(x, c, 1.3, seed=n * c)
+        validate_partition(u, n=n, c=c)
+        assert np.all((u >= 0.0) & (u <= 1.0))
+        assert np.all(np.count_nonzero(u == 1.0, axis=1) >= 1)
+
+    def test_coincident_documents_fail_at_the_draw(self):
+        """Draw j finds no document away from the j centers drawn, so the
+        documents hold exactly j distinct vectors."""
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]])
+        for seed in range(5):
+            with pytest.raises(ValueError) as excinfo:
+                init_partition(x, 3, 2.0, seed=seed)
+            assert str(excinfo.value) == ("empty cluster: cluster 2 has no membership weight;"
+                                          " the 5 documents hold 2 distinct vector(s) for 3 clusters")
+        with pytest.raises(ValueError, match="^empty cluster: cluster 1 has no membership weight;"
+                                             " the 3 documents hold 1 distinct vector"):
+            init_partition(np.zeros((3, 2)), 2, 2.0)
+        validate_partition(init_partition(x, 2, 2.0, seed=1), n=5, c=2)
+
+    def test_large_and_numpy_integer_seeds(self):
+        x = np.random.default_rng(1).uniform(0.0, 10000.0, size=(9, 2))
+        np.testing.assert_array_equal(init_partition(x, 4, 2.0, seed=np.int64(3)),
+                                      init_partition(x, 4, 2.0, seed=3))
+        big = init_partition(x, 4, 2.0, seed=2**100)
+        validate_partition(big, n=9, c=4)
+        assert d2_reference(x.tolist(), 4, 2**100) != d2_reference(x.tolist(), 4, 2**100 + 1)
+        assert not np.array_equal(big, init_partition(x, 4, 2.0, seed=2**100 + 1))
+        matrix = FeatureMatrix(tuple(f"d{i}" for i in range(9)), np.arange(18.0).reshape(9, 2))
+        for seed in (np.int64(3), np.uint32(3), 2**100):
+            assert run_fcm(matrix, FcmParams(c=2, seed=seed)).iterations >= 1
+
+    def test_negative_seed_is_rejected(self):
+        x = np.arange(12.0).reshape(6, 2)
+        for seed in (-5, np.int64(-1)):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                init_partition(x, 2, 2.0, seed=seed)
 
     @pytest.mark.parametrize("n,c", [(1000, 1), (1000, 2), (1000, 8), (300, 300), (5000, 64)])
     def test_working_memory(self, n, c):
-        """The draw's bytes, its 53-bit integers and the c x n result: at
-        most 32 bytes per entry, plus the generator's fixed state."""
-        assert traced_peak_bytes(init_partition, n, c) <= 32 * c * n + 8 * n + 4096
+        """Beside the matrix: the c x n result, the one-byte zero mask of
+        update_memberships, a few length-n vectors, the 64 KiB buffer
+        numpy takes for update_memberships' broadcast division and the
+        generator's fixed state."""
+        x = np.asfortranarray(np.random.default_rng(0).uniform(0.0, 10000.0, size=(n, 20)))
+        bound = 9 * c * n + 64 * n + 65536 + 4096
+        assert traced_peak_bytes(init_partition, x, c, 1.3) <= bound
 
     def test_does_not_import_numpy_random(self):
         """numpy 2 loads numpy.random (and with it OpenSSL) on first use;
-        a run from the random start partition leaves it unloaded, or
+        a run from the seeded start partition leaves it unloaded, or
         loaded only where ``import numpy`` already loaded it."""
         code = (
             "import sys, numpy as np\n"
@@ -282,15 +344,16 @@ class TestInitPartition:
         assert after == before
 
     def test_rejects_invalid_explicit(self):
+        x = np.array([[1.0], [2.0]])
         bad = np.array([[0.6, 0.6], [0.6, 0.6]])
         with pytest.raises(ValueError, match="invalid partition"):
-            init_partition(2, 2, init=bad)
+            init_partition(x, 2, 2.0, init=bad)
         with pytest.raises(ValueError, match="invalid partition"):
-            init_partition(2, 2, init=np.array([[1.5, -0.5], [-0.5, 1.5]]))
+            init_partition(x, 2, 2.0, init=np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
     def test_rejects_more_clusters_than_docs(self):
-        with pytest.raises(ValueError):
-            init_partition(2, 3)
+        with pytest.raises(ValueError, match=re.escape("cluster count must lie in [1, 2]")):
+            init_partition(np.array([[1.0], [2.0]]), 3, 2.0)
 
 
 class TestUpdateCenters:
@@ -318,7 +381,7 @@ class TestUpdateCenters:
             update_centers(u**2.0, example_matrix.data)
 
     def test_centers_inside_data_hull(self, example_matrix):
-        u = init_partition(8, 3, seed=5)
+        u = dirichlet_partition(3, 8, 5)
         v = update_centers(u**2.0, example_matrix.data)
         lo = example_matrix.data.min(axis=0) - 1e-9
         hi = example_matrix.data.max(axis=0) + 1e-9
@@ -534,12 +597,14 @@ class TestRunFcm:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_result_does_not_depend_on_memory_layout(self, tmp_path, seed):
+        """Nor does a run given its own seeded start partition as init, as
+        an --init-file run is given it, write other bytes."""
         n, m, c = 500, 20, 4
         rng = np.random.default_rng(seed)
         data = rng.uniform(0.0, 10000.0, size=(n, m))
         doc_ids = tuple(f"d{i}" for i in range(n))
         features = [f"t{k}" for k in range(m)]
-        init = init_partition(n, c, seed=seed)
+        init = init_partition(data, c, 1.3, seed=seed)
 
         def result_bytes(order, init):
             x = FeatureMatrix(doc_ids, np.array(data, order=order))
@@ -547,10 +612,10 @@ class TestRunFcm:
             save_result(run_fcm(x, params), doc_ids, features, tmp_path / "result.json")
             return (tmp_path / "result.json").read_bytes()
 
-        assert len({result_bytes(order, None) for order in "CF"}) == 1
+        seeded = {result_bytes(order, None) for order in "CF"}
         given = {result_bytes(order, np.array(init, order=init_order))
                  for order in "CF" for init_order in "CF"}
-        assert len(given) == 1
+        assert len(seeded | given) == 1
 
     def test_one_power_per_partition(self, example_matrix, monkeypatch):
         """The weights J_m reads at iteration k are the very array, with the
@@ -570,11 +635,12 @@ class TestRunFcm:
 
         monkeypatch.setattr(fcm, "update_centers", recording_update)
         monkeypatch.setattr(fcm, "objective", recording_objective)
-        res = run_fcm(example_matrix, FcmParams(c=2, fuzzifier=1.7, epsilon=1e-12, max_iters=6,
+        res = run_fcm(example_matrix, FcmParams(c=2, fuzzifier=1.7, epsilon=1e-12, max_iters=4,
                                                    seed=3))
-        assert len(centers_w) == len(objective_w) == res.iterations == 6
+        assert len(centers_w) == len(objective_w) == res.iterations == 4
         assert objective_w[:-1] == centers_w[1:]
-        assert centers_w[0][1] == (init_partition(8, 2, seed=3) ** 1.7).tobytes()
+        u0 = init_partition(example_matrix.data, 2, 1.7, seed=3)
+        assert centers_w[0][1] == (u0**1.7).tobytes()
         assert objective_w[-1][1] == (res.partition**1.7).tobytes()
 
     @pytest.mark.parametrize("fuzzifier", [1.3, 2.0])
@@ -588,7 +654,7 @@ class TestRunFcm:
         res = run_fcm(x, FcmParams(c=c, fuzzifier=fuzzifier, epsilon=1e-12, max_iters=iters,
                                    seed=5))
         data = np.asfortranarray(data)  # the layout run_fcm works on
-        u = init_partition(n, c, seed=5)
+        u = init_partition(data, c, fuzzifier, seed=5)
         objectives, changes = [], []
         for _ in range(iters):
             # np.power as run_fcm calls it; `**` may take another path at 2.0
@@ -633,6 +699,23 @@ class TestRunFcm:
         with np.errstate(divide="raise", invalid="raise"):
             res = run_fcm(x, params)
         assert np.all(np.isfinite(res.partition)) and np.all(np.isfinite(res.centers))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_topic_matrix_does_not_collapse_at_the_default_fuzzifier(self, seed):
+        """Eight topics, each owning the features f with f % 8 == t (WF 250
+        there, 25 elsewhere), times gamma noise of shape 16. The first
+        centers of a random partition all sit near the grand mean, from
+        which m = 2.0 falls to memberships of 1/c (0.125 here); the seeded
+        start keeps the topics apart (about 0.80)."""
+        n, m, c = 800, 20, 8
+        rng = np.random.default_rng(0)
+        owner = np.arange(m) % c
+        topics = np.where(owner[None, :] == np.arange(c)[:, None], 250.0, 25.0)
+        mean = topics[rng.integers(0, c, size=n)]
+        data = np.clip(mean * rng.gamma(16.0, 1.0 / 16.0, size=mean.shape), 0.0, 10000.0)
+        x = FeatureMatrix(tuple(f"d{i}" for i in range(n)), data)
+        res = run_fcm(x, FcmParams(c=c, seed=seed))
+        assert res.partition.max(axis=0).mean() >= 0.7
 
     def test_max_iters_reached_not_converged(self, example_matrix, crisp_init):
         res = run_fcm(example_matrix, FcmParams(c=2, init=crisp_init, max_iters=2))
@@ -753,7 +836,7 @@ class TestResultFiles:
         """The partition is streamed a row at a time: the writer's peak is
         its checked copy of the partition plus O(n), whatever c is."""
         n, m = 5000, 4
-        u = init_partition(n, c, seed=c)
+        u = dirichlet_partition(c, n, c)
         result = FcmResult(u, np.ones((c, m)), 1, (1.0,), (0.5,), False)
         doc_ids, features = tuple(f"d{i}" for i in range(n)), [f"t{k}" for k in range(m)]
         peak = traced_peak_bytes(save_result, result, doc_ids, features, tmp_path / "r.json")
@@ -850,7 +933,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         n, m, c = 10, 4, 3
         data = rng.uniform(0.0, 10000.0, size=(n, m))
-        u0 = init_partition(n, c, seed=seed)
+        u0 = dirichlet_partition(c, n, seed)
         perm = rng.permutation(n)
 
         def one_iteration(matrix, u):
