@@ -12,9 +12,10 @@ these settings once and passes the dict to the subcommand's handler.
 
 Exit codes: 0 success, 1 data error (``ValueError``, ``OSError``) or
 ``MemoryError``, 2 usage error; a failed run's last stderr line is its one
-``error: `` line. Every stderr line (``wrote PATH``, a warning, the
-error) and every name in a table pass
-:func:`fuzzydocs.labeling.printable`, which writes each
+``error: `` line. Every input path, and every output path against the
+inputs, is checked before any input but the config file is read. Every
+stderr line (``wrote PATH``, a warning, the error) and every name in a
+table pass :func:`fuzzydocs.labeling.printable`, which writes each
 character that is not printable as its escape, so a path or a name cannot
 forge a line. Warnings go to stderr; tables to stdout;
 JSON files go through :mod:`fuzzydocs.jsonfile`, which creates a missing
@@ -48,7 +49,7 @@ from .features import (
     select_features,
     vectorize,
 )
-from .jsonfile import is_number, read_json, temporary_path
+from .jsonfile import is_integer, is_number, read_json, temporary_path
 from .labeling import (
     AMBIGUITY_MARGIN_DEFAULT,
     STRONG_THRESHOLD_DEFAULT,
@@ -89,9 +90,7 @@ def load_corpus(dirpath: str | Path) -> Iterator[tuple[str, str]]:
     Each file is read whole in one binary read and its bytes are decoded as
     UTF-8 exactly as written: a BOM is kept as U+FEFF and line endings are
     not rewritten, as no term depends on them."""
-    dirpath = Path(dirpath)
-    if not dirpath.is_dir():
-        raise UsageError(f"corpus directory not found: {dirpath}")
+    dirpath = _existing_dir(dirpath)
     with os.scandir(dirpath) as listing:
         entries = sorted(listing, key=attrgetter("name"))
     # prefix + name is str(dirpath / name), without a Path per document
@@ -141,11 +140,10 @@ def _option_value(name: str, value, kind: type):
     without NUL for a path, a non-empty list of strings for a repeated
     flag; a switch takes true or false. ``name`` is the flag or the
     config key, for the message."""
-    number = is_number(value)
     ok, what = {
         bool: (isinstance(value, bool), "true or false"),
-        int: (number and isinstance(value, int), "an integer"),
-        float: (number and abs(value) <= sys.float_info.max, "a finite number"),
+        int: (is_integer(value), "an integer"),
+        float: (is_number(value) and abs(value) <= sys.float_info.max, "a finite number"),
         str: (isinstance(value, str) and "\0" not in value, "a string without NUL"),
         list: (isinstance(value, list) and value and all(isinstance(v, str) for v in value),
                "a non-empty list of strings"),
@@ -159,12 +157,12 @@ def _settings(args) -> dict:
     """Each option's value: its flag's, else the config file's, else its
     declared default, which is the library's where it has one. An option
     with none (``--init-file``) is left out. The raw ``preprocess`` block
-    rides along."""
+    and the ``--config`` path, or None, ride along."""
     config = _load_config(args.config)
     unknown = sorted(config.keys() - args.config_keys)
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
-    settings = {"preprocess": config.get("preprocess", {})}
+    settings = {"preprocess": config.get("preprocess", {}), "config": args.config}
     for key, (flag, kind, default) in args.options.items():
         # a config value is checked even where a flag overrides it
         value = _option_value(f"config key {key}", config[key], kind) if key in config else default
@@ -177,9 +175,10 @@ def _settings(args) -> dict:
     return settings
 
 
-def _preprocess_config(section) -> PreprocessConfig:
-    """The ``preprocess`` block: three switches and a stopword file path,
-    where null means the built-in list."""
+def _preprocess_options(section) -> tuple[dict, Path | None]:
+    """The ``preprocess`` block, checked but not read: its three switches
+    and its stopword file, which must exist, or None (null) for the
+    built-in list."""
     if not isinstance(section, dict):
         raise UsageError("preprocess must be a JSON object")
     switches = dict(section)
@@ -192,11 +191,17 @@ def _preprocess_config(section) -> PreprocessConfig:
     if path is not None:
         path = _existing_file(_option_value("config key preprocess.stopwords_file", path, str),
                               "stopwords file")
-        try:  # a file that is not UTF-8, or a stopword holding a space
-            return PreprocessConfig(stopwords=load_stopwords(path), **kwargs)
-        except ValueError as exc:
-            raise ValueError(f"invalid stopwords file {path}: {exc}") from exc
-    return PreprocessConfig(**kwargs)
+    return kwargs, path
+
+
+def _preprocess_config(switches: dict, stopwords: Path | None) -> PreprocessConfig:
+    """The preprocessing ``_preprocess_options`` gave, its stopword file read."""
+    if stopwords is None:
+        return PreprocessConfig(**switches)
+    try:  # a file that is not UTF-8, or a stopword holding a space
+        return PreprocessConfig(stopwords=load_stopwords(stopwords), **switches)
+    except ValueError as exc:
+        raise ValueError(f"invalid stopwords file {stopwords}: {exc}") from exc
 
 
 def _existing_file(path: str | Path, what: str) -> Path:
@@ -206,7 +211,16 @@ def _existing_file(path: str | Path, what: str) -> Path:
     return p
 
 
-def _parse_samples(pairs: list[str]) -> dict[str, str]:
+def _existing_dir(path: str | Path) -> Path:
+    p = Path(path)
+    if not p.is_dir():
+        raise UsageError(f"corpus directory not found: {p}")
+    return p
+
+
+def _parse_samples(pairs: list[str]) -> dict[str, Path]:
+    """Each label's sample directory, every one checked to exist before
+    any is read."""
     samples = {}
     for pair in pairs:
         label, sep, dirpath = pair.partition("=")
@@ -214,44 +228,79 @@ def _parse_samples(pairs: list[str]) -> dict[str, str]:
             raise UsageError(f"--samples expects LABEL=DIR, got {pair!r}")
         if label in samples:
             raise UsageError(f"duplicate sample label: {label}")
-        samples[label] = dirpath
+        samples[label] = _existing_dir(dirpath)
     return samples
 
 
-def _output_path(path: str) -> Path:
-    """The ``--out`` file, if ``write_json`` can write it."""
+def _read_files(s: dict, *files: tuple[str, Path | None]) -> dict[Path, str]:
+    """The files a command reads, each with what names it in a message:
+    the ``--config`` file and ``files``, where a None path is an option
+    not given."""
+    return {Path(path): name for name, path in (("--config file", s["config"]), *files)
+            if path is not None}
+
+
+def _written_path(path: Path, what: str, kept: dict[Path, str]) -> Path:
+    """``path``, if the command can write it without replacing a file it
+    keeps: the one collision rule of every file written. ``path`` must not
+    be a directory, and neither it nor the ``.NAME.tmp`` written through it
+    may be one of ``kept``, each a file the command reads, or writes
+    first, with what names it. Two paths are one file when they are by
+    inode, or, where one does not exist yet, by resolved path. Otherwise
+    a usage error whose message begins with ``what``."""
+    if path.is_dir():
+        raise UsageError(f"{what} {path}, which is a directory")
+    for file, name in kept.items():
+        if _same_file(path, file) or _same_file(temporary_path(path), file):
+            raise UsageError(f"{what} {path} over the {name} {file}")
+    return path
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _output_path(path: str, reads: dict[Path, str]) -> Path:
+    """The ``--out`` file, if ``write_json`` can write it and
+    ``_written_path`` lets it replace none of ``reads``, the files the
+    command reads."""
     try:
         temporary_path(path)
     except ValueError as exc:
         raise UsageError(f"--out: {exc}") from exc
-    return Path(path)
+    return _written_path(Path(path), "--out writes", reads)
 
 
-def _profile_path(label: str, out: Path) -> Path:
+def _profile_path(label: str, out: Path, reads: dict[Path, str]) -> Path:
     """The label's ``<label>.profile.json`` next to ``out``; a label that
-    cannot name a file of its own there is a usage error. A lone surrogate
-    is a byte that is not UTF-8."""
+    cannot name a file of its own there, or names one of ``reads`` or the
+    ``--out`` file, is a usage error. A lone surrogate is a byte that is
+    not UTF-8."""
     if any(ch in "/\0" or "\ud800" <= ch <= "\udfff" for ch in label):
         raise UsageError(f"--samples label must be valid UTF-8 without '/' or NUL, got {label!r}")
     path = out.parent / f"{label}.profile.json"
     try:
-        tmp = temporary_path(path)
+        temporary_path(path)
     except ValueError:
         raise UsageError(f"--samples label is too long for its profile file name, got {label!r}") from None
-    if out in (path, tmp):  # writing the profile would replace the feature file
-        raise UsageError(f"--samples label {label!r} names its profile file {path} over the --out file {out}")
-    return path
+    return _written_path(path, f"--samples label {label!r} names its profile file",
+                         {**reads, out: "--out file"})
 
 
 def cmd_features(s: dict) -> int:
     samples = _parse_samples(s["samples"])
-    out = _output_path(s["out"])
-    profile_paths = {label: _profile_path(label, out) for label in samples}
+    switches, stopwords = _preprocess_options(s["preprocess"])
+    reads = _read_files(s, ("preprocess.stopwords_file", stopwords))
+    out = _output_path(s["out"], reads)
+    profile_paths = {label: _profile_path(label, out, reads) for label in samples}
     if len(samples) < 2:
         raise UsageError("need at least two --samples LABEL=DIR pairs")
     if s["top_k"] < 1:
         raise UsageError("top_k must be positive")
-    pre = _preprocess_config(s["preprocess"])
+    pre = _preprocess_config(switches, stopwords)
 
     profiles = [
         build_profile(label, (preprocess_document(text, pre)
@@ -288,12 +337,16 @@ def _print_ratio_table(profiles, selected, top_k, min_ratio, min_wf) -> None:
 
 def cmd_cluster(s: dict) -> int:
     features_path = _existing_file(s["features"], "feature file")
-    out = _output_path(s["out"])
-    pre = _preprocess_config(s["preprocess"])
+    corpus = _existing_dir(s["corpus"])
+    init_path = _existing_file(s["init_file"], "init file") if "init_file" in s else None
+    switches, stopwords = _preprocess_options(s["preprocess"])
+    out = _output_path(s["out"], _read_files(s, ("--features file", features_path),
+                                             ("--init-file", init_path),
+                                             ("preprocess.stopwords_file", stopwords)))
+    pre = _preprocess_config(switches, stopwords)
 
-    init = None
-    if "init_file" in s:  # checked below, once the document count is known
-        init = read_json(_existing_file(s["init_file"], "init file"))
+    # checked below, once the document count is known
+    init = None if init_path is None else read_json(init_path)
     try:
         params = FcmParams(
             c=s["clusters"], fuzzifier=s["fuzzifier"], epsilon=s["epsilon"],
@@ -305,7 +358,7 @@ def cmd_cluster(s: dict) -> int:
     selected = load_feature_set(features_path)
 
     doc_ids, rows = [], []
-    for doc_id, text in load_corpus(s["corpus"]):
+    for doc_id, text in load_corpus(corpus):
         terms = preprocess_document(text, pre)
         if not terms:
             _note(f"warning: skipping empty document: {doc_id}")
@@ -314,11 +367,11 @@ def cmd_cluster(s: dict) -> int:
         rows.append(vectorize(terms, selected))
     if params.c > len(rows):
         raise ValueError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
-    if "init_file" in s:  # a file holding null is no partition either
+    if init_path is not None:  # a file holding null is no partition either
         try:
             validate_partition(init, n=len(rows), c=params.c)
         except ValueError as exc:
-            raise ValueError(f"invalid init file {s['init_file']}: {exc}") from exc
+            raise ValueError(f"invalid init file {init_path}: {exc}") from exc
     matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
     zero_rows = int(np.count_nonzero(~matrix.data.any(axis=1)))
     if zero_rows:  # clustering cannot tell these documents apart
@@ -335,11 +388,12 @@ def cmd_cluster(s: dict) -> int:
 
 def cmd_report(s: dict) -> int:
     result_path = _existing_file(s["result"], "result file")
-    out = _output_path(s["out"])
+    profile_paths = [_existing_file(p, "profile file") for p in s["profiles"]]
+    out = _output_path(s["out"], _read_files(s, ("--result file", result_path),
+                                             *(("--profiles file", p) for p in profile_paths)))
 
     result = load_result(result_path)
-    profiles = [_covering_profile(_existing_file(p, "profile file"), result["features"], result_path)
-                for p in s["profiles"]]
+    profiles = [_covering_profile(p, result["features"], result_path) for p in profile_paths]
     labeling = label_clusters(result["centers"], profiles, result["features"])
     try:
         report = classify_strength(result["memberships"], result["doc_ids"], labeling,

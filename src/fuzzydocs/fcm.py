@@ -67,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import WF_SCALE
-from .jsonfile import checked_names, checked_numbers, is_number, read_json, write_json
+from .jsonfile import checked_matrix, checked_names, is_integer, is_number, read_json, write_json
 
 __all__ = [
     "FeatureMatrix",
@@ -90,53 +90,36 @@ PARTITION_COLUMN_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """n documents as rows of WF values over m features; the doc ids must
+    """n documents as rows of WF values over m features, a matrix that
+    passes :func:`fuzzydocs.jsonfile.checked_matrix`; the doc ids must
     pass :func:`fuzzydocs.jsonfile.checked_names`."""
 
     doc_ids: tuple[str, ...]
     data: np.ndarray  # n x m float64
 
     def __post_init__(self):
-        data = _checked_matrix(self.data, "feature values", WF_SCALE)
+        data = checked_matrix(self.data, "feature values", WF_SCALE)
         object.__setattr__(self, "doc_ids", checked_names(self.doc_ids, "doc_ids"))
         if len(self.doc_ids) != data.shape[0]:
             raise ValueError("doc_ids length must match the number of rows")
         object.__setattr__(self, "data", data)
-
-    @property
-    def n_docs(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.data.shape[1]
-
-
-def _checked_matrix(value, what: str, high: float) -> np.ndarray:
-    """value as a non-empty 2-d float64 array that passes ``checked_numbers``."""
-    a = checked_numbers(value, what, high, 2)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{what} must be a 2-d non-empty matrix")
-    return a
 
 
 @dataclass(frozen=True, eq=False)
 class FcmParams:
     """Clustering parameters.
 
-    c, max_iters and seed are Python or numpy integers, and fuzzifier and
-    epsilon Python or numpy numbers, never bools.
-    fuzzifier is the membership exponent m and must be finite and > 1 (at
-    m = 1 the membership update degenerates to the hard assignment rule,
-    which this engine does not implement). A field that breaks one of
-    these rules, or the bounds below, raises ValueError when the params
-    are built. init, when given, is an explicit c x n
-    starting partition; otherwise the start is the memberships of c
-    documents drawn by D² seeding from the seed, a non-negative Python or
-    numpy integer, as :func:`init_partition` says. That draw is the
-    stdlib's Mersenne Twister, not numpy.random. A seeded run gives other
-    numbers than versions that drew a random start partition; a run given
-    init gives the numbers it gave before.
+    c, max_iters and seed pass :func:`fuzzydocs.jsonfile.is_integer`, a
+    Python or numpy int, and fuzzifier and epsilon ``is_number``: never
+    bools. fuzzifier is the membership exponent m and must be finite and
+    > 1 (at m = 1 the membership update degenerates to the hard assignment
+    rule, which this engine does not implement). A field that breaks one
+    of these rules, or the bounds below, raises ValueError when the params
+    are built. init, when given, is an explicit c x n starting partition;
+    otherwise the start is the memberships of c documents drawn by D²
+    seeding from the seed, a non-negative integer, as
+    :func:`init_partition` says. That draw is the stdlib's Mersenne
+    Twister, not numpy.random.
     """
 
     c: int
@@ -148,7 +131,7 @@ class FcmParams:
 
     def __post_init__(self):
         for name in ("c", "max_iters", "seed"):
-            if not _is_integer(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         for name in ("fuzzifier", "epsilon"):
             if not is_number(getattr(self, name)):
@@ -167,17 +150,6 @@ class FcmParams:
             raise ValueError("seed must be >= 0")
 
 
-def _is_integer(value) -> bool:
-    """Whether value is a Python or numpy integer, never a bool."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class FcmResult:
     """Final state plus per-iteration history of one engine run."""
@@ -191,13 +163,13 @@ class FcmResult:
 
 
 def validate_partition(u: np.ndarray, n: int | None = None, c: int | None = None) -> np.ndarray:
-    """The one partition rule, for every reader: u is a non-empty c x n
-    matrix that passes :func:`fuzzydocs.jsonfile.checked_numbers` in
-    [0, 1], with n columns and c rows where given, and each column sums to
-    1 within ``PARTITION_COLUMN_TOL`` (a fuzzy partition, Bezdek 1981).
+    """The one partition rule, for every reader: u is a c x n matrix that
+    passes :func:`fuzzydocs.jsonfile.checked_matrix` in [0, 1], with n
+    columns and c rows where given, and each column sums to 1 within
+    ``PARTITION_COLUMN_TOL`` (a fuzzy partition, Bezdek 1981).
     Returns a C-ordered float64 copy; otherwise ValueError, ``invalid
     partition: ...``."""
-    u = _checked_matrix(u, "invalid partition: memberships", 1.0)
+    u = checked_matrix(u, "invalid partition: memberships", 1.0)
     if c is not None and u.shape[0] != c:
         raise ValueError(f"invalid partition: expected {c} rows, got {u.shape[0]}")
     if n is not None and u.shape[1] != n:
@@ -373,8 +345,6 @@ def run_fcm(x: FeatureMatrix, params: FcmParams) -> FcmResult:
     objective_history: list[float] = []
     max_change_history: list[float] = []
     converged = False
-    iterations = 0
-    v = None
     w = np.power(u, m)
     u_next = np.empty_like(u)
     sq = np.empty_like(u)
@@ -418,7 +388,7 @@ def save_result(
     The result must pass the rules ``load_result`` applies: doc ids and
     features that pass :func:`fuzzydocs.jsonfile.checked_names`, a
     partition that passes ``validate_partition`` with a column per doc
-    id, and centers that pass ``checked_numbers`` with a row per cluster
+    id, and centers that pass ``checked_matrix`` with a row per cluster
     and a column per feature. A refused result raises ValueError and
     writes nothing."""
     u, v = _checked_result(doc_ids, features, result.partition, result.centers)
@@ -440,9 +410,9 @@ def load_result(path: str | Path) -> dict:
     and features, kept as lists, must pass
     :func:`fuzzydocs.jsonfile.checked_names`, its memberships
     ``validate_partition`` over the doc ids, and its centers
-    ``checked_numbers`` in a clusters x features matrix; a file that fails
-    one of these, or lacks a key ``save_result`` writes, raises ValueError
-    naming the file. The one exception is max_change_history, which is
+    ``checked_matrix`` with a row per cluster and a column per feature; a
+    file that fails one of these, or lacks a key ``save_result`` writes,
+    raises ValueError naming the file. The one exception is max_change_history, which is
     optional: files written before it was saved still load."""
     raw = read_json(path)
     if not isinstance(raw, dict):
@@ -463,14 +433,14 @@ def load_result(path: str | Path) -> dict:
 
 def _checked_result(doc_ids, features, memberships, centers) -> tuple[np.ndarray, np.ndarray]:
     """The partition and centers of a result, as ``validate_partition``
-    and ``checked_numbers`` return them, if the doc ids and features pass
+    and ``checked_matrix`` return them, if the doc ids and features pass
     :func:`fuzzydocs.jsonfile.checked_names`, the partition has a column
     per doc id and the centers are a clusters x features matrix;
     otherwise ValueError."""
     n = len(checked_names(doc_ids, "doc_ids"))
     m = len(checked_names(features, "features"))
     u = validate_partition(memberships, n=n)
-    v = _checked_matrix(centers, "centers", WF_SCALE)  # weighted means of WF rows
+    v = checked_matrix(centers, "centers", WF_SCALE)  # weighted means of WF rows
     if v.shape != (u.shape[0], m):
         raise ValueError(f"centers must be {u.shape[0]} x {m}")
     return u, v

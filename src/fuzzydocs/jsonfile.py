@@ -21,7 +21,8 @@ partition's memberships, cluster centers -- passes one rule,
 ``checked_numbers``: a number is a Python or numpy int or float, never a
 bool; a list as JSON loads it holds only numbers, or at the depth of a
 matrix's rows only lists of numbers; and each number lies in [0, high].
-``is_number`` is its type test for one value.
+``is_number`` is its type test for one value, ``is_integer`` its test
+for an integer setting, and ``checked_matrix`` adds a non-empty 2-d shape.
 
 A list of names -- doc ids, feature terms, profile labels -- passes one
 rule, ``checked_names``, on both sides of each file: a name list is a
@@ -38,8 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["checked_names", "checked_numbers", "is_number", "read_json", "temporary_path",
-           "write_json", "write_json_array"]
+__all__ = ["checked_matrix", "checked_names", "checked_numbers", "is_integer", "is_number",
+           "read_json", "temporary_path", "write_json", "write_json_array"]
 
 NAME_MAX = 255  # bytes in one file name on Linux and macOS file systems
 
@@ -152,6 +153,11 @@ def is_number(value) -> bool:
     return _number_type(type(value))
 
 
+def is_integer(value) -> bool:
+    """Whether a value is a Python or numpy int, never a bool."""
+    return is_number(value) and isinstance(value, (int, np.integer))
+
+
 def _number_type(kind: type) -> bool:
     return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
 
@@ -178,6 +184,15 @@ def checked_numbers(value, what: str, high: float, ndim: int) -> np.ndarray:
         raise ValueError(f"{what} must be numbers")
     if not np.all((a >= 0) & (a <= high)):  # NaN fails both bounds
         raise ValueError(f"{what} must lie in [0, {high:g}]")
+    return a
+
+
+def checked_matrix(value, what: str, high: float) -> np.ndarray:
+    """``value`` as a non-empty 2-d float64 array that passes ``checked_numbers``;
+    otherwise ValueError, one of its messages or ``WHAT must be a 2-d non-empty matrix``."""
+    a = checked_numbers(value, what, high, 2)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{what} must be a 2-d non-empty matrix")
     return a
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .fcm import validate_partition
 from .features import WF_SCALE, LabeledProfile, _wf_table
-from .jsonfile import checked_names, checked_numbers, write_json_array
+from .jsonfile import checked_matrix, checked_names, write_json_array
 
 __all__ = [
     "StrengthReport",
@@ -82,12 +82,12 @@ def label_clusters(
     from an assignment solver in O(c^2 L) for L profiles, and the tie rule
     adds at most c L solves of the residual problem, skipping each label
     whose reduced cost alone already exceeds the tolerance. The centers
-    must pass :func:`fuzzydocs.jsonfile.checked_numbers`, and the profile
+    must pass :func:`fuzzydocs.jsonfile.checked_matrix`, and the profile
     labels :func:`fuzzydocs.jsonfile.checked_names`; each profile checked
     its WFs when it was made.
     """
-    centers = checked_numbers(centers, "centers", WF_SCALE, 2)  # weighted means of WF rows
-    if centers.ndim != 2 or centers.shape[1] != len(features):
+    centers = checked_matrix(centers, "centers", WF_SCALE)  # weighted means of WF rows
+    if centers.shape[1] != len(features):
         raise ValueError(f"centers must be a c x {len(features)} array (a row per cluster, "
                          f"a column per feature), got shape {centers.shape}")
     c = centers.shape[0]
@@ -98,7 +98,7 @@ def label_clusters(
     labels = [p.label for p in profiles]
     vectors = _wf_table(profiles, features)
     dist = np.array([[float(np.linalg.norm(center - vector)) for vector in vectors]
-                     for center in centers]).reshape(c, len(labels))
+                     for center in centers])
     return tuple(labels[k] for k in _first_best_assignment(dist).tolist())
 
 
@@ -215,13 +215,18 @@ def classify_strength(
     :func:`fuzzydocs.fcm.validate_partition` with a column per doc id and
     a row per label; the report holds the validated copy of u.
     """
-    doc_ids, labels = checked_names(doc_ids, "doc_ids"), checked_names(labels, "labels")
-    u = validate_partition(u, n=len(doc_ids), c=len(labels))
+    u, doc_ids, labels = _checked_partition(u, doc_ids, labels)
     validate_thresholds(strong_threshold, ambiguity_margin, len(labels))
     high = u.max(axis=0)
     strength = np.where(high >= strong_threshold, 0,
                         np.where(high - u.min(axis=0) < ambiguity_margin, 1, 2))
     return StrengthReport(doc_ids, labels, u, u.argmax(axis=0), strength)
+
+
+def _checked_partition(u, doc_ids, labels) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
+    """u, doc_ids and labels, checked as :func:`classify_strength` says."""
+    doc_ids, labels = checked_names(doc_ids, "doc_ids"), checked_names(labels, "labels")
+    return validate_partition(u, n=len(doc_ids), c=len(labels)), doc_ids, labels
 
 
 def validate_thresholds(strong_threshold: float, ambiguity_margin: float, c: int) -> None:
@@ -243,8 +248,7 @@ def rank_documents(
     """Documents ordered by descending membership in one labeled cluster,
     ties by ascending doc_id. doc_ids, labels and u must pass the rules
     :func:`classify_strength` names."""
-    doc_ids, labels = checked_names(doc_ids, "doc_ids"), checked_names(labels, "labels")
-    u = validate_partition(u, n=len(doc_ids), c=len(labels))
+    u, doc_ids, labels = _checked_partition(u, doc_ids, labels)
     if label not in labels:
         raise ValueError(f"unknown label: {label}")
     degrees = u[labels.index(label)]

@@ -1041,6 +1041,100 @@ def test_out_name_too_long_is_usage_error(tmp_path, capsys, command):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command,option,name", [
+    pytest.param("features", "--config", "--config file", id="features-config"),
+    pytest.param("features", "stopwords_file", "preprocess.stopwords_file", id="features-stopwords"),
+    pytest.param("cluster", "--config", "--config file", id="cluster-config"),
+    pytest.param("cluster", "stopwords_file", "preprocess.stopwords_file", id="cluster-stopwords"),
+    pytest.param("cluster", "--features", "--features file", id="cluster-features"),
+    pytest.param("cluster", "--init-file", "--init-file", id="cluster-init"),
+    pytest.param("report", "--config", "--config file", id="report-config"),
+    pytest.param("report", "--result", "--result file", id="report-result"),
+    pytest.param("report", "--profiles", "--profiles file", id="report-profiles"),
+])
+@pytest.mark.parametrize("spelling", ["same", "other-spelling", "tmp-symlink"])
+def test_out_over_an_input_is_usage_error(tmp_path, capsys, command, option, name, spelling):
+    """--out replaces no file the command reads, by its own name, by
+    another spelling of it, or through its .NAME.tmp, which write_json
+    opens for writing: a symlink there would truncate the input."""
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("the\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"preprocess": {"stemming": False,
+                                                 "stopwords_file": str(stopwords)}}),
+                      encoding="utf-8")
+    argv += ["--config", str(config)]
+    if option == "--init-file":
+        argv += ["--init-file", str(write_init_file(tmp_path))]
+    target = {"--config": config, "stopwords_file": stopwords}.get(option)
+    target = target or Path(argv[argv.index(option) + 1])
+    out = {"same": target,
+           "other-spelling": target.parent / ".." / target.parent.name / target.name,
+           "tmp-symlink": tmp_path / "out.json"}[spelling]
+    if spelling == "tmp-symlink":
+        (tmp_path / ".out.json.tmp").symlink_to(target)
+    argv[argv.index("--out") + 1] = str(out)
+    data = target.read_bytes()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out writes {out} over the {name} {target}\n"
+    assert target.read_bytes() == data
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["features", "cluster", "report"])
+def test_out_directory_is_usage_error(tmp_path, capsys, command):
+    """Refused before any input is read: the write itself would fail
+    only at the end of the run, renaming its .NAME.tmp over the
+    directory."""
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv[argv.index("--out") + 1] = str(out)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out writes {out}, which is a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_profile_directory_is_usage_error(tmp_path, capsys):
+    argv = command_argv(tmp_path, "features")
+    profile = tmp_path / "politics.profile.json"
+    profile.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: --samples label 'politics' names its profile file "
+                                       f"{profile}, which is a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["features", "cluster", "report"])
+def test_input_paths_are_checked_before_any_input_is_read(tmp_path, capsys, command):
+    """A missing input is a usage error even where an input named before
+    it would fail as data once read."""
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    missing = tmp_path / "missing"
+    if command == "features":  # the first label's corpus holds a file that is not UTF-8
+        (Path(argv[2].partition("=")[2]) / "bad.txt").write_bytes(b"\xff")
+        argv[2], argv[4] = "a=" + argv[2].partition("=")[2], f"b={missing}"
+        message = f"corpus directory not found: {missing}"
+    elif command == "cluster":
+        Path(argv[argv.index("--features") + 1]).write_text("{bad", encoding="utf-8")
+        argv[argv.index("--corpus") + 1] = str(missing)
+        message = f"corpus directory not found: {missing}"
+    else:
+        Path(argv[argv.index("--result") + 1]).write_text("{bad", encoding="utf-8")
+        argv[argv.index("--profiles") + 1] = str(missing)
+        message = f"profile file not found: {missing}"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_supplies_samples_and_profiles(tmp_path):
     """One settings file serves both commands: each ignores the other's
     key, and the files equal those of the same run by flags."""

@@ -15,5 +15,5 @@ def test_demo_runs(demo):
     # RuntimeWarning fails the demo
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr

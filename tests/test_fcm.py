@@ -94,8 +94,8 @@ def random_instance(seed: int, n: int = 6, m: int = 2, c: int = 2):
 
 class TestFeatureMatrix:
     def test_basic(self, example_matrix):
-        assert example_matrix.n_docs == 8
-        assert example_matrix.n_features == 4
+        assert len(example_matrix.doc_ids) == 8
+        assert example_matrix.data.shape == (8, 4)
 
     def test_rejects_mismatched_ids(self):
         with pytest.raises(ValueError):
@@ -121,6 +121,13 @@ class TestFeatureMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FeatureMatrix((), np.zeros((0, 3)))
+
+
+class IndexOnly:
+    """An integer-like object that is no int: it only implements ``__index__``."""
+
+    def __index__(self):
+        return 2
 
 
 class TestFcmParams:
@@ -160,6 +167,7 @@ class TestFcmParams:
         ({"c": 2, "fuzzifier": True}, "fuzzifier must be a number"),
         ({"c": 2, "epsilon": "0.1"}, "epsilon must be a number"),
         ({"c": 2, "epsilon": None}, "epsilon must be a number"),
+        ({"c": IndexOnly()}, "c must be an integer"),
     ])
     def test_rejects_wrong_typed_params_when_built(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -338,7 +346,7 @@ class TestInitPartition:
         )
         env = {**os.environ, "PYTHONPATH": str(Path(fcm.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60)
+                              text=True, encoding="utf-8", timeout=60)
         assert proc.returncode == 0, proc.stderr
         before, after = proc.stdout.split()
         assert after == before

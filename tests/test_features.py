@@ -135,6 +135,9 @@ class TestSelectFeatures:
         for term, ratio in goldens.RATIOS.items():
             assert got[term] == pytest.approx(ratio, abs=1e-6)
 
+    def test_no_profiles_score_no_terms(self):
+        assert score_terms([]) == []
+
     def test_ranking_order(self, profiles):
         ranked = [t for t, _ in score_terms(profiles)]
         assert ranked == [

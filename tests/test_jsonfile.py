@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzydocs.jsonfile import checked_names, checked_numbers, is_number, read_json, temporary_path, write_json
+from fuzzydocs.jsonfile import (
+    checked_matrix,
+    checked_names,
+    checked_numbers,
+    is_integer,
+    is_number,
+    read_json,
+    temporary_path,
+    write_json,
+)
 
 
 def leftovers(directory):
@@ -235,6 +244,34 @@ def test_is_number_is_the_same_type_test():
         assert is_number(value)
     for value in (True, np.bool_(False), "5", None, [1.0]):
         assert not is_number(value)
+
+
+class IndexOnly:
+    def __index__(self):
+        return 2
+
+
+def test_is_integer_is_the_integer_setting_test():
+    """The values FcmParams takes for c, max_iters and seed, and those it
+    refuses: a float, even a whole one, a bool, a string, None and an
+    object that is no int but implements ``__index__``."""
+    for value in (2, 0, 10 ** 400, np.int64(2), np.uint8(3), np.int32(4)):
+        assert is_integer(value)
+    for value in (2.0, 2.5, 1.5, np.float64(2.0), True, False, np.True_, "2", None, IndexOnly()):
+        assert not is_integer(value)
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param([1.0, 2.0], id="1-d"),
+    pytest.param(np.ones((2, 2, 1)), id="3-d"),
+    pytest.param(np.zeros((0, 3)), id="no-rows"),
+    pytest.param([[], []], id="no-columns"),
+    pytest.param([], id="empty"),
+    pytest.param(1.0, id="number"),
+])
+def test_checked_matrix_refuses_what_is_no_matrix(value):
+    with pytest.raises(ValueError, match="^values must be a 2-d non-empty matrix$"):
+        checked_matrix(value, "values", 10)
 
 
 @pytest.mark.parametrize("value", [

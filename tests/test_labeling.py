@@ -244,14 +244,16 @@ class TestLabelClusters:
         assert 2 ** 0.5 + 8 ** 0.5 != 18 ** 0.5
         assert label_clusters(centers, profiles, ["x", "y"]) == ("a", "b")
 
-    @pytest.mark.parametrize("centers", [
-        pytest.param(np.array([1.0, 9.0]), id="1-d"),
-        pytest.param(np.ones((2, 4, 1)), id="3-d"),
-        pytest.param(np.ones((2, 3)), id="narrow"),
-        pytest.param(np.ones((2, 5)), id="wide"),
+    @pytest.mark.parametrize("centers,message", [
+        pytest.param(np.array([1.0, 9.0]), "^centers must be a 2-d non-empty matrix$", id="1-d"),
+        pytest.param(np.ones((2, 4, 1)), "^centers must be a 2-d non-empty matrix$", id="3-d"),
+        pytest.param(np.zeros((0, 4)), "^centers must be a 2-d non-empty matrix$", id="no-rows"),
+        pytest.param([], "^centers must be a 2-d non-empty matrix$", id="empty-list"),
+        pytest.param(np.ones((2, 3)), r"centers must be a c x 4 array .*got shape", id="narrow"),
+        pytest.param(np.ones((2, 5)), r"centers must be a c x 4 array .*got shape", id="wide"),
     ])
-    def test_centers_shape_checked(self, profiles, centers):
-        with pytest.raises(ValueError, match=r"centers must be a c x 4 array .*got shape"):
+    def test_centers_shape_checked(self, profiles, centers, message):
+        with pytest.raises(ValueError, match=message):
             label_clusters(centers, profiles, FEATURES)
 
     def test_many_labels_in_polynomial_time(self):
