@@ -29,6 +29,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -233,25 +234,35 @@ def _parse_samples(pairs: list[str]) -> dict[str, Path]:
 
 
 def _read_files(s: dict, *files: tuple[str, Path | None]) -> dict[Path, str]:
-    """The files a command reads, each with what names it in a message:
-    the ``--config`` file and ``files``, where a None path is an option
-    not given."""
+    """The files and corpus directories a command reads, each with what
+    names it in a message: the ``--config`` file and ``files``, where a
+    None path is an option not given."""
     return {Path(path): name for name, path in (("--config file", s["config"]), *files)
             if path is not None}
 
 
 def _written_path(path: Path, what: str, kept: dict[Path, str]) -> Path:
     """``path``, if the command can write it without replacing a file it
-    keeps: the one collision rule of every file written. ``path`` must not
-    be a directory, and neither it nor the ``.NAME.tmp`` written through it
-    may be one of ``kept``, each a file the command reads, or writes
-    first, with what names it. Two paths are one file when they are by
-    inode, or, where one does not exist yet, by resolved path. Otherwise
-    a usage error whose message begins with ``what``."""
+    keeps: the one collision rule of every file written. ``kept`` holds
+    each file the command reads, or writes first, and each corpus
+    directory it reads, with what names it. Neither ``path`` nor the
+    ``.NAME.tmp`` written through it may be a directory or one of those
+    files, and ``path`` may not be a document of one of those directories:
+    an existing file directly in it whose name does not begin with a dot.
+    Two paths are one file when they are by inode, or, where one does not
+    exist yet, by resolved path. Otherwise a usage error whose message
+    begins with ``what``."""
+    tmp = temporary_path(path)
     if path.is_dir():
         raise UsageError(f"{what} {path}, which is a directory")
+    if tmp.is_dir():
+        raise UsageError(f"{what} {path} through {tmp}, which is a directory")
+    document = path.is_file() and not path.name.startswith(".")
     for file, name in kept.items():
-        if _same_file(path, file) or _same_file(temporary_path(path), file):
+        if file.is_dir():  # neither path is one, so only a document can collide
+            if document and _same_file(path.parent, file):
+                raise UsageError(f"{what} {path} over a document of the {name} {file}")
+        elif _same_file(path, file) or _same_file(tmp, file):
             raise UsageError(f"{what} {path} over the {name} {file}")
     return path
 
@@ -293,7 +304,8 @@ def _profile_path(label: str, out: Path, reads: dict[Path, str]) -> Path:
 def cmd_features(s: dict) -> int:
     samples = _parse_samples(s["samples"])
     switches, stopwords = _preprocess_options(s["preprocess"])
-    reads = _read_files(s, ("preprocess.stopwords_file", stopwords))
+    reads = _read_files(s, ("preprocess.stopwords_file", stopwords),
+                        *(("--samples directory", d) for d in samples.values()))
     out = _output_path(s["out"], reads)
     profile_paths = {label: _profile_path(label, out, reads) for label in samples}
     if len(samples) < 2:
@@ -342,15 +354,17 @@ def cmd_cluster(s: dict) -> int:
     switches, stopwords = _preprocess_options(s["preprocess"])
     out = _output_path(s["out"], _read_files(s, ("--features file", features_path),
                                              ("--init-file", init_path),
-                                             ("preprocess.stopwords_file", stopwords)))
+                                             ("preprocess.stopwords_file", stopwords),
+                                             ("--corpus directory", corpus)))
     pre = _preprocess_config(switches, stopwords)
 
-    # checked below, once the document count is known
+    # checked below, once the document count is known, and given to the
+    # params as the checked array
     init = None if init_path is None else read_json(init_path)
     try:
         params = FcmParams(
             c=s["clusters"], fuzzifier=s["fuzzifier"], epsilon=s["epsilon"],
-            max_iters=s["max_iters"], init=init, seed=s["seed"],
+            max_iters=s["max_iters"], seed=s["seed"],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -369,9 +383,10 @@ def cmd_cluster(s: dict) -> int:
         raise ValueError(f"cluster count {params.c} exceeds surviving document count {len(rows)}")
     if init_path is not None:  # a file holding null is no partition either
         try:
-            validate_partition(init, n=len(rows), c=params.c)
+            init = validate_partition(init, n=len(rows), c=params.c)  # frees the JSON list
         except ValueError as exc:
             raise ValueError(f"invalid init file {init_path}: {exc}") from exc
+        params = replace(params, init=init)
     matrix = FeatureMatrix(doc_ids=tuple(doc_ids), data=np.array(rows, dtype=float))
     zero_rows = int(np.count_nonzero(~matrix.data.any(axis=1)))
     if zero_rows:  # clustering cannot tell these documents apart

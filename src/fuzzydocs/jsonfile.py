@@ -9,9 +9,10 @@ top-level member whose value is an iterator is written as an array, one
 element at a time, in the bytes ``json.dumps`` writes for the list of its
 elements, so a large array is never built as one list or string. A file
 is written whole or not at all: ``write_json``, and ``write_json_array``
-for an array whose elements the caller has encoded, stream into a
-temporary dot file next to the target and rename it over the target
-only once the last line has been written.
+for an array whose elements the caller has encoded (a member may hold a
+block of elements joined by ``SEPARATOR``, as the array joins them),
+stream into a temporary dot file next to the target and rename it over
+the target only once the last line has been written.
 A missing directory on the way to the target is created. A target whose
 temporary name passes the 255-byte file name limit is refused before
 anything is written.
@@ -39,10 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["checked_matrix", "checked_names", "checked_numbers", "is_integer", "is_number",
-           "read_json", "temporary_path", "write_json", "write_json_array"]
+__all__ = ["SEPARATOR", "checked_matrix", "checked_names", "checked_numbers", "is_integer",
+           "is_number", "read_json", "temporary_path", "write_json", "write_json_array"]
 
 NAME_MAX = 255  # bytes in one file name on Linux and macOS file systems
+SEPARATOR = ",\n  "  # between two elements of a top-level array, or two members of an object
 
 
 def temporary_path(path: str | Path) -> Path:
@@ -67,9 +69,10 @@ def write_json(payload, path: str | Path) -> None:
 
 def write_json_array(members: Iterable[str], path: str | Path) -> None:
     """Replace ``path`` with a JSON array of ``members``, each the text of
-    one element as ``json.dumps`` writes it without indent, written one
-    per line as :func:`write_json` writes a list. A write that fails does
-    as :func:`write_json`'s does."""
+    one element as ``json.dumps`` writes it without indent, or of several
+    such elements joined by ``SEPARATOR``, so the file is one element per
+    line, as :func:`write_json` writes a list. A write that fails does as
+    :func:`write_json`'s does."""
     _write(_container(members, "[]"), path)
 
 
@@ -132,7 +135,8 @@ def _container(members: Iterable[str | Iterator[str]], brackets: str) -> Iterato
             yield member
         else:
             yield from member
-        separator = ",\n  "
+        del member  # written: a block of elements is freed before the next is made
+        separator = SEPARATOR
     yield brackets + "\n" if separator is opening else "\n" + brackets[1] + "\n"
 
 

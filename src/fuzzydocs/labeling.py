@@ -19,12 +19,13 @@ A report is a :class:`StrengthReport`: the doc ids, the labels, the
 validated c x n partition and, per document, the index of its top
 cluster and of its strength class, as arrays. ``report.json`` holds one
 entry per document, ``{"doc_id", "labels": {label: degree}, "top_label",
-"strength"}``; ``save_report`` writes each entry's line from a template,
-byte for byte as ``json.dumps`` writes the entry, and streams the lines
-through :mod:`fuzzydocs.jsonfile`, so the file is replaced whole or left
-as it was. The report command's order (top label, then descending top
-degree, then doc id) and :func:`rank_documents`' order are one
-``np.lexsort`` over the degrees and the ranks of the names.
+"strength"}``; ``save_report`` formats the lines of a block of documents
+at a time from one template, each byte for byte as ``json.dumps`` writes
+the entry, and streams the blocks through :mod:`fuzzydocs.jsonfile`, so
+the file is replaced whole or left as it was. The report command's order
+(top label, then descending top degree, then doc id) and
+:func:`rank_documents`' order are one ``np.lexsort`` over the degrees
+and the ranks of the names.
 
 The report table prints each degree to four decimals, and each degree
 cell equals ``format(x, ".4f")`` of the degree read as a float. The cells
@@ -40,14 +41,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import count
-from json.encoder import encode_basestring
+from json.encoder import ESCAPE, encode_basestring
 from pathlib import Path
 
 import numpy as np
 
 from .fcm import validate_partition
 from .features import WF_SCALE, LabeledProfile, _wf_table
-from .jsonfile import checked_matrix, checked_names, write_json_array
+from .jsonfile import SEPARATOR, checked_matrix, checked_names, write_json_array
 
 __all__ = [
     "StrengthReport",
@@ -270,7 +271,8 @@ def _ranks(names: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-# the documents whose degrees are converted to Python floats at a time
+# the documents whose entries are formatted, and whose degrees are
+# converted to Python floats, at a time
 _SAVE_BLOCK = 1024
 
 
@@ -280,25 +282,48 @@ def save_report(report: StrengthReport, path: str | Path) -> None:
     ensure_ascii=False)`` of the entry :class:`StrengthReport` names, byte
     for byte: its names go through the encoder's string function and its
     degrees through ``float.__repr__``, the two the encoder calls. Written
-    through :func:`fuzzydocs.jsonfile.write_json_array`."""
-    write_json_array(_entries(report), path)
+    through :func:`fuzzydocs.jsonfile.write_json_array`, a block of
+    ``_SAVE_BLOCK`` entries per member."""
+    write_json_array(_entry_blocks(report), path)
 
 
-def _entries(report: StrengthReport) -> Iterator[str]:
-    """The JSON text of each document's entry. Degrees are converted to
-    Python floats ``_SAVE_BLOCK`` documents at a time, as ``%r`` of a numpy
-    float is not the float's repr under numpy 2."""
+def _entry_blocks(report: StrengthReport) -> Iterator[str]:
+    """The JSON text of each ``_SAVE_BLOCK`` documents' entries, joined as
+    the array joins its elements, from one ``%`` over the entry template
+    repeated for the block. Labels are escaped once, into the template.
+    Degrees are converted to Python floats a block at a time, as ``%r`` of
+    a numpy float is not the float's repr under numpy 2."""
     name = encode_basestring
     degrees = ", ".join(name(label).replace("%", "%%") + ": %r" for label in report.labels)
-    entry = '{"doc_id": %s, "labels": {' + degrees + "%s"
+    entry = '{"doc_id": "%s", "labels": {' + degrees + "%s"
     tails = [f'}}, "top_label": {name(label)}, "strength": {name(strength)}}}'
              for label in report.labels for strength in STRENGTHS]
-    tail = (report.top * len(STRENGTHS) + report.strength).tolist()
-    u = report.memberships
-    for at in range(0, len(report.doc_ids), _SAVE_BLOCK):
-        block = slice(at, at + _SAVE_BLOCK)
-        for doc_id, row, k in zip(report.doc_ids[block], u[:, block].T.tolist(), tail[block]):
-            yield entry % (name(doc_id), *row, tails[k])
+    n = len(report.doc_ids)
+    template = SEPARATOR.join([entry] * _SAVE_BLOCK)
+    for at in range(0, n, _SAVE_BLOCK):
+        if n - at < _SAVE_BLOCK:  # the last block
+            template = SEPARATOR.join([entry] * (n - at))
+        # the arguments are freed before the text is written
+        yield template % _entry_arguments(report, slice(at, at + _SAVE_BLOCK), tails)
+
+
+def _entry_arguments(report: StrengthReport, block: slice, tails: Sequence[str]) -> tuple:
+    """The arguments of the entry template for a block of documents, in
+    one flat tuple, entry by entry: the doc id, its c degrees, its tail.
+    Doc ids in which ``json.encoder.ESCAPE`` finds nothing, which the
+    encoder writes as they are, fill their ``"%s"`` slots unchanged; the
+    ids of any other block are escaped one by one."""
+    doc_ids = report.doc_ids[block]
+    if ESCAPE.search("".join(doc_ids)):
+        doc_ids = [encode_basestring(doc_id)[1:-1] for doc_id in doc_ids]
+    stride = len(report.labels) + 2
+    args = [None] * (len(doc_ids) * stride)
+    args[::stride] = doc_ids
+    for j, row in enumerate(report.memberships[:, block].tolist(), 1):
+        args[j::stride] = row
+    tail = report.top[block] * len(STRENGTHS) + report.strength[block]
+    args[stride - 1::stride] = map(tails.__getitem__, tail.tolist())
+    return tuple(args)
 
 
 def printable(text: str) -> str:
@@ -321,7 +346,11 @@ def render_report_table(report: StrengthReport) -> str:
         return ""
     names = list(map(printable, report.labels))
     u = report.memberships
-    widths = [_width("doc_id", map(printable, report.doc_ids)),
+    doc_ids = report.doc_ids
+    # a printable text is its own escape, so the ids are escaped one by one
+    # only when one of them needs it
+    escaped = not "".join(doc_ids).isprintable()
+    widths = [_width("doc_id", map(printable, doc_ids) if escaped else doc_ids),
               *map(_degree_width, names, u),
               # sets, not np.unique, which imports numpy.ma on first use in numpy 2
               _width("top_label", (names[j] for j in set(report.top.tolist()))),
@@ -337,8 +366,9 @@ def render_report_table(report: StrengthReport) -> str:
     # sliced as it is formatted: no list of n names or n cell strings is
     # alive while the lines are built, nor the block text while they are
     # joined
-    lines = [row.format(printable(doc_id), text[at:at + stride], tails[k])
-             for doc_id, at, k in zip(report.doc_ids, count(0, stride), tail)]
+    lines = [row.format(doc_id, text[at:at + stride], tails[k])
+             for doc_id, at, k in zip(map(printable, doc_ids) if escaped else doc_ids,
+                                      count(0, stride), tail)]
     del text
     return "\n".join([header, *lines])
 
@@ -378,7 +408,8 @@ def _degree_blocks(u: np.ndarray, widths: Sequence[int]) -> tuple[str, int]:
 
 
 def _width(name: str, cells: Iterable[str]) -> int:
-    return max(len(name), *map(len, cells))
+    """The widest of a column's name and its cells, of which there is one at least."""
+    return max(len(name), max(map(len, cells)))
 
 
 def _degree_width(label: str, degrees: np.ndarray) -> int:

@@ -18,7 +18,7 @@ import fuzzydocs
 import goldens
 from peak_memory import traced_peak_bytes
 from fuzzydocs import cli
-from fuzzydocs.fcm import FcmResult, save_result
+from fuzzydocs.fcm import FcmResult, run_fcm, save_result
 from fuzzydocs.features import LabeledProfile, build_profile, save_feature_set, save_profile
 from fuzzydocs.preprocess import PreprocessConfig, preprocess_document
 from fuzzydocs.cli import main
@@ -738,6 +738,20 @@ class TestClusterCommand:
         assert capsys.readouterr().err.startswith(f"error: invalid init file {path}: invalid partition: ")
         assert not out.exists()
 
+    def test_init_file_reaches_run_fcm_as_the_checked_array(self, tmp_path, monkeypatch):
+        # the JSON list, 32 bytes per membership, is not kept through the run
+        given = []
+
+        def spy(matrix, params):
+            given.append(params.init)
+            return run_fcm(matrix, params)
+
+        monkeypatch.setattr(cli, "run_fcm", spy)
+        code, _ = self.run_cluster(tmp_path, "--init-file", str(write_init_file(tmp_path)))
+        assert code == 0
+        assert type(given[0]) is np.ndarray
+        assert given[0].tolist() == goldens.CRISP_INIT
+
     def test_missing_features_file_is_usage_error(self, tmp_path):
         corpus = write_corpus(tmp_path)
         code = main([
@@ -1109,6 +1123,87 @@ def test_profile_directory_is_usage_error(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == (f"error: --samples label 'politics' names its profile file "
                                        f"{profile}, which is a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command,corpus,name", [
+    pytest.param("cluster", "corpus", "--corpus directory", id="cluster-corpus"),
+    pytest.param("features", "sports", "--samples directory", id="features-samples"),
+])
+@pytest.mark.parametrize("spelling", ["same", "other-spelling"])
+def test_out_over_a_document_is_usage_error(tmp_path, capsys, command, corpus, name, spelling):
+    """--out replaces no document of a corpus the command reads: an
+    existing file directly in the directory whose name does not begin
+    with a dot. The directories are compared, not listed."""
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    directory = tmp_path / corpus
+    document = min(directory.iterdir())
+    out = {"same": document,
+           "other-spelling": directory / ".." / corpus / document.name}[spelling]
+    argv[argv.index("--out") + 1] = str(out)
+    data = document.read_bytes()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: --out writes {out} over a document of the "
+                                       f"{name} {directory}\n")
+    assert document.read_bytes() == data
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_profile_over_a_document_is_usage_error(tmp_path, capsys):
+    argv = command_argv(tmp_path, "features")
+    politics = tmp_path / "politics"
+    argv[argv.index("--out") + 1] = str(politics / "features.json")
+    profile = politics / "politics.profile.json"
+    profile.write_text("a politics sample", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: --samples label 'politics' names its profile file "
+                                       f"{profile} over a document of the --samples directory "
+                                       f"{politics}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command,corpus", [("features", "sports"), ("cluster", "corpus")])
+@pytest.mark.parametrize("name", ["out.json", ".out.json"])
+def test_out_beside_the_documents_is_written(tmp_path, command, corpus, name):
+    """A new file, or a dot file, in a corpus directory is no document the
+    command reads, so --out may name one."""
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    out = tmp_path / corpus / name
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv) == 0
+    assert out.is_file()
+
+
+@pytest.mark.parametrize("command", ["features", "cluster", "report"])
+def test_out_temporary_directory_is_usage_error(tmp_path, capsys, command):
+    """Refused before any input is read: the write would fail only at the
+    end of the run, opening the .NAME.tmp it writes first."""
+    argv = command_argv(tmp_path, command) + ["--clusters", "2"] * (command == "cluster")
+    out = Path(argv[argv.index("--out") + 1])
+    tmp = out.with_name(f".{out.name}.tmp")
+    tmp.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: --out writes {out} through {tmp}, "
+                                       f"which is a directory\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_profile_temporary_directory_is_usage_error(tmp_path, capsys):
+    argv = command_argv(tmp_path, "features")
+    profile = tmp_path / "politics.profile.json"
+    tmp = tmp_path / ".politics.profile.json.tmp"
+    tmp.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: --samples label 'politics' names its profile file "
+                                       f"{profile} through {tmp}, which is a directory\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -954,16 +954,22 @@ class TestProperties:
         np.testing.assert_allclose(v_perm, v_plain, rtol=1e-9, atol=1e-9)
 
     @given(st.integers(0, 10_000))
+    # converges at epsilon 1e-3 after a last change of 9.9e-4, and the next
+    # iteration still moves a membership by 1.05e-3: a change under epsilon
+    # does not bound the next one
+    @example(2374)
     @settings(max_examples=100, deadline=None)
     def test_converged_runs_are_fixed_points(self, seed):
+        # converged far below 1e-3, a run is a fixed point within 1e-3, and
+        # one more iteration never raises J_m, converged or not
         x, u0 = random_instance(seed, n=7, m=2, c=2)
-        params = FcmParams(c=2, init=u0, max_iters=200)
-        res = run_fcm(x, params)
-        if not res.converged:
-            return
+        res = run_fcm(x, FcmParams(c=2, init=u0, max_iters=1000, epsilon=1e-9))
         v = update_centers(res.partition**2.0, x.data)
-        u = update_memberships(np.sqrt(squared_distances(x.data, v)), 2.0)
-        assert np.max(np.abs(u - res.partition)) < params.epsilon
+        sq = squared_distances(x.data, v)
+        u = update_memberships(np.sqrt(sq), 2.0)
+        assert objective(u**2.0, sq) <= res.objective_history[-1] * (1 + 1e-12)
+        if res.converged:
+            assert np.max(np.abs(u - res.partition)) < 1e-3
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)

@@ -15,6 +15,7 @@ import goldens
 from peak_memory import traced_peak_bytes
 from fuzzydocs.features import LabeledProfile
 from fuzzydocs.labeling import (
+    _SAVE_BLOCK,
     STRENGTHS,
     TIE_TOLERANCE,
     StrengthReport,
@@ -72,6 +73,14 @@ def many_documents():
     """A seeded 8 x 20,000 partition, with its doc ids and labels."""
     u = np.random.default_rng(0).dirichlet(np.full(8, 0.3), size=20_000).T.copy()
     return u, [f"doc{i:05d}" for i in range(20_000)], [f"label{j}" for j in range(8)]
+
+
+def many_documents_one_unprintable():
+    """The report of many_documents, its last doc id holding an escape
+    sequence whose escaped text is the widest id."""
+    u, doc_ids, labels = many_documents()
+    doc_ids[-1] = "doc\x1b[2J-19999"
+    return classify_strength(u, doc_ids, labels)
 
 
 def reference_report_table(report):
@@ -515,10 +524,16 @@ class TestReportFiles:
             save_report(report, path)
             assert path.read_bytes() == json_lines(entries(report)).encode("utf-8")
 
-    def test_many_documents_are_what_json_dumps_writes(self, tmp_path):
-        # more documents than one block of converted degrees
+    @pytest.mark.parametrize("n", [_SAVE_BLOCK, _SAVE_BLOCK + 1, 3000])
+    @pytest.mark.parametrize("escaped", [False, True], ids=["plain", "escaped"])
+    def test_many_documents_are_what_json_dumps_writes(self, tmp_path, n, escaped):
+        # one block exactly, a last block of one, and a short last block;
+        # with one doc id in the last block that the encoder escapes
         u, doc_ids, labels = many_documents()
-        report = classify_strength(u[:, :3000], doc_ids[:3000], labels)
+        doc_ids = doc_ids[:n]
+        if escaped:
+            doc_ids[-1] = 'a "quoted"\tid%s'
+        report = classify_strength(u[:, :n], doc_ids, labels)
         save_report(report, tmp_path / "report.json")
         assert (tmp_path / "report.json").read_text("utf-8") == json_lines(entries(report))
 
@@ -577,6 +592,7 @@ class TestReportFiles:
                                  [[0.03125, 0.00005, 0.99995], [0.12345, 0.5, 0.00015]], [2, 1],
                                  [2, 1]), id="near-tie"),
         pytest.param(make_report([], ["a", "b"], [], [], []), id="empty"),
+        pytest.param(many_documents_one_unprintable(), id="many-one-unprintable"),
     ])
     def test_render_matches_cell_by_cell_table(self, report):
         assert render_report_table(report) == reference_report_table(report)
